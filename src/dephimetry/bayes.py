@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,10 +35,8 @@ from .errors import (
     NumericalConsistencyError,
     UninformativeMeasurementError,
 )
-from .fisher import Povm, qfi
+from .fisher import PROB_FLOOR, RANK_TOL_FACTOR, Povm, qfi
 from .parallel import chunk_rngs, map_ordered
-
-PROB_FLOOR = 1e-12
 
 _PROB_SUM_TOL = 1e-10
 _NEGATIVE_PROB_TOL = -1e-12
@@ -64,6 +62,18 @@ class ExperimentConfig:
             raise ValueError("POVM and state dimensions differ")
         if self.cov.n != self.gen.nsites:
             raise ValueError("covariance size does not match the site count")
+
+    @classmethod
+    def measured(cls, measure: Callable[[DensityMatrix, GeneratorSpec], Povm],
+                 rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix,
+                 phi0: float = 0.0, delta_phi: float = 0.0) -> "ExperimentConfig":
+        """Config whose POVM is measure(averaged_state, gen), e.g. optimal_povm;
+        the averaged state is built once and kept for the estimators."""
+        averaged = encode_phase(dephase(rho, gen, cov), gen, phi0)
+        cfg = cls(rho=rho, gen=gen, cov=cov, povm=measure(averaged, gen),
+                  phi0=phi0, delta_phi=delta_phi)
+        cfg.__dict__["averaged_state"] = averaged
+        return cfg
 
     @cached_property
     def delta2(self) -> float:
@@ -142,10 +152,23 @@ class SimulationResult:
             yield (i, *self.phases[i], int(self.outcomes[i]), float(self.estimates_best[i]))
 
 
-def _effect_stack(povm: Povm) -> np.ndarray:
-    """(dim*dim, outcomes) matrix with vec(Pi_x^T) columns, so that
-    Tr(A Pi_x) = vec(A) . column_x."""
-    return np.stack([e.T.ravel() for e in povm.effects], axis=1)
+def _state_factor(rho: DensityMatrix) -> np.ndarray:
+    """(dim, r) factor A with rho = A A^dagger, keeping the eigenvalues above
+    RANK_TOL_FACTOR * lam_max (the rank rule of the SLD)."""
+    lam, vec = np.linalg.eigh(rho.entries)
+    keep = lam > RANK_TOL_FACTOR * lam[-1]
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
+def _shot_probabilities(povm: Povm, factor: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(shots, outcomes) probabilities of diag(w_s) A A^dagger diag(w_s)^dagger
+    per row w_s of w: sum over columns of |(w_s * A)^T conj(V)|^2."""
+    size, dim = w.shape
+    rank = factor.shape[1]
+    rotated = (w[:, :, None] * factor[None, :, :]).transpose(0, 2, 1).reshape(size * rank, dim)
+    amplitudes = rotated @ povm.vectors.conj()
+    column_probs = (amplitudes.real**2 + amplitudes.imag**2).reshape(size, rank, -1).sum(axis=1)
+    return povm.collect(column_probs)
 
 
 def averaged_probabilities(cfg: ExperimentConfig, phi: float) -> np.ndarray:
@@ -156,20 +179,15 @@ def averaged_probabilities(cfg: ExperimentConfig, phi: float) -> np.ndarray:
 
 def bayes_estimators(cfg: ExperimentConfig, prob_floor: float = PROB_FLOOR) -> EstimatorTable:
     """Posterior-mean site estimators via the commutator-trace reduction."""
-    rb = cfg.averaged_state.entries
-    stack = _effect_stack(cfg.povm)
-    probs = (rb.ravel() @ stack).real
+    # Per column v: p = v^dagger rho_bar v and, for each site,
+    # v^dagger (-i [S_j, rho_bar]) v = 2 Im(v^dagger S_j rho_bar v).
+    v = cfg.povm.vectors
+    terms = v.conj() * (cfg.averaged_state.entries @ v)
+    probs = cfg.povm.collect(terms.sum(axis=0).real)
     included = probs > prob_floor
     if not included.any():
         raise DegenerateMeasurementError("every outcome fell below the probability floor")
-
-    table = cfg.gen.site_energy_table
-    nsites = cfg.gen.nsites
-    traces = np.empty((nsites, cfg.povm.outcomes))
-    for j in range(nsites):
-        sj = table[j]
-        commutator = -1j * (sj[:, None] - sj[None, :]) * rb
-        traces[j] = (commutator.ravel() @ stack).real
+    traces = cfg.povm.collect(2.0 * (cfg.gen.site_energy_table @ terms).imag)
 
     ratios = np.zeros_like(traces)
     ratios[:, included] = traces[:, included] / probs[included]
@@ -234,16 +252,20 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
     table = best_estimator(cfg)
     root = covariance_sqrt(cfg.cov)
     energy_table = cfg.gen.site_energy_table
-    stack = _effect_stack(cfg.povm)
-    rho = cfg.rho.entries
+    factor = _state_factor(cfg.rho)
     mean = cfg.phi0 + cfg.delta_phi
+    jobs = chunk_rngs(seed, shots)
+    starts = np.cumsum([0] + [size for _, size in jobs[:-1]])
+    phases = np.empty((shots, cfg.cov.n))
+    outcomes = np.empty(shots, dtype=np.int_)
 
     def run_chunk(job):
-        rng, size = job
-        phases = mean + rng.standard_normal((size, cfg.cov.n)) @ root
-        w = np.exp(-1j * (phases @ energy_table))
-        weighted = (w[:, :, None] * w.conj()[:, None, :]) * rho[None, :, :]
-        probs = (weighted.reshape(size, -1) @ stack).real
+        (rng, size), start = job
+        rows = slice(start, start + size)
+        np.matmul(rng.standard_normal((size, cfg.cov.n)), root, out=phases[rows])
+        phases[rows] += mean
+        w = np.exp(-1j * (phases[rows] @ energy_table))
+        probs = _shot_probabilities(cfg.povm, factor, w)
         worst = probs.min()
         if worst < _NEGATIVE_PROB_TOL:
             raise NumericalConsistencyError(
@@ -253,12 +275,9 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         draws = rng.random(size)
-        outcomes = (draws[:, None] > cdf).sum(axis=1)
-        return phases, outcomes
+        outcomes[rows] = (draws[:, None] > cdf).sum(axis=1)
 
-    pieces = map_ordered(run_chunk, chunk_rngs(seed, shots))
-    phases = np.concatenate([p for p, _ in pieces], axis=0)
-    outcomes = np.concatenate([o for _, o in pieces], axis=0)
+    map_ordered(run_chunk, zip(jobs, starts))
 
     estimates_best = table.best[outcomes]
     estimates = table.estimates[outcomes]

@@ -11,7 +11,8 @@ figure    data files for the scaling and comparison panels
 
 Exit codes: 0 success, 1 usage error, 2 bound violation, 3 numerical failure.
 The DEPHIMETRY_THREADS environment variable caps the worker pool used by
-sweep grids and simulation chunks; results do not depend on it.
+sweep grids and simulation chunks; the pool never exceeds os.cpu_count()
+workers, and results do not depend on it.
 """
 from __future__ import annotations
 
@@ -248,14 +249,12 @@ def cmd_simulate(args) -> int:
         print(f"drawn seed: {seed}", file=sys.stderr)
     gen = GeneratorSpec.qubits(args.n)
     cov = _family_matrix(args.family, args.n, args.alpha, args.two_beta2)
-    rho = _make_state(args.state, args.n)
-    averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
-    povm = optimal_povm(averaged, gen)
-    cfg = ExperimentConfig(
-        rho=rho, gen=gen, cov=cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi
+    cfg = ExperimentConfig.measured(
+        optimal_povm, _make_state(args.state, args.n), gen, cov,
+        phi0=args.phi0, delta_phi=args.delta_phi,
     )
     result = simulate(cfg, args.shots, seed)
-    predicted = 1.0 / classical_fi(averaged, gen, povm)
+    predicted = 1.0 / classical_fi(cfg.averaged_state, gen, cfg.povm)
 
     undefined = result.mse_stderr is None
     if undefined:

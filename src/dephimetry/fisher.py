@@ -10,8 +10,6 @@ projective measurement in any eigenbasis of L attains it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DensityMatrix, GeneratorSpec, HermitianOperator
@@ -30,18 +28,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
 class Povm:
-    """A finite measurement: PSD effects summing to the identity."""
+    """A finite measurement: PSD effects summing to the identity.
 
-    effects: tuple[np.ndarray, ...]
+    Stored factored as a (dim, m) column matrix `vectors` and an outcome
+    label per column, Pi_x = sum over columns k with labels[k] == x of
+    v_k v_k^dagger, so no dense effect is kept.  `Povm(effects)` validates
+    dense effects and factors each one by its eigendecomposition;
+    `Povm.projective(basis)` keeps the basis itself as the columns.
+    """
 
-    def __post_init__(self):
-        if not self.effects:
+    __slots__ = ("vectors", "labels", "outcomes", "_membership")
+
+    def __init__(self, effects):
+        if not effects:
             raise ValueError("POVM needs at least one effect")
         cleaned = []
+        columns = []
+        labels = []
         dim = None
-        for k, effect in enumerate(self.effects):
+        for k, effect in enumerate(effects):
             a = np.array(effect, dtype=np.complex128)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"effect {k} is not a square matrix")
@@ -53,32 +59,68 @@ class Povm:
             if dev > 1e-10:
                 raise ValueError(f"effect {k} deviates from Hermiticity by {dev:.3e}")
             a = (a + a.conj().T) / 2
-            if np.linalg.eigvalsh(a)[0] < _EFFECT_PSD_TOL:
+            lam, vec = np.linalg.eigh(a)
+            if lam[0] < _EFFECT_PSD_TOL:
                 raise ValueError(f"effect {k} has a negative eigenvalue beyond tolerance")
-            cleaned.append(_readonly(a))
+            keep = lam > 0.0
+            columns.append(vec[:, keep] * np.sqrt(lam[keep]))
+            labels.extend([k] * int(keep.sum()))
+            cleaned.append(a)
         total = sum(cleaned)
         if np.abs(total - np.eye(dim)).max() > _COMPLETENESS_TOL:
             raise ValueError("effects do not sum to the identity within tolerance")
-        object.__setattr__(self, "effects", tuple(cleaned))
+        self._store(np.concatenate(columns, axis=1), np.array(labels, dtype=np.intp), len(cleaned))
 
     @classmethod
     def projective(cls, basis: np.ndarray) -> "Povm":
-        """Rank-one projectors onto the columns of a unitary basis matrix."""
-        b = np.asarray(basis, dtype=np.complex128)
-        return cls(tuple(np.outer(b[:, k], b[:, k].conj()) for k in range(b.shape[1])))
+        """Rank-one effects onto the columns of `basis`, one outcome per
+        column; the columns must resolve the identity, B B^dagger = I."""
+        b = np.array(basis, dtype=np.complex128)
+        if b.ndim != 2 or b.shape[1] == 0:
+            raise ValueError("basis must be a nonempty (dim, outcomes) matrix")
+        if np.abs(b @ b.conj().T - np.eye(b.shape[0])).max() > _COMPLETENESS_TOL:
+            raise ValueError("effects do not sum to the identity within tolerance")
+        povm = cls.__new__(cls)
+        povm._store(b, np.arange(b.shape[1]), b.shape[1])
+        return povm
+
+    def _store(self, vectors: np.ndarray, labels: np.ndarray, outcomes: int) -> None:
+        membership = None
+        if not np.array_equal(labels, np.arange(outcomes)):
+            membership = np.zeros((labels.size, outcomes))
+            membership[np.arange(labels.size), labels] = 1.0
+            membership = _readonly(membership)
+        object.__setattr__(self, "vectors", _readonly(vectors))
+        object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "_membership", membership)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Povm is immutable; cannot set {name!r}")
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.vectors.shape[0]
 
     @property
-    def outcomes(self) -> int:
-        return len(self.effects)
+    def effects(self) -> tuple[np.ndarray, ...]:
+        """Dense effects rebuilt from the columns; for inspection only."""
+        blocks = [self.vectors[:, self.labels == x] for x in range(self.outcomes)]
+        return tuple(_readonly(b @ b.conj().T) for b in blocks)
+
+    def collect(self, terms: np.ndarray) -> np.ndarray:
+        """Sum per-column terms (last axis, m columns) into per-outcome totals."""
+        if self._membership is None:
+            return terms
+        return terms @ self._membership
+
+    def traces(self, a: np.ndarray) -> np.ndarray:
+        """Re Tr(A Pi_x) per outcome for a (dim, dim) matrix A."""
+        v = self.vectors
+        return self.collect((v.conj() * (a @ v)).sum(axis=0).real)
 
     def probabilities(self, rho: DensityMatrix) -> np.ndarray:
-        return np.array(
-            [np.trace(rho.entries @ e).real for e in self.effects]
-        )
+        return self.traces(rho.entries)
 
 
 def _eig_frame(rho: DensityMatrix, gen: GeneratorSpec):
@@ -117,15 +159,10 @@ def classical_fi(
     encoded family at rho; outcomes at or below prob_floor are skipped."""
     if povm.dim != rho.dim:
         raise ValueError("POVM and state dimensions differ")
-    drho = derivative_state(rho, gen).entries
-    total = 0.0
-    for effect in povm.effects:
-        p = np.trace(rho.entries @ effect).real
-        if p <= prob_floor:
-            continue
-        dp = np.trace(drho @ effect).real
-        total += dp * dp / p
-    return float(total)
+    p = povm.probabilities(rho)
+    dp = povm.traces(derivative_state(rho, gen).entries)
+    live = p > prob_floor
+    return float(np.sum(dp[live] ** 2 / p[live]))
 
 
 def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:

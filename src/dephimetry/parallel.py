@@ -3,8 +3,8 @@
 Monte Carlo shot counts are split into fixed-size chunks and every chunk
 gets its own child seed spawned from the root seed, so results depend only
 on (seed, shots, CHUNK_SHOTS) and never on how many workers execute the
-chunks.  The DEPHIMETRY_THREADS environment variable caps the pool size;
-unset or 1 means sequential execution.
+chunks.  The DEPHIMETRY_THREADS environment variable sets the pool size,
+capped at os.cpu_count(); unset, invalid or 1 means sequential execution.
 """
 from __future__ import annotations
 
@@ -22,13 +22,15 @@ R = TypeVar("R")
 
 
 def worker_count() -> int:
+    """Pool size from DEPHIMETRY_THREADS, between 1 and os.cpu_count()."""
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:

@@ -1,6 +1,8 @@
 """Shared factories and independent oracles for the test suite."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
@@ -139,3 +141,60 @@ def dephase_factor_loops(cov: np.ndarray, table: np.ndarray) -> np.ndarray:
             delta = table[:, m] - table[:, n_]
             out[m, n_] = np.exp(-0.5 * float(delta @ cov @ delta))
     return out
+
+
+def dense_traces(a: np.ndarray, effects) -> np.ndarray:
+    """Re Tr(A Pi_x) per dense effect; reference for the factored Povm."""
+    return np.array([np.trace(a @ e).real for e in effects])
+
+
+def dense_shot_probabilities(w: np.ndarray, rho: np.ndarray, effects) -> np.ndarray:
+    """(shots, outcomes) Tr((w_s w_s^dagger * rho) Pi_x) through the dense
+    per-shot states; reference for the factored simulation kernel."""
+    weighted = (w[:, :, None] * w.conj()[:, None, :]) * rho[None, :, :]
+    stack = np.stack([e.T.ravel() for e in effects], axis=1)
+    return (weighted.reshape(w.shape[0], -1) @ stack).real
+
+
+def grouped_povm_effects(r: np.random.Generator, dim: int, groups) -> list[np.ndarray]:
+    """Dense effects summing to the identity: the columns of a random
+    (dim, 2 dim) frame split into the given index groups; an empty group
+    gives a zero effect."""
+    g = ginibre(r, dim, 2 * dim)
+    lam, vec = np.linalg.eigh(g @ g.conj().T)
+    frame = (vec / np.sqrt(lam)) @ vec.conj().T @ g
+    return [frame[:, list(k)] @ frame[:, list(k)].conj().T for k in groups]
+
+
+def measurement_case(case: str, n: int, seed: int = 0):
+    """(state, POVM, the POVM's dense effects) for the factored-vs-dense
+    checks: "pure" and "mixed" states under a random projective POVM, and
+    "grouped", a mixed state under a non-projective POVM with a zero effect."""
+    r = rng(seed)
+    dim = 2**n
+    if case == "pure":
+        rho = random_pure_density(r, dim)
+    else:
+        rho = random_density(r, dim)
+    if case == "grouped":
+        cut = max(1, dim // 2)
+        groups = [range(cut), range(cut, cut + 1), range(0), range(cut + 1, 2 * dim)]
+        effects = grouped_povm_effects(r, dim, groups)
+        return rho, Povm(effects), effects
+    q, _ = np.linalg.qr(ginibre(r, dim, dim))
+    effects = [np.outer(q[:, k], q[:, k].conj()) for k in range(dim)]
+    return rho, Povm.projective(q), effects
+
+
+def traced_peak_mb(fn, *args, **kwargs) -> float:
+    """Peak memory traced by tracemalloc while fn runs, above the level at
+    its start, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / 2**20

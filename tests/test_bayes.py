@@ -32,16 +32,21 @@ from dephimetry import (
     qfi,
     simulate,
 )
+from dephimetry.bayes import _shot_probabilities, _state_factor
 from dephimetry.dephasing import derivative_state
+from dephimetry.parallel import CHUNK_SHOTS
 
 from helpers import (
+    dense_shot_probabilities,
     gh_bayes_mse,
     gh_site_estimates,
+    measurement_case,
     random_density,
     random_projective_povm,
     random_psd_cov,
     rng,
     tilted_qubit_basis,
+    traced_peak_mb,
 )
 
 
@@ -68,6 +73,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="covariance"):
             ExperimentConfig(rho=ghz_state(2), gen=gen, cov=build_c1(3, 0.5, 0.0),
                              povm=povm)
+
+    def test_measured_builds_averaged_state_once(self):
+        gen = GeneratorSpec.qubits(2)
+        cov = build_c1(2, 0.5, 0.3)
+        seen = []
+
+        def measure(state, g):
+            seen.append(state)
+            return optimal_povm(state, g)
+
+        cfg = ExperimentConfig.measured(measure, ghz_state(2), gen, cov, phi0=0.4, delta_phi=0.1)
+        assert len(seen) == 1 and cfg.averaged_state is seen[0]
+        expected = encode_phase(dephase(ghz_state(2), gen, cov), gen, 0.4)
+        np.testing.assert_array_equal(cfg.averaged_state.entries, expected.entries)
+        assert (cfg.phi0, cfg.delta_phi) == (0.4, 0.1)
 
     def test_averaged_state(self):
         cfg = make_cfg(0, phi0=0.4)
@@ -345,6 +365,41 @@ class TestSimulate:
         np.testing.assert_array_equal(a.outcomes, c.outcomes)
         np.testing.assert_array_equal(a.phases, c.phases)
         assert a.empirical_mse_best == c.empirical_mse_best
+
+    def test_thread_invariant_across_chunks(self, monkeypatch):
+        # four chunks, so the threaded map really runs several of them
+        cfg = make_cfg(18, n=2)
+        shots = 3 * CHUNK_SHOTS + 5
+        monkeypatch.delenv("DEPHIMETRY_THREADS", raising=False)
+        a = simulate(cfg, shots, 8)
+        monkeypatch.setenv("DEPHIMETRY_THREADS", "4")
+        b = simulate(cfg, shots, 8)
+        assert a.phases.tobytes() == b.phases.tobytes()
+        assert a.outcomes.tobytes() == b.outcomes.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
+    def test_shot_probabilities_match_dense(self, case, n):
+        rho, povm, effects = measurement_case(case, n, seed=10 * n + 1)
+        phases = rng(n).normal(size=(64, n))
+        w = np.exp(-1j * (phases @ GeneratorSpec.qubits(n).site_energy_table))
+        factor = _state_factor(rho)
+        if case == "pure":
+            assert factor.shape[1] == 1
+        else:
+            assert factor.shape[1] > 1
+        np.testing.assert_allclose(
+            _shot_probabilities(povm, factor, w),
+            dense_shot_probabilities(w, rho.entries, effects),
+            rtol=0, atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
+    def test_memory_budget_n6(self, make_state):
+        # one full chunk at dim 64: a dense per-shot state stack is 512 MiB
+        gen = GeneratorSpec.qubits(6)
+        cfg = ExperimentConfig.measured(optimal_povm, make_state(6), gen, build_c2(6, 0.5, 0.5))
+        assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 64.0
 
     def test_chunk_boundary_shapes(self):
         cfg = make_cfg(12, n=1)

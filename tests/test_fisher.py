@@ -9,6 +9,7 @@ from dephimetry import (
     GeneratorSpec,
     Povm,
     build_c1,
+    build_c2,
     classical_fi,
     dephase,
     encode_phase,
@@ -23,10 +24,13 @@ from dephimetry.dephasing import derivative_state
 
 from helpers import (
     SIGMA_Y,
+    dense_traces,
+    measurement_case,
     random_density,
     random_projective_povm,
     random_pure_density,
     rng,
+    traced_peak_mb,
 )
 
 FOUR_OVER_E = 1.4715177646857693
@@ -63,6 +67,26 @@ class TestPovm:
         third = np.eye(2) / 3
         povm = Povm((third, third, third))
         assert povm.outcomes == 3
+
+    def test_projective_rejects_incomplete_basis(self):
+        with pytest.raises(ValueError, match="identity"):
+            Povm.projective(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
+    def test_factored_traces_match_dense(self, case, n):
+        gen = GeneratorSpec.qubits(n)
+        rho, povm, effects = measurement_case(case, n, seed=10 * n)
+        assert povm.outcomes == len(effects)
+        np.testing.assert_allclose(
+            povm.probabilities(rho), dense_traces(rho.entries, effects), rtol=0, atol=1e-13
+        )
+        drho = derivative_state(rho, gen).entries
+        np.testing.assert_allclose(
+            povm.traces(drho), dense_traces(drho, effects), rtol=0, atol=1e-13
+        )
+        for built, given_effect in zip(povm.effects, effects):
+            np.testing.assert_allclose(built, given_effect, rtol=0, atol=1e-13)
 
 
 class TestSld:
@@ -227,6 +251,12 @@ class TestOptimalPovm:
         np.testing.assert_allclose(ell, SIGMA_Y, atol=1e-12)
         for e in povm.effects:
             assert np.abs(e @ SIGMA_Y - SIGMA_Y @ e).max() < 1e-12
+
+    def test_memory_budget_ghz_n8(self):
+        # 256 outcomes at dim 256: dense projectors alone would take 256 MiB
+        gen = GeneratorSpec.qubits(8)
+        rho = dephase(ghz_state(8), gen, build_c2(8, 0.5, 0.5))
+        assert traced_peak_mb(optimal_povm, rho, gen) <= 32.0
 
     def test_attains_qfi_for_pure_states(self):
         gen = GeneratorSpec.qubits(2)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ class TestWorkerCount:
 
     def test_env_respected(self, monkeypatch):
         monkeypatch.setenv("DEPHIMETRY_THREADS", "6")
-        assert worker_count() == 6
+        assert worker_count() == min(6, os.cpu_count())
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        # only the count is read: no pool is started at this size
+        monkeypatch.setenv("DEPHIMETRY_THREADS", "1000000")
+        assert 1 <= worker_count() <= os.cpu_count()
 
     @pytest.mark.parametrize("raw", ["0", "-3", "many", ""])
     def test_bad_values_fall_back(self, monkeypatch, raw):
