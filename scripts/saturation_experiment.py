@@ -19,6 +19,8 @@ from dephimetry import (
     build_c1,
     build_c2,
     classical_fi,
+    dephase,
+    encode_phase,
     ghz_state,
     optimal_povm,
     product_plus_state,
@@ -47,9 +49,12 @@ def run(argv=None) -> int:
         gen = GeneratorSpec.qubits(n)
         rho = make_state(n)
         cov = make_cov(n)
-        cfg = ExperimentConfig.measured(optimal_povm, rho, gen, cov, phi0=args.phi0)
+        averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
+        povm = optimal_povm(averaged, gen)
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=povm, phi0=args.phi0,
+                               rho_bar=averaged)
         res = simulate(cfg, args.shots, args.seed + i)
-        pred = 1.0 / classical_fi(cfg.averaged_state, gen, cfg.povm)
+        pred = 1.0 / classical_fi(averaged, gen, povm)
         se = max(res.mse_stderr, 1e-12 * max(1.0, pred))
         z = (res.empirical_mse_best - pred) / se
         worst = max(worst, abs(z))

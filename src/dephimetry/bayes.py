@@ -21,9 +21,9 @@ so runs are a deterministic function of (seed, shots).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,10 @@ _NEGATIVE_PROB_TOL = -1e-12
 class ExperimentConfig:
     """One estimation scenario: probe state, generator, phase covariance,
     measurement, informed guess phi0, and a shift delta_phi of the true
-    phase mean away from the guess (zero for a well-informed experiment)."""
+    phase mean away from the guess (zero for a well-informed experiment).
+
+    A caller that already built the averaged state (to choose the POVM from
+    it) passes it as rho_bar; it is kept as averaged_state, not rebuilt."""
 
     rho: DensityMatrix
     gen: GeneratorSpec
@@ -54,26 +57,19 @@ class ExperimentConfig:
     povm: Povm
     phi0: float = 0.0
     delta_phi: float = 0.0
+    rho_bar: InitVar[Optional[DensityMatrix]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, rho_bar):
         if self.rho.dim != self.gen.dim:
             raise ValueError("state and generator dimensions differ")
         if self.povm.dim != self.rho.dim:
             raise ValueError("POVM and state dimensions differ")
         if self.cov.n != self.gen.nsites:
             raise ValueError("covariance size does not match the site count")
-
-    @classmethod
-    def measured(cls, measure: Callable[[DensityMatrix, GeneratorSpec], Povm],
-                 rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix,
-                 phi0: float = 0.0, delta_phi: float = 0.0) -> "ExperimentConfig":
-        """Config whose POVM is measure(averaged_state, gen), e.g. optimal_povm;
-        the averaged state is built once and kept for the estimators."""
-        averaged = encode_phase(dephase(rho, gen, cov), gen, phi0)
-        cfg = cls(rho=rho, gen=gen, cov=cov, povm=measure(averaged, gen),
-                  phi0=phi0, delta_phi=delta_phi)
-        cfg.__dict__["averaged_state"] = averaged
-        return cfg
+        if rho_bar is not None:
+            if rho_bar.dim != self.rho.dim:
+                raise ValueError("averaged state and state dimensions differ")
+            self.__dict__["averaged_state"] = rho_bar
 
     @cached_property
     def delta2(self) -> float:

@@ -249,12 +249,15 @@ def cmd_simulate(args) -> int:
         print(f"drawn seed: {seed}", file=sys.stderr)
     gen = GeneratorSpec.qubits(args.n)
     cov = _family_matrix(args.family, args.n, args.alpha, args.two_beta2)
-    cfg = ExperimentConfig.measured(
-        optimal_povm, _make_state(args.state, args.n), gen, cov,
-        phi0=args.phi0, delta_phi=args.delta_phi,
+    rho = _make_state(args.state, args.n)
+    averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
+    povm = optimal_povm(averaged, gen)
+    cfg = ExperimentConfig(
+        rho=rho, gen=gen, cov=cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
+        rho_bar=averaged,
     )
     result = simulate(cfg, args.shots, seed)
-    predicted = 1.0 / classical_fi(cfg.averaged_state, gen, cfg.povm)
+    predicted = 1.0 / classical_fi(averaged, gen, povm)
 
     undefined = result.mse_stderr is None
     if undefined:

@@ -10,6 +10,8 @@ projective measurement in any eigenbasis of L attains it.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import DensityMatrix, GeneratorSpec, HermitianOperator
@@ -28,17 +30,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Povm:
     """A finite measurement: PSD effects summing to the identity.
 
     Stored factored as a (dim, m) column matrix `vectors` and an outcome
     label per column, Pi_x = sum over columns k with labels[k] == x of
     v_k v_k^dagger, so no dense effect is kept.  `Povm(effects)` validates
-    dense effects and factors each one by its eigendecomposition;
-    `Povm.projective(basis)` keeps the basis itself as the columns.
+    dense effects and factors each one by its eigendecomposition, keeping
+    eigenvalues above rounding level; `Povm.projective(basis)` keeps the
+    basis itself as the columns.
     """
 
-    __slots__ = ("vectors", "labels", "outcomes", "_membership")
+    vectors: np.ndarray
+    labels: np.ndarray
+    outcomes: int
 
     def __init__(self, effects):
         if not effects:
@@ -62,7 +68,7 @@ class Povm:
             lam, vec = np.linalg.eigh(a)
             if lam[0] < _EFFECT_PSD_TOL:
                 raise ValueError(f"effect {k} has a negative eigenvalue beyond tolerance")
-            keep = lam > 0.0
+            keep = lam > dim * np.finfo(float).eps * lam[-1]
             columns.append(vec[:, keep] * np.sqrt(lam[keep]))
             labels.extend([k] * int(keep.sum()))
             cleaned.append(a)
@@ -94,9 +100,6 @@ class Povm:
         object.__setattr__(self, "labels", _readonly(labels))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "_membership", membership)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Povm is immutable; cannot set {name!r}")
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,9 +33,10 @@ from dephimetry import (
     qfi,
     simulate,
 )
+import dephimetry.bayes
 from dephimetry.bayes import _shot_probabilities, _state_factor
 from dephimetry.dephasing import derivative_state
-from dephimetry.parallel import CHUNK_SHOTS
+from dephimetry.parallel import CHUNK_SHOTS, worker_count
 
 from helpers import (
     dense_shot_probabilities,
@@ -74,20 +76,27 @@ class TestExperimentConfig:
             ExperimentConfig(rho=ghz_state(2), gen=gen, cov=build_c1(3, 0.5, 0.0),
                              povm=povm)
 
-    def test_measured_builds_averaged_state_once(self):
+    def test_rho_bar_kept_not_rebuilt(self, monkeypatch):
         gen = GeneratorSpec.qubits(2)
         cov = build_c1(2, 0.5, 0.3)
-        seen = []
+        rho = ghz_state(2)
+        averaged = encode_phase(dephase(rho, gen, cov), gen, 0.4)
+        calls = []
+        monkeypatch.setattr(dephimetry.bayes, "dephase",
+                            lambda *a: calls.append(a) or dephase(*a))
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=optimal_povm(averaged, gen),
+                               phi0=0.4, delta_phi=0.1, rho_bar=averaged)
+        assert cfg.averaged_state is averaged
+        assert calls == []
+        rebuilt = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=cfg.povm, phi0=0.4)
+        np.testing.assert_array_equal(rebuilt.averaged_state.entries, averaged.entries)
+        assert len(calls) == 1
 
-        def measure(state, g):
-            seen.append(state)
-            return optimal_povm(state, g)
-
-        cfg = ExperimentConfig.measured(measure, ghz_state(2), gen, cov, phi0=0.4, delta_phi=0.1)
-        assert len(seen) == 1 and cfg.averaged_state is seen[0]
-        expected = encode_phase(dephase(ghz_state(2), gen, cov), gen, 0.4)
-        np.testing.assert_array_equal(cfg.averaged_state.entries, expected.entries)
-        assert (cfg.phi0, cfg.delta_phi) == (0.4, 0.1)
+    def test_rho_bar_dimension_checked(self):
+        gen = GeneratorSpec.qubits(2)
+        with pytest.raises(ValueError, match="averaged state"):
+            ExperimentConfig(rho=ghz_state(2), gen=gen, cov=build_c1(2, 0.5, 0.0),
+                             povm=Povm.projective(np.eye(4)), rho_bar=ghz_state(1))
 
     def test_averaged_state(self):
         cfg = make_cfg(0, phi0=0.4)
@@ -367,12 +376,15 @@ class TestSimulate:
         assert a.empirical_mse_best == c.empirical_mse_best
 
     def test_thread_invariant_across_chunks(self, monkeypatch):
-        # four chunks, so the threaded map really runs several of them
+        # four chunks, so the threaded map really runs several of them; the
+        # core count is pinned so the pool is not capped away on small hosts
         cfg = make_cfg(18, n=2)
         shots = 3 * CHUNK_SHOTS + 5
         monkeypatch.delenv("DEPHIMETRY_THREADS", raising=False)
         a = simulate(cfg, shots, 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("DEPHIMETRY_THREADS", "4")
+        assert worker_count() == 4
         b = simulate(cfg, shots, 8)
         assert a.phases.tobytes() == b.phases.tobytes()
         assert a.outcomes.tobytes() == b.outcomes.tobytes()
@@ -398,7 +410,10 @@ class TestSimulate:
     def test_memory_budget_n6(self, make_state):
         # one full chunk at dim 64: a dense per-shot state stack is 512 MiB
         gen = GeneratorSpec.qubits(6)
-        cfg = ExperimentConfig.measured(optimal_povm, make_state(6), gen, build_c2(6, 0.5, 0.5))
+        rho = make_state(6)
+        cov = build_c2(6, 0.5, 0.5)
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov,
+                               povm=optimal_povm(dephase(rho, gen, cov), gen))
         assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 64.0
 
     def test_chunk_boundary_shapes(self):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +70,28 @@ class TestPovm:
         third = np.eye(2) / 3
         povm = Povm((third, third, third))
         assert povm.outcomes == 3
+
+    def test_rank_one_effects_keep_one_column_each(self):
+        # rounding-level eigenvalues of a dense rank-one effect add no column
+        q, _ = np.linalg.qr(rng(3).normal(size=(64, 64)) + 1j * rng(4).normal(size=(64, 64)))
+        povm = Povm([np.outer(q[:, k], q[:, k].conj()) for k in range(64)])
+        assert povm.vectors.shape == (64, 64)
+        np.testing.assert_array_equal(povm.labels, np.arange(64))
+
+    @pytest.mark.parametrize("case", ["pure", "grouped"])
+    def test_pickle_and_copy_round_trip(self, case):
+        rho, povm, _ = measurement_case(case, 2, seed=5)
+        for clone in (pickle.loads(pickle.dumps(povm)), copy.copy(povm), copy.deepcopy(povm)):
+            np.testing.assert_array_equal(clone.vectors, povm.vectors)
+            np.testing.assert_array_equal(clone.labels, povm.labels)
+            np.testing.assert_array_equal(clone.probabilities(rho), povm.probabilities(rho))
+
+    def test_immutable(self):
+        povm = Povm.projective(np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            povm.outcomes = 3
+        with pytest.raises(ValueError, match="read-only"):
+            povm.vectors[0, 0] = 2.0
 
     def test_projective_rejects_incomplete_basis(self):
         with pytest.raises(ValueError, match="identity"):
