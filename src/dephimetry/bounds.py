@@ -47,7 +47,7 @@ CSV_FIELDS = (
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return format(float(value), ".17g")
 
@@ -87,7 +87,7 @@ class BoundReport:
             self.error_bound_value,
             self.reference_g_value,
         )
-        return ",".join(v if isinstance(v, str) else _fmt(v) for v in values)
+        return ",".join(_fmt(v) for v in values)
 
     def to_dict(self) -> dict:
         return {

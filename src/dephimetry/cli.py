@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
+from .bounds import _fmt
 from .bayes import ExperimentConfig, simulate
 from .core import DensityMatrix, GeneratorSpec, encode_phase, ghz_state, product_plus_state
 from .covariance import (
@@ -70,10 +71,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -208,7 +205,7 @@ def cmd_qfi(args) -> int:
     if args.format == "csv":
         keys = list(payload)
         lines = [",".join(keys)]
-        lines.append(",".join(str(payload[k]) if isinstance(payload[k], (str, int)) else _fmt(payload[k]) for k in keys))
+        lines.append(",".join(_fmt(payload[k]) for k in keys))
         _write_text("\n".join(lines) + "\n", args.out)
     else:
         _write_text(_json_text(payload), args.out)

@@ -16,16 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import _readonly
 from .errors import SingularCovarianceError
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 WEIGHT_SUM_TOL = 1e-10
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,18 +43,15 @@ class CovarianceMatrix:
         if dev > SYMMETRY_TOL:
             raise ValueError(f"covariance deviates from symmetry by {dev:.3e}")
         a = (a + a.T) / 2
-        if np.linalg.eigvalsh(a)[0] < PSD_TOL:
+        lam = np.linalg.eigvalsh(a)
+        if lam[0] < PSD_TOL:
             raise ValueError("covariance has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "entries", _readonly(a))
+        object.__setattr__(self, "_spectrum_edges", (float(lam[0]), float(lam[-1])))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def _spectrum_edges(self) -> tuple[float, float]:
-        lam = np.linalg.eigvalsh(self.entries)
-        return float(lam[0]), float(lam[-1])
 
     @property
     def is_singular(self) -> bool:

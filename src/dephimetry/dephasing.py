@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _check_pairing, encode_phase
+from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _check_pairing, _trusted, encode_phase
 from .covariance import CovarianceMatrix, delta2_c
 from .errors import NumericalConsistencyError
 from .parallel import chunk_rngs, map_ordered
@@ -47,7 +47,7 @@ def dephase(rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix) -> De
     _check_pairing(rho, gen)
     _check_cov_pairing(gen, cov)
     factor = np.exp(-0.5 * _pair_quadratic(gen, cov))
-    return DensityMatrix(rho.entries * factor)
+    return _trusted(DensityMatrix, rho.entries * factor)
 
 
 def covariance_sqrt(cov: CovarianceMatrix) -> np.ndarray:
@@ -97,7 +97,9 @@ def dephase_monte_carlo(
 
     pieces = map_ordered(run_chunk, chunk_rngs(seed, shots))
     factor = sum(pieces) / shots
-    return DensityMatrix(rho.entries * factor)
+    out = rho.entries * factor
+    # The Gram sum is Hermitian only to rounding.
+    return _trusted(DensityMatrix, (out + out.conj().T) / 2)
 
 
 def derivative_state(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
@@ -105,7 +107,7 @@ def derivative_state(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperato
     _check_pairing(rho, gen)
     energy = gen.energies
     d = -1j * (energy[:, None] - energy[None, :]) * rho.entries
-    return HermitianOperator((d + d.conj().T) / 2)
+    return _trusted(HermitianOperator, (d + d.conj().T) / 2)
 
 
 def conditional_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -124,14 +126,11 @@ def conditional_dephased_state(
     gen: GeneratorSpec,
     cov: CovarianceMatrix,
     phi: float,
-    phi0: float = 0.0,
 ) -> DensityMatrix:
     """State conditioned on the weighted average phase taking the value phi.
 
     Equals encode_phase(dephase(rho, C'), phi) with C' from
-    conditional_covariance; the prior mean phi0 drops out of the conditional
-    law and is accepted only for bookkeeping symmetry with the sampling API.
+    conditional_covariance.
     """
-    del phi0
     reduced = dephase(rho, gen, conditional_covariance(cov))
     return encode_phase(reduced, gen, phi)

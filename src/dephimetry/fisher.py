@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, GeneratorSpec, HermitianOperator
+from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _readonly, _trusted
 from .dephasing import derivative_state
 
 RANK_TOL_FACTOR = 1e-10
@@ -23,11 +23,6 @@ PROB_FLOOR = 1e-12
 _EFFECT_PSD_TOL = -1e-10
 _COMPLETENESS_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -141,7 +136,7 @@ def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     safe = np.where(keep, denom, 1.0)
     frame = np.where(keep, 2.0 * mixed / safe, 0.0)
     out = vec @ frame @ vec.conj().T
-    return HermitianOperator((out + out.conj().T) / 2)
+    return _trusted(HermitianOperator, (out + out.conj().T) / 2)
 
 
 def qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:

@@ -47,6 +47,22 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_negative_eigenvalue_at_dim_2049(self):
+        # the spectrum is checked at every dimension, large ones included
+        dim = 2049
+        diag = np.full(dim, (1.0 + 1e-6) / (dim - 1))
+        diag[-1] = -1e-6
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(np.diag(diag).astype(complex))
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.full((2, 3), 0.5))
+
+    def test_rejects_large_deviation(self):
+        with pytest.raises(ValueError, match="Hermiticity"):
+            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
     def test_accepts_tiny_negative_eigenvalue(self):
         rho = DensityMatrix(np.diag([1.0 + 1e-11, -1e-11]).astype(complex))
         assert rho.dim == 2
