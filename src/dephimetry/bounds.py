@@ -137,7 +137,10 @@ def reference_bound_g(n: int, two_beta2: float) -> float:
         raise ValueError("need at least one site")
     if two_beta2 < 0:
         raise ValueError("two_beta2 must be nonnegative")
-    return math.expm1(two_beta2) / n
+    try:
+        return math.expm1(two_beta2) / n
+    except OverflowError:
+        raise ValueError("two_beta2 is too large: e^two_beta2 overflows") from None
 
 
 def crossover_boundary(n: int, rel_tol: float = 1e-6) -> float:

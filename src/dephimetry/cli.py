@@ -10,9 +10,6 @@ sweep     grid of bound reports driven by a key = value config file
 figure    data files for the scaling and comparison panels
 
 Exit codes: 0 success, 1 usage error, 2 bound violation, 3 numerical failure.
-The DEPHIMETRY_THREADS environment variable caps the worker pool used by
-sweep grids and simulation chunks; the pool never exceeds os.cpu_count()
-workers, and results do not depend on it.
 """
 from __future__ import annotations
 
@@ -40,7 +37,6 @@ from .covariance import (
 from .dephasing import dephase
 from .errors import BoundViolationError, NumericalConsistencyError
 from .fisher import classical_fi, optimal_povm, qfi
-from .parallel import map_ordered
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,6 +93,18 @@ def _state_qfi_exact(state: str, n: int) -> float:
     return float(n) ** 2 if state == "ghz" else float(n)
 
 
+def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
+    """The CLI's gate on family arguments, run before any work.  Zero noise
+    is the noiseless point of every family; c1 and c2 then also pass
+    covariance._check_family_args when their matrix or closed form is built."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0.0 <= two_beta2 < math.inf:
+        raise ValueError("two_beta2 must be nonnegative and finite")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+
+
 def _family_delta2(family: str, n: int, alpha: float, two_beta2: float) -> float:
     if family == "identity":
         return two_beta2 / n
@@ -108,6 +116,7 @@ def _family_delta2(family: str, n: int, alpha: float, two_beta2: float) -> float
 
 
 def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> CovarianceMatrix:
+    _check_noise_args(n, alpha, two_beta2)
     if family == "identity":
         return CovarianceMatrix(two_beta2 * np.eye(n))
     if family == "c1":
@@ -138,8 +147,8 @@ def grid_report(
     with_f_rho_bar: bool = True,
 ) -> bounds.BoundReport:
     """Assemble one BoundReport for a named probe and covariance family."""
-    if two_beta2 < 0:
-        raise ValueError("two_beta2 must be nonnegative")
+    _check_noise_args(n, alpha, two_beta2)
+    reference_g = bounds.reference_bound_g(n, two_beta2)
     if two_beta2 == 0:
         d2 = 0.0
     else:
@@ -168,7 +177,7 @@ def grid_report(
         f_rho_bar=f_rho_bar,
         main_bound_value=1.0 / err,
         error_bound_value=err,
-        reference_g_value=bounds.reference_bound_g(n, two_beta2),
+        reference_g_value=reference_g,
     )
     return bounds.check_violation(report)
 
@@ -349,7 +358,7 @@ def cmd_sweep(args) -> int:
         for alpha in grids["alpha"]
         for two_beta2 in grids["two_beta2"]
     ]
-    reports = map_ordered(lambda pt: grid_report(*pt), points)
+    reports = [grid_report(*pt) for pt in points]
     lines = [bounds.csv_header()] + [r.csv_row() for r in reports]
     _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -361,6 +370,12 @@ def _log_int_grid(maximum: int, points: int) -> np.ndarray:
 
 
 def cmd_figure(args) -> int:
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
+    if args.panel == "comparison":
+        for flag, value in (("--b2-min", args.b2_min), ("--b2-max", args.b2_max)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{flag} must be positive and finite")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.panel == "scaling":

@@ -30,11 +30,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(entries, what: str) -> np.ndarray:
-    """A complex copy of a square matrix within HERMITICITY_TOL of
+    """A complex copy of a finite square matrix within HERMITICITY_TOL of
     Hermitian, symmetrized."""
     a = np.array(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{what} deviates from Hermiticity by {dev:.3e}")

@@ -39,6 +39,8 @@ class CovarianceMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("covariance must be a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("covariance has non-finite entries")
         dev = np.abs(a - a.T).max() if a.size else 0.0
         if dev > SYMMETRY_TOL:
             raise ValueError(f"covariance deviates from symmetry by {dev:.3e}")
@@ -120,9 +122,9 @@ def build_c2(n: int, two_beta2: float, alpha: float) -> CovarianceMatrix:
 
 def _check_family_args(n: int, two_beta2: float, alpha: float) -> None:
     if n < 1:
-        raise ValueError("need at least one site")
-    if not two_beta2 > 0:
-        raise ValueError("two_beta2 must be positive")
+        raise ValueError("n must be at least 1")
+    if not 0.0 < two_beta2 < np.inf:
+        raise ValueError("two_beta2 must be positive and finite")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
@@ -177,10 +179,7 @@ def delta2_c2_closed(n: int, two_beta2: float, alpha: float) -> float:
     inversion to rounding for all n and alpha < 1, and keeps the large-n
     asymptote 2 beta^2 (1 + alpha) / ((1 - alpha) n).
     """
-    if n < 1:
-        raise ValueError("need at least one site")
-    if not two_beta2 > 0:
-        raise ValueError("two_beta2 must be positive")
-    if not 0.0 <= alpha < 1.0:
+    _check_family_args(n, two_beta2, alpha)
+    if not alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1) for the closed form")
     return two_beta2 * (1.0 + alpha) / (n * (1.0 - alpha) + 2.0 * alpha)

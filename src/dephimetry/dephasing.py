@@ -19,9 +19,9 @@ import numpy as np
 from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _check_pairing, _trusted, encode_phase
 from .covariance import CovarianceMatrix, delta2_c
 from .errors import NumericalConsistencyError
-from .parallel import chunk_rngs, map_ordered
 
 _SQRT_PSD_TOL = -1e-10
+CHUNK_SHOTS = 8192
 
 
 def _check_cov_pairing(gen: GeneratorSpec, cov: CovarianceMatrix) -> None:
@@ -67,6 +67,19 @@ def sample_phases(
     return mean + z @ covariance_sqrt(cov)
 
 
+def chunk_rngs(seed: int, shots: int) -> list[tuple[np.random.Generator, int]]:
+    """Fixed partition policy: ceil(shots / CHUNK_SHOTS) chunks, chunk i
+    seeded with the i-th child of SeedSequence(seed).  Sampled results
+    depend only on (seed, shots, CHUNK_SHOTS)."""
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    sizes = [CHUNK_SHOTS] * (shots // CHUNK_SHOTS)
+    if shots % CHUNK_SHOTS:
+        sizes = [*sizes, shots % CHUNK_SHOTS]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
+
+
 def dephase_monte_carlo(
     rho: DensityMatrix,
     gen: GeneratorSpec,
@@ -79,8 +92,8 @@ def dephase_monte_carlo(
     Conjugation by a diagonal unitary is entrywise, so the average reduces to
     multiplying rho entrywise by the empirical characteristic function, a
     Gram matrix, which keeps the sampled state positive.  Shots follow the
-    fixed chunk partition of parallel.chunk_rngs, so the result depends only
-    on (seed, shots).
+    fixed chunk partition of dephasing.chunk_rngs, so the result depends
+    only on (seed, shots).
     """
     _check_pairing(rho, gen)
     _check_cov_pairing(gen, cov)
@@ -89,15 +102,15 @@ def dephase_monte_carlo(
     root = covariance_sqrt(cov)
     table = gen.site_energy_table
 
-    def run_chunk(job):
-        rng, size = job
+    def chunk_gram(rng, size):
         phases = rng.standard_normal((size, cov.n)) @ root
         w = np.exp(-1j * (phases @ table))
         return w.T @ w.conj()
 
-    pieces = map_ordered(run_chunk, chunk_rngs(seed, shots))
-    factor = sum(pieces) / shots
-    out = rho.entries * factor
+    gram = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
+    for rng, size in chunk_rngs(seed, shots):
+        gram += chunk_gram(rng, size)
+    out = rho.entries * (gram / shots)
     # The Gram sum is Hermitian only to rounding.
     return _trusted(DensityMatrix, (out + out.conj().T) / 2)
 

@@ -42,7 +42,7 @@ class Povm:
     outcomes: int
 
     def __init__(self, effects):
-        if not effects:
+        if len(effects) == 0:
             raise ValueError("POVM needs at least one effect")
         cleaned = []
         columns = []
@@ -56,6 +56,8 @@ class Povm:
                 dim = a.shape[0]
             elif a.shape[0] != dim:
                 raise ValueError("effects have mismatched dimensions")
+            if not np.isfinite(a).all():
+                raise ValueError(f"effect {k} has non-finite entries")
             dev = np.abs(a - a.conj().T).max()
             if dev > 1e-10:
                 raise ValueError(f"effect {k} deviates from Hermiticity by {dev:.3e}")
@@ -79,6 +81,8 @@ class Povm:
         b = np.array(basis, dtype=np.complex128)
         if b.ndim != 2 or b.shape[1] == 0:
             raise ValueError("basis must be a nonempty (dim, outcomes) matrix")
+        if not np.isfinite(b).all():
+            raise ValueError("basis has non-finite entries")
         if np.abs(b @ b.conj().T - np.eye(b.shape[0])).max() > _COMPLETENESS_TOL:
             raise ValueError("effects do not sum to the identity within tolerance")
         povm = cls.__new__(cls)

@@ -33,6 +33,33 @@ class TestExitCodes:
         assert run(["bound", "--n", "3", "--family", "c2", "--alpha", "1.0"]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, named", [
+        pytest.param(["bound", "--n", "0", "--family", "identity"], "n must", id="n-zero"),
+        pytest.param(["bound", "--n", "30", "--family", "c1", "--two-beta2", "inf"],
+                     "two_beta2", id="two-beta2-inf"),
+        pytest.param(["bound", "--n", "3", "--family", "identity", "--two-beta2", "nan"],
+                     "two_beta2", id="two-beta2-nan"),
+        pytest.param(["bound", "--n", "30", "--family", "c1", "--two-beta2", "800"],
+                     "two_beta2", id="reference-overflow"),
+        pytest.param(["bound", "--n", "10", "--family", "c2", "--two-beta2", "800"],
+                     "two_beta2", id="reference-overflow-dense"),
+        pytest.param(["bound", "--n", "3", "--family", "identity", "--alpha", "nan"],
+                     "alpha", id="alpha-nan"),
+        pytest.param(["dephase", "--n", "2", "--family", "identity", "--two-beta2", "inf"],
+                     "two_beta2", id="dephase-inf"),
+        pytest.param(["simulate", "--n", "2", "--two-beta2", "nan", "--shots", "4",
+                      "--seed", "1"], "two_beta2", id="simulate-nan"),
+        pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
+        pytest.param(["figure", "comparison", "--b2-min", "0"], "--b2-min", id="b2-min-zero"),
+    ])
+    def test_bad_family_args_refused_up_front(self, args, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
     def test_bound_violation_exit_two(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "qfi", lambda rho, gen: 1e9)
         assert run(["bound", "--n", "2", "--family", "c1", "--alpha", "0.0"]) == 2
@@ -268,18 +295,6 @@ class TestSweep:
         cfg = self.write_config(tmp_path, "n = 2\nn = 3\n")
         assert run(["sweep", "--config", cfg]) == 1
         assert "line 2" in capsys.readouterr().err
-
-    def test_thread_env_invariant(self, tmp_path, monkeypatch):
-        cfg = self.write_config(
-            tmp_path,
-            "state = ghz\nfamily = c2\nn = 2, 4, 6\nalpha = 0.3\ntwo_beta2 = 0.5\n",
-        )
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert run(["sweep", "--config", cfg, "--out", str(a)]) == 0
-        monkeypatch.setenv("DEPHIMETRY_THREADS", "4")
-        assert run(["sweep", "--config", cfg, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestFigure:

@@ -32,6 +32,13 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match="square"):
             HermitianOperator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOperator(a)
+
     def test_entries_readonly(self):
         op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
@@ -58,6 +65,11 @@ class TestDensityMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             DensityMatrix(np.full((2, 3), 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.full((2, 2), bad))
 
     def test_rejects_large_deviation(self):
         with pytest.raises(ValueError, match="Hermiticity"):

@@ -34,6 +34,13 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(2)
+        a[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CovarianceMatrix(a)
+
     def test_zero_matrix_is_singular_and_collective(self):
         cov = CovarianceMatrix(np.zeros((3, 3)))
         assert cov.is_singular
@@ -88,7 +95,7 @@ class TestFamilies:
     def test_alpha_zero_is_diagonal(self):
         np.testing.assert_array_equal(build_c2(3, 0.4, 0.0).entries, 0.4 * np.eye(3))
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
     def test_rejects_alpha_outside_range(self, bad):
         with pytest.raises(ValueError, match="alpha"):
             build_c1(3, 0.5, bad)
@@ -96,6 +103,12 @@ class TestFamilies:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="two_beta2"):
             build_c2(3, 0.0, 0.5)
+
+    @pytest.mark.parametrize("family", [build_c1, build_c2, delta2_c1_closed, delta2_c2_closed])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_noise(self, family, bad):
+        with pytest.raises(ValueError, match="two_beta2"):
+            family(3, bad, 0.5)
 
 
 class TestDelta2:

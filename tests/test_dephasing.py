@@ -23,9 +23,9 @@ from dephimetry import (
     product_plus_state,
     sample_phases,
 )
-from dephimetry.dephasing import covariance_sqrt
+from dephimetry.dephasing import CHUNK_SHOTS, chunk_rngs, covariance_sqrt
 
-from helpers import dephase_factor_loops, random_density, random_psd_cov, rng
+from helpers import dephase_factor_loops, random_density, random_psd_cov, rng, traced_peak_mb
 
 # Every public producer of a DensityMatrix, as (rng, rho, gen, cov) -> state.
 PRODUCERS = {
@@ -164,15 +164,29 @@ class TestDephaseMonteCarlo:
         a = dephase_monte_carlo(rho, gen, cov, shots=10_000, seed=9)
         b = dephase_monte_carlo(rho, gen, cov, shots=10_000, seed=9)
         np.testing.assert_array_equal(a.entries, b.entries)
+        # chunks are summed into one Gram matrix, not held until the end:
+        # a dim-256 matrix per chunk would add 1 MiB each
+        gen, rho, cov = GeneratorSpec.qubits(8), ghz_state(8), build_c2(8, 0.5, 0.5)
+        one = traced_peak_mb(dephase_monte_carlo, rho, gen, cov, CHUNK_SHOTS, 3)
+        eight = traced_peak_mb(dephase_monte_carlo, rho, gen, cov, 8 * CHUNK_SHOTS, 3)
+        assert eight <= one + 2.0
 
-    def test_worker_count_invariant(self, monkeypatch):
-        gen = GeneratorSpec.qubits(2)
-        rho = product_plus_state(2)
-        cov = build_c1(2, 0.5, 0.2)
-        base = dephase_monte_carlo(rho, gen, cov, shots=20_000, seed=12)
-        monkeypatch.setenv("DEPHIMETRY_THREADS", "3")
-        threaded = dephase_monte_carlo(rho, gen, cov, shots=20_000, seed=12)
-        np.testing.assert_array_equal(base.entries, threaded.entries)
+    def test_two_chunk_entries_pinned(self):
+        # golden values of the fixed chunk partition: a change here changes
+        # every seeded run
+        out = dephase_monte_carlo(product_plus_state(2), GeneratorSpec.qubits(2),
+                                  build_c1(2, 0.5, 0.2), shots=10_000, seed=12)
+        a, b, c, d = 0.25, 0.19430316186341298, 0.19604512775546964, 0.13839094531147686
+        e = 0.167513039238493
+        ib, ic, id_, ie = (0.0012091283855487375, -0.0005316062003700176,
+                           -0.00010452936114120983, -0.0011898674542542495)
+        expected = np.array([
+            [a, b + 1j * ib, c + 1j * ic, d + 1j * id_],
+            [b - 1j * ib, a, e + 1j * ie, c + 1j * ic],
+            [c - 1j * ic, e - 1j * ie, a, b + 1j * ib],
+            [d - 1j * id_, c - 1j * ic, b - 1j * ib, a],
+        ])
+        np.testing.assert_allclose(out.entries, expected, rtol=1e-12, atol=0)
 
     def test_single_shot_valid_state(self):
         out = dephase_monte_carlo(ghz_state(1), GeneratorSpec.qubits(1),
@@ -183,6 +197,37 @@ class TestDephaseMonteCarlo:
         with pytest.raises(ValueError, match="shots"):
             dephase_monte_carlo(ghz_state(1), GeneratorSpec.qubits(1),
                                 CovarianceMatrix(np.array([[0.5]])), shots=0, seed=0)
+
+
+class TestChunkRngs:
+    def test_partition_sizes(self):
+        jobs = chunk_rngs(0, 3 * CHUNK_SHOTS + 17)
+        assert [size for _, size in jobs] == [CHUNK_SHOTS] * 3 + [17]
+
+    def test_exact_multiple(self):
+        jobs = chunk_rngs(0, 2 * CHUNK_SHOTS)
+        assert [size for _, size in jobs] == [CHUNK_SHOTS] * 2
+
+    def test_small_run_single_chunk(self):
+        jobs = chunk_rngs(5, 100)
+        assert len(jobs) == 1
+        assert jobs[0][1] == 100
+
+    def test_streams_reproducible(self):
+        a = chunk_rngs(42, CHUNK_SHOTS + 1)
+        b = chunk_rngs(42, CHUNK_SHOTS + 1)
+        for (ra, _), (rb, _) in zip(a, b):
+            np.testing.assert_array_equal(ra.random(8), rb.random(8))
+
+    def test_streams_differ_across_chunks(self):
+        jobs = chunk_rngs(42, 2 * CHUNK_SHOTS)
+        x = jobs[0][0].random(8)
+        y = jobs[1][0].random(8)
+        assert not np.array_equal(x, y)
+
+    def test_rejects_zero_shots(self):
+        with pytest.raises(ValueError, match="shots"):
+            chunk_rngs(0, 0)
 
 
 class TestDerivativeState:

@@ -59,6 +59,17 @@ class TestPovm:
         with pytest.raises(ValueError, match="negative"):
             Povm((bad, np.eye(2) - bad))
 
+    @pytest.mark.parametrize("build", [Povm.projective, lambda a: Povm([a])],
+                             ids=["projective", "effects"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, build, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            build(np.full((2, 2), bad))
+
+    def test_accepts_stacked_effects(self):
+        povm = Povm(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
+        assert povm.outcomes == 2
+
     def test_probabilities_sum_to_one(self):
         rho = random_density(rng(0), 4)
         povm = random_projective_povm(rng(1), 4)
