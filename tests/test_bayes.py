@@ -386,10 +386,6 @@ class TestSimulate:
         for shot, phases in pinned.items():
             np.testing.assert_allclose(res.phases[shot], phases, rtol=1e-12, atol=0)
 
-    def test_map_ordered_preserves_order(self):
-        assert map_ordered(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-        assert map_ordered(lambda x: x, []) == []
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
     def test_shot_probabilities_match_dense(self, case, n):
@@ -481,6 +477,14 @@ class TestSimulate:
         assert (p1, p2) == tuple(res.phases[7])
         assert outcome == res.outcomes[7]
         assert estimate == res.estimates_best[7]
+
+
+class TestMapOrdered:
+    def test_preserves_order_sequential(self):
+        assert map_ordered(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+
+    def test_empty(self):
+        assert map_ordered(lambda x: x, []) == []
 
 
 class TestAveragedProbabilities:
