@@ -145,8 +145,14 @@ def grid_report(
     alpha: float,
     two_beta2: float,
     with_f_rho_bar: bool = True,
+    *,
+    dephased_qfi: Optional[dict] = None,
 ) -> bounds.BoundReport:
-    """Assemble one BoundReport for a named probe and covariance family."""
+    """Assemble one BoundReport for a named probe and covariance family.
+
+    `dephased_qfi` maps (state, n, covariance entry bytes) to the dephased
+    QFI; a caller that passes one dict to several reports computes each
+    distinct dephased state once."""
     _check_noise_args(n, alpha, two_beta2)
     reference_g = bounds.reference_bound_g(n, two_beta2)
     if two_beta2 == 0:
@@ -160,9 +166,13 @@ def grid_report(
         if two_beta2 == 0:
             f_rho_bar = f_rho
         elif n <= NUMERIC_SITE_LIMIT:
-            gen = GeneratorSpec.qubits(n)
             cov = _family_matrix(family, n, alpha, two_beta2)
-            f_rho_bar = qfi(dephase(_make_state(state, n), gen, cov), gen)
+            known = {} if dephased_qfi is None else dephased_qfi
+            key = (state, n, cov.entries.tobytes())
+            if key not in known:
+                gen = GeneratorSpec.qubits(n)
+                known[key] = qfi(dephase(_make_state(state, n), gen, cov), gen)
+            f_rho_bar = known[key]
         elif state == "ghz":
             f_rho_bar = f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
 
@@ -358,7 +368,8 @@ def cmd_sweep(args) -> int:
         for alpha in grids["alpha"]
         for two_beta2 in grids["two_beta2"]
     ]
-    reports = [grid_report(*pt) for pt in points]
+    dephased_qfi: dict = {}
+    reports = [grid_report(*pt, dephased_qfi=dephased_qfi) for pt in points]
     lines = [bounds.csv_header()] + [r.csv_row() for r in reports]
     _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -376,6 +387,10 @@ def cmd_figure(args) -> int:
         for flag, value in (("--b2-min", args.b2_min), ("--b2-max", args.b2_max)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{flag} must be positive and finite")
+            try:
+                bounds.reference_bound_g(1, value)
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.panel == "scaling":

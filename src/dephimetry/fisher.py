@@ -7,6 +7,13 @@ eigenvalue sum exceeds rank_tol = 1e-10 * lam_max; excluded pairs carry no
 information and are set to zero.  The quantum Fisher information is
 F = 2 sum |(drho)_mn|^2 / (lam_m + lam_n) over the same pairs, and a
 projective measurement in any eigenbasis of L attains it.
+
+The eigen-frame is taken on the support of rho only: the indices whose row
+of rho is not identically zero.  This is exact, not a cutoff: a PSD state
+with a zero row has that basis vector as an eigenvector of eigenvalue 0,
+and -i [H, rho] is entrywise in rho, so its row is zero too and adds no
+term.  When rho is real (every imaginary part zero) the frame is computed
+in real arithmetic.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _readonly, _trusted
+from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _check_pairing, _readonly, _trusted
 from .dephasing import derivative_state
 
 RANK_TOL_FACTOR = 1e-10
@@ -126,20 +133,32 @@ class Povm:
 
 
 def _eig_frame(rho: DensityMatrix, gen: GeneratorSpec):
-    lam, vec = np.linalg.eigh(rho.entries)
-    drho = derivative_state(rho, gen).entries
-    mixed = vec.conj().T @ drho @ vec
+    """The frame on the support `live` of rho: eigenpairs (lam, vec) of the
+    live block and mixed = vec^dagger g vec, where drho = -i g with
+    g_mn = (E_m - E_n) rho_mn, so a real block stays real throughout."""
+    _check_pairing(rho, gen)
+    entries = rho.entries
+    live = np.flatnonzero((entries != 0).any(axis=1))
+    # Rows outside `live` are zero, so the block is real when rho is.
+    if not entries.imag.any():
+        entries = entries.real
+    block = entries[np.ix_(live, live)]
+    lam, vec = np.linalg.eigh(block)
+    energy = gen.energies[live]
+    g = (energy[:, None] - energy[None, :]) * block
+    mixed = vec.conj().T @ g @ vec
     denom = lam[:, None] + lam[None, :]
     keep = denom > RANK_TOL_FACTOR * lam[-1]
-    return lam, vec, mixed, denom, keep
+    return live, vec, mixed, denom, keep
 
 
 def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     """Symmetric logarithmic derivative of the encoded family at rho."""
-    _, vec, mixed, denom, keep = _eig_frame(rho, gen)
+    live, vec, mixed, denom, keep = _eig_frame(rho, gen)
     safe = np.where(keep, denom, 1.0)
-    frame = np.where(keep, 2.0 * mixed / safe, 0.0)
-    out = vec @ frame @ vec.conj().T
+    frame = np.where(keep, mixed / safe, 0.0)
+    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
+    out[np.ix_(live, live)] = -2j * (vec @ frame @ vec.conj().T)
     return _trusted(HermitianOperator, (out + out.conj().T) / 2)
 
 

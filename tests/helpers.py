@@ -11,9 +11,15 @@ from dephimetry import (
     DensityMatrix,
     GeneratorSpec,
     Povm,
+    build_c2,
+    dephase,
+    encode_phase,
+    ghz_state,
+    product_plus_state,
     weights,
 )
-from dephimetry.dephasing import covariance_sqrt
+from dephimetry.dephasing import covariance_sqrt, derivative_state
+from dephimetry.fisher import RANK_TOL_FACTOR
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -198,3 +204,58 @@ def traced_peak_mb(fn, *args, **kwargs) -> float:
     finally:
         tracemalloc.stop()
     return (peak - base) / 2**20
+
+
+def _dense_frame(rho: DensityMatrix, gen: GeneratorSpec):
+    lam, vec = np.linalg.eigh(rho.entries)
+    drho = derivative_state(rho, gen).entries
+    mixed = vec.conj().T @ drho @ vec
+    denom = lam[:, None] + lam[None, :]
+    keep = denom > RANK_TOL_FACTOR * lam[-1]
+    return vec, mixed, denom, keep
+
+
+def dense_sld(rho: DensityMatrix, gen: GeneratorSpec) -> np.ndarray:
+    """SLD from a complex eigendecomposition of the whole matrix;
+    reference for the support frame of fisher.sld."""
+    vec, mixed, denom, keep = _dense_frame(rho, gen)
+    safe = np.where(keep, denom, 1.0)
+    frame = np.where(keep, 2.0 * mixed / safe, 0.0)
+    out = vec @ frame @ vec.conj().T
+    return (out + out.conj().T) / 2
+
+
+def dense_qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
+    """QFI from a complex eigendecomposition of the whole matrix;
+    reference for the support frame of fisher.qfi."""
+    _, mixed, denom, keep = _dense_frame(rho, gen)
+    safe = np.where(keep, denom, 1.0)
+    terms = np.where(keep, np.abs(mixed) ** 2 / safe, 0.0)
+    return float(2.0 * terms.sum())
+
+
+def frame_case(case: str, n: int, seed: int = 0) -> DensityMatrix:
+    """States for the support-frame checks on n qubits: "complex" and
+    "real" full-rank states; "subset", a complex state on a random half of
+    the basis states (the other rows are zero); "deficient", a state on
+    such a subset with half its size as rank, so rank-deficient inside its
+    support; "ghz" and
+    "plus", the dephased probes rotated by phi = 0.3 (complex)."""
+    r = rng(seed)
+    dim = 2**n
+    gen = GeneratorSpec.qubits(n)
+    if case in ("ghz", "plus"):
+        probe = ghz_state(n) if case == "ghz" else product_plus_state(n)
+        return encode_phase(dephase(probe, gen, build_c2(n, 0.5, 0.5)), gen, 0.3)
+    if case == "real":
+        g = r.normal(size=(dim, 2 * dim))
+        rho = g @ g.T
+        return DensityMatrix(rho / np.trace(rho))
+    if case == "complex":
+        return random_density(r, dim)
+    support = np.sort(r.choice(dim, size=max(2, dim // 2), replace=False))
+    rank = support.size // 2 if case == "deficient" else 2 * support.size
+    g = ginibre(r, support.size, rank)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[np.ix_(support, support)] = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)

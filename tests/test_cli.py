@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,10 @@ class TestExitCodes:
                       "--seed", "1"], "two_beta2", id="simulate-nan"),
         pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
         pytest.param(["figure", "comparison", "--b2-min", "0"], "--b2-min", id="b2-min-zero"),
+        pytest.param(["figure", "comparison", "--b2-min", "800"], "--b2-min",
+                     id="b2-min-overflow"),
+        pytest.param(["figure", "comparison", "--b2-max", "800"], "--b2-max",
+                     id="b2-max-overflow"),
     ])
     def test_bad_family_args_refused_up_front(self, args, named, tmp_path, capsys):
         out = tmp_path / "out"
@@ -287,6 +293,29 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out == "family,n,alpha,two_beta2,delta2_c,f_rho,f_rho_bar,main_bound,error_bound,reference_g\n"
 
+    def test_repeated_covariance_computed_once(self, tmp_path, monkeypatch):
+        # c1 and c2 coincide at alpha = 0: 8 points, 3 covariances per state
+        calls = []
+        original = cli.qfi
+
+        def counted(rho, gen):
+            calls.append(rho.dim)
+            return original(rho, gen)
+
+        monkeypatch.setattr(cli, "qfi", counted)
+        cfg = self.write_config(
+            tmp_path,
+            "state = ghz, product-plus\nfamily = c1, c2\nn = 3\nalpha = 0, 0.5\n"
+            "two_beta2 = 0.5\n",
+        )
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 6
+        rows = out.read_text().splitlines()[1:]
+        points = [(state, family, 3, alpha, 0.5) for state in ("ghz", "product-plus")
+                  for family in ("c1", "c2") for alpha in (0.0, 0.5)]
+        assert rows == [cli.grid_report(*point).csv_row() for point in points]
+
     def test_missing_file(self, capsys):
         assert run(["sweep", "--config", "/nonexistent/grid.cfg"]) == 1
         assert "cannot read config" in capsys.readouterr().err
@@ -351,6 +380,22 @@ class TestFigure:
             assert run(["figure", "scaling", "--out", str(d),
                         "--n-max", "50", "--n-points", "4"]) == 0
         assert (a / "scaling-panel.csv").read_bytes() == (b / "scaling-panel.csv").read_bytes()
+
+    def test_figure_data_script(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "figure_data.py"
+        spec = importlib.util.spec_from_file_location("figure_data", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.run(["--out", str(tmp_path)]) == 0
+        headers = {
+            "scaling-panel.csv": "n,independent,collective,c1,c2",
+            "comparison-panel-grid.csv":
+                "n,two_beta2,independent_error_bound,reference_g,independent_tighter",
+            "comparison-panel-boundary.csv": "n,boundary_two_beta2,approx_two_beta2",
+        }
+        for name, header in headers.items():
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == header and len(lines) > 1
 
     def test_invalid_panel(self, capsys):
         assert run(["figure", "volume"]) == 1

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dephimetry import (
+    CovarianceMatrix,
     GeneratorSpec,
     Povm,
     build_c1,
@@ -27,7 +28,10 @@ from dephimetry.dephasing import derivative_state
 
 from helpers import (
     SIGMA_Y,
+    dense_qfi,
+    dense_sld,
     dense_traces,
+    frame_case,
     measurement_case,
     random_density,
     random_projective_povm,
@@ -197,6 +201,47 @@ class TestQfi:
         gen = GeneratorSpec.qubits(2)
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
         assert qfi(rho, gen) == 0.0
+
+
+FRAME_CASES = ["complex", "real", "subset", "deficient", "ghz", "plus"]
+
+
+class TestSupportFrame:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", FRAME_CASES)
+    def test_matches_dense_frame(self, case, n):
+        gen = GeneratorSpec.qubits(n)
+        rho = frame_case(case, n, seed=7 * n)
+        assert math.isclose(qfi(rho, gen), dense_qfi(rho, gen), rel_tol=1e-12)
+        np.testing.assert_allclose(sld(rho, gen).entries, dense_sld(rho, gen), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["subset", "deficient"])
+    def test_defining_equation_with_zero_rows(self, case):
+        gen = GeneratorSpec.qubits(3)
+        rho = frame_case(case, 3, seed=11)
+        assert (np.abs(rho.entries).sum(axis=1) == 0).any()
+        ell = sld(rho, gen).entries
+        lhs = ell @ rho.entries + rho.entries @ ell
+        rhs = 2.0 * derivative_state(rho, gen).entries
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [build_c1, build_c2], ids=["c1", "c2"])
+    def test_dephased_ghz_closed_form_n10(self, build):
+        gen = GeneratorSpec.qubits(10)
+        cov = build(10, 0.5, 0.5)
+        expected = 100.0 * math.exp(-cov.entries.sum())
+        assert math.isclose(qfi(dephase(ghz_state(10), gen, cov), gen), expected, rel_tol=1e-12)
+
+    def test_dephased_plus_closed_form_n10(self):
+        gen = GeneratorSpec.qubits(10)
+        rb = dephase(product_plus_state(10), gen, CovarianceMatrix(0.5 * np.eye(10)))
+        assert math.isclose(qfi(rb, gen), 10.0 * math.exp(-0.5), rel_tol=1e-12)
+
+    def test_memory_budget_dephased_ghz_n10(self):
+        # a dense complex frame at dim 1024 peaks at 65 MiB
+        gen = GeneratorSpec.qubits(10)
+        rho = dephase(ghz_state(10), gen, build_c2(10, 0.5, 0.5))
+        assert traced_peak_mb(qfi, rho, gen) <= 16.0
 
 
 class TestClassicalFi:
