@@ -16,7 +16,9 @@ error saturates the classical Cramer-Rao bound 1/F for the chosen POVM.
 
 simulate draws phases, samples an outcome from the exactly encoded state,
 and applies est_best, using the fixed chunk partition of dephasing.chunk_rngs
-so runs are a deterministic function of (seed, shots).
+so runs are a deterministic function of (seed, shots).  It samples on the
+support of the probe only, over the outcomes whose columns touch it; the
+others have probability 0 at every phase (see the fisher module).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .core import DensityMatrix, GeneratorSpec, encode_phase
+from .core import DensityMatrix, GeneratorSpec, _grid, _support, encode_phase
 from .covariance import CovarianceMatrix, delta2_c, weights
 from .dephasing import chunk_rngs, covariance_sqrt, dephase
 from .errors import (
@@ -148,9 +150,11 @@ class SimulationResult:
 
 
 def _state_factor(rho: DensityMatrix) -> np.ndarray:
-    """(dim, r) factor A with rho = A A^dagger, keeping the eigenvalues above
-    RANK_TOL_FACTOR * lam_max (the rank rule of the SLD)."""
-    lam, vec = np.linalg.eigh(rho.entries)
+    """(len(live), r) factor A with rho[live, live] = A A^dagger on the
+    support `live` of rho (core._support; every other row of rho is zero),
+    keeping the eigenvalues above RANK_TOL_FACTOR * lam_max (the rank rule
+    of the SLD)."""
+    lam, vec = np.linalg.eigh(rho.entries[_grid(_support(rho.entries))])
     keep = lam > RANK_TOL_FACTOR * lam[-1]
     return vec[:, keep] * np.sqrt(lam[keep])
 
@@ -176,13 +180,18 @@ def bayes_estimators(cfg: ExperimentConfig, prob_floor: float = PROB_FLOOR) -> E
     """Posterior-mean site estimators via the commutator-trace reduction."""
     # Per column v: p = v^dagger rho_bar v and, for each site,
     # v^dagger (-i [S_j, rho_bar]) v = 2 Im(v^dagger S_j rho_bar v).
-    v = cfg.povm.vectors
-    terms = v.conj() * (cfg.averaged_state.entries @ v)
-    probs = cfg.povm.collect(terms.sum(axis=0).real)
+    # Only the columns touching the support of rho_bar contribute.
+    entries = cfg.averaged_state.entries
+    live = _support(entries)
+    sub, reached = cfg.povm.restrict(live)
+    v = sub.vectors
+    terms = v.conj() * (entries[_grid(live)] @ v)
+    probs = cfg.povm.spread(sub.collect(terms.sum(axis=0).real), reached)
     included = probs > prob_floor
     if not included.any():
         raise DegenerateMeasurementError("every outcome fell below the probability floor")
-    traces = cfg.povm.collect(2.0 * (cfg.gen.site_energy_table @ terms).imag)
+    site_traces = 2.0 * (cfg.gen.site_energy_table[:, live] @ terms).imag
+    traces = cfg.povm.spread(sub.collect(site_traces), reached)
 
     ratios = np.zeros_like(traces)
     ratios[:, included] = traces[:, included] / probs[included]
@@ -252,8 +261,12 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         raise ValueError("shots must be at least 1")
     table = best_estimator(cfg)
     root = covariance_sqrt(cfg.cov)
-    energy_table = cfg.gen.site_energy_table
+    # Sample on the support of the probe: the other rows of every encoded
+    # state are zero, and only the outcomes `reached` there can fire.
+    live = _support(cfg.rho.entries)
+    energy_table = cfg.gen.site_energy_table[:, live]
     factor = _state_factor(cfg.rho)
+    povm, reached = cfg.povm.restrict(live)
     mean = cfg.phi0 + cfg.delta_phi
     jobs = chunk_rngs(seed, shots)
     starts = np.cumsum([0] + [size for _, size in jobs[:-1]])
@@ -266,7 +279,7 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         np.matmul(rng.standard_normal((size, cfg.cov.n)), root, out=phases[rows])
         phases[rows] += mean
         w = np.exp(-1j * (phases[rows] @ energy_table))
-        probs = _shot_probabilities(cfg.povm, factor, w)
+        probs = _shot_probabilities(povm, factor, w)
         worst = probs.min()
         if worst < _NEGATIVE_PROB_TOL:
             raise NumericalConsistencyError(
@@ -279,6 +292,8 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         outcomes[rows] = (draws[:, None] > cdf).sum(axis=1)
 
     map_ordered(run_chunk, zip(jobs, starts))
+    if not isinstance(reached, slice):
+        outcomes = reached[outcomes]
 
     estimates_best = table.best[outcomes]
     estimates = table.estimates[outcomes]

@@ -43,6 +43,18 @@ def _hermitian_part(entries, what: str) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _support(entries: np.ndarray):
+    """Indices of the rows of `entries` that are not identically zero, or
+    slice(None) when that is every row, so that indexing by it takes a view."""
+    rows = (entries != 0).any(axis=1)
+    return slice(None) if rows.all() else np.flatnonzero(rows)
+
+
+def _grid(live):
+    """Index of the block on rows and columns `live` (see _support)."""
+    return (live, live) if isinstance(live, slice) else np.ix_(live, live)
+
+
 def _trusted(cls, entries: np.ndarray):
     """Wrap a matrix the package built to be Hermitian (and, for a state,
     unit-trace and PSD) in `cls` without checking it again.  `entries`

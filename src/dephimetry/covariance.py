@@ -66,12 +66,6 @@ class CovarianceMatrix:
         c = self.entries[0, 0]
         return bool(np.allclose(self.entries, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c))))
 
-    def __add__(self, other: "CovarianceMatrix") -> "CovarianceMatrix":
-        if not isinstance(other, CovarianceMatrix):
-            return NotImplemented
-        eps = min(self.regularization_eps, other.regularization_eps)
-        return CovarianceMatrix(self.entries + other.entries, eps)
-
     @property
     def delta2(self) -> float:
         return delta2_c(self)

@@ -118,9 +118,14 @@ def dephase_monte_carlo(
 def derivative_state(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     """-i [H, rho], the generator of the encoded family; traceless Hermitian."""
     _check_pairing(rho, gen)
-    energy = gen.energies
-    d = -1j * (energy[:, None] - energy[None, :]) * rho.entries
-    return _trusted(HermitianOperator, (d + d.conj().T) / 2)
+    return _trusted(HermitianOperator, _derivative_block(rho.entries, gen.energies))
+
+
+def _derivative_block(entries: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """-i [H, rho] on any principal block of rho, given the energies of its
+    rows; the commutator is entrywise, so the block needs no other rows."""
+    d = -1j * (energy[:, None] - energy[None, :]) * entries
+    return (d + d.conj().T) / 2
 
 
 def conditional_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:

@@ -192,6 +192,37 @@ def measurement_case(case: str, n: int, seed: int = 0):
     return rho, Povm.projective(q), effects
 
 
+def embedded_case(case: str, n: int, seed: int = 0, mixing: bool = False):
+    """(state, POVM, dense effects) on n + 1 qubits for the support checks.
+    The state of measurement_case(case, n) sits on a random half of the
+    basis states; the other rows are zero.  With mixing=False the POVM is
+    measurement_case(case, n)'s on that half, plus a rank-one outcome
+    e_j e_j^dagger for each other basis state j, inserted after outcome 0,
+    so some outcomes can never fire.  With mixing=True it is
+    measurement_case(case, n + 1)'s, whose columns touch every row."""
+    rho, _, effects = measurement_case(case, n, seed)
+    dim = 2 ** (n + 1)
+    live = np.sort(rng(seed + 1).choice(dim, size=dim // 2, replace=False))
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    entries[np.ix_(live, live)] = rho.entries
+    state = DensityMatrix(entries)
+    if mixing:
+        _, povm, effects = measurement_case(case, n + 1, seed)
+        return state, povm, effects
+    big = []
+    for e in effects:
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[np.ix_(live, live)] = e
+        big.append(out)
+    singles = []
+    for j in np.setdiff1d(np.arange(dim), live):
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[j, j] = 1.0
+        singles.append(out)
+    effects = big[:1] + singles + big[1:]
+    return state, Povm(effects), effects
+
+
 def traced_peak_mb(fn, *args, **kwargs) -> float:
     """Peak memory traced by tracemalloc while fn runs, above the level at
     its start, in MiB."""
@@ -232,6 +263,23 @@ def dense_qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
     safe = np.where(keep, denom, 1.0)
     terms = np.where(keep, np.abs(mixed) ** 2 / safe, 0.0)
     return float(2.0 * terms.sum())
+
+
+def dense_optimal_basis(rho: DensityMatrix, gen: GeneratorSpec) -> np.ndarray:
+    """Eigenbasis of the dense SLD with degenerate eigenspaces resolved by
+    H, as columns; reference for the support path of fisher.optimal_povm."""
+    ell, vec = np.linalg.eigh(dense_sld(rho, gen))
+    scale = max(1.0, float(np.abs(ell).max()))
+    start = 0
+    for stop in range(1, len(ell) + 1):
+        if stop < len(ell) and ell[stop] - ell[stop - 1] <= 1e-8 * scale:
+            continue
+        block = vec[:, start:stop]
+        restricted = block.conj().T @ (gen.energies[:, None] * block)
+        _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
+        vec[:, start:stop] = block @ rot
+        start = stop
+    return vec
 
 
 def frame_case(case: str, n: int, seed: int = 0) -> DensityMatrix:

@@ -35,10 +35,13 @@ from dephimetry import (
 )
 import dephimetry.bayes
 from dephimetry.bayes import _shot_probabilities, _state_factor, map_ordered
+from dephimetry.core import _support
 from dephimetry.dephasing import CHUNK_SHOTS, derivative_state
 
 from helpers import (
     dense_shot_probabilities,
+    dense_traces,
+    embedded_case,
     gh_bayes_mse,
     gh_site_estimates,
     measurement_case,
@@ -227,6 +230,31 @@ class TestBayesEstimators:
         assert table.excluded == (2,)
         assert table.estimates[2] == 0.7
 
+    @pytest.mark.parametrize("mixing", [False, True], ids=["blocked", "mixing"])
+    @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
+    def test_support_table_matches_dense(self, case, mixing):
+        # the table over the columns touching the support, against dense
+        # traces over every effect; unreached outcomes are excluded
+        rho, povm, effects = embedded_case(case, 2, seed=5, mixing=mixing)
+        gen = GeneratorSpec.qubits(3)
+        cov = random_psd_cov(rng(6), 3)
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=povm, phi0=0.2)
+        table = bayes_estimators(cfg)
+        rb = cfg.averaged_state.entries
+        probs = dense_traces(rb, effects)
+        np.testing.assert_allclose(table.probs, probs, rtol=0, atol=1e-13)
+        included = probs > 1e-12
+        assert table.excluded == tuple(np.flatnonzero(~included))
+        assert mixing or table.excluded
+        safe = np.where(included, probs, 1.0)
+        ratios = np.array([
+            np.where(included, dense_traces(-1j * (s @ rb - rb @ s), effects) / safe, 0.0)
+            for s in map(np.diag, gen.site_energy_table)
+        ])
+        np.testing.assert_allclose(
+            table.site_estimates, 0.2 + (cov.entries @ ratios).T, rtol=0, atol=1e-11
+        )
+
     def test_all_dead_raises(self):
         cfg = make_cfg(3)
         with pytest.raises(DegenerateMeasurementError):
@@ -402,6 +430,64 @@ class TestSimulate:
             dense_shot_probabilities(w, rho.entries, effects),
             rtol=0, atol=1e-13,
         )
+
+    @pytest.mark.parametrize("mixing", [False, True], ids=["blocked", "mixing"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
+    def test_support_shot_probabilities_match_dense(self, case, n, mixing):
+        rho, povm, effects = embedded_case(case, n, seed=10 * n + 1, mixing=mixing)
+        live = _support(rho.entries)
+        factor = _state_factor(rho)
+        assert factor.shape[0] == live.size == rho.dim // 2
+        sub, reached = povm.restrict(live)
+        phases = rng(n).normal(size=(64, n + 1))
+        w = np.exp(-1j * (phases @ GeneratorSpec.qubits(n + 1).site_energy_table))
+        np.testing.assert_allclose(
+            povm.spread(_shot_probabilities(sub, factor, w[:, live]), reached),
+            dense_shot_probabilities(w, rho.entries, effects),
+            rtol=0, atol=1e-13,
+        )
+
+    # Seeded GHZ runs at c2(0.5, 0.5), pinned from the dense sampler: the
+    # support sampler must draw the same outcomes under the same labels.
+    GHZ_PINS = {
+        3: ("0b178fc094c7cb843b8a36b95e9a3bc5a9d7a08b8e96f956d7fbc60c217fa7f6",
+            "494944b05a403b46777ccf799add6377687bb8cc268deaeeb8bb39c37d9e5f81",
+            {0: 1466, 7: 1534}, 1.3183589076401927),
+        6: ("adf40f06a7300821a50916d3e9c87fd6665f9071fb858aefc06c82be9a1429ae",
+            "243daf3514459fe870036d0aa055dc38eb7a2b69fef12d581e0dc89d0269bb81",
+            {0: 1472, 63: 1528}, 5.606157407642366),
+        8: ("e5afcd9c53b94374de6f50d191f7509ab71400adcd5b98769bdb843e893d9f56",
+            "d3c44bad41145637e85af18d04fe774c5f1603728161efa9f9db06b6db51064b",
+            {0: 1452, 255: 1548}, 18.62425397295733),
+    }
+
+    @pytest.mark.parametrize("n", sorted(GHZ_PINS))
+    def test_seeded_ghz_pinned(self, n):
+        outcome_digest, phase_digest, counts, estimate = self.GHZ_PINS[n]
+        gen = GeneratorSpec.qubits(n)
+        cov = build_c2(n, 0.5, 0.5)
+        rb = encode_phase(dephase(ghz_state(n), gen, cov), gen, 0.0)
+        cfg = ExperimentConfig(rho=ghz_state(n), gen=gen, cov=cov,
+                               povm=optimal_povm(rb, gen), rho_bar=rb)
+        res = simulate(cfg, 3000, 100001)
+        digest = hashlib.sha256(res.outcomes.astype(np.int64).tobytes()).hexdigest()
+        assert digest == outcome_digest
+        assert hashlib.sha256(res.phases.tobytes()).hexdigest() == phase_digest
+        assert dict(zip(*np.unique(res.outcomes, return_counts=True))) == counts
+        np.testing.assert_array_equal(
+            res.estimates_best, np.where(res.outcomes == 0, -estimate, estimate)
+        )
+
+    def test_memory_budget_ghz_n10(self):
+        # one full chunk on the 2-row support of GHZ; sampling over all
+        # 1024 outcomes peaked at 513 MiB
+        gen = GeneratorSpec.qubits(10)
+        cov = build_c2(10, 0.5, 0.5)
+        rb = encode_phase(dephase(ghz_state(10), gen, cov), gen, 0.0)
+        cfg = ExperimentConfig(rho=ghz_state(10), gen=gen, cov=cov,
+                               povm=optimal_povm(rb, gen), rho_bar=rb)
+        assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 16.0
 
     @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
     def test_memory_budget_n6(self, make_state):

@@ -51,11 +51,6 @@ class TestCovarianceMatrix:
         assert CovarianceMatrix(0.4 * np.ones((3, 3))).is_collective
         assert not build_c1(3, 0.5, 0.5).is_collective
 
-    def test_add(self):
-        a = build_c1(3, 0.5, 0.2)
-        b = build_c2(3, 0.3, 0.4)
-        np.testing.assert_allclose((a + b).entries, a.entries + b.entries)
-
     def test_delta2_gamma_properties(self):
         cov = build_c1(3, 0.5, 0.2)
         assert math.isclose(cov.delta2, delta2_c(cov), rel_tol=1e-15)

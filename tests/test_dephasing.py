@@ -106,7 +106,7 @@ class TestDephase:
         c1 = random_psd_cov(rng(10), 2)
         c2 = random_psd_cov(rng(11), 2)
         twice = dephase(dephase(rho, gen, c1), gen, c2)
-        once = dephase(rho, gen, c1 + c2)
+        once = dephase(rho, gen, CovarianceMatrix(c1.entries + c2.entries))
         np.testing.assert_allclose(twice.entries, once.entries, atol=1e-14)
 
     def test_multilevel_sites(self):

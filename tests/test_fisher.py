@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dephimetry import (
     CovarianceMatrix,
+    DensityMatrix,
     GeneratorSpec,
     Povm,
     build_c1,
@@ -24,13 +25,16 @@ from dephimetry import (
     sld,
     variance,
 )
+from dephimetry.core import _support
 from dephimetry.dephasing import derivative_state
 
 from helpers import (
     SIGMA_Y,
+    dense_optimal_basis,
     dense_qfi,
     dense_sld,
     dense_traces,
+    embedded_case,
     frame_case,
     measurement_case,
     random_density,
@@ -127,6 +131,40 @@ class TestPovm:
         )
         for built, given_effect in zip(povm.effects, effects):
             np.testing.assert_allclose(built, given_effect, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mixing", [False, True], ids=["blocked", "mixing"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
+    def test_restricted_traces_match_dense(self, case, n, mixing):
+        gen = GeneratorSpec.qubits(n + 1)
+        rho, povm, effects = embedded_case(case, n, seed=10 * n, mixing=mixing)
+        live = _support(rho.entries)
+        assert live.size == rho.dim // 2
+        sub, reached = povm.restrict(live)
+        np.testing.assert_allclose(sum(sub.effects), np.eye(live.size), rtol=0, atol=1e-12)
+        if not mixing:
+            assert len(reached) < povm.outcomes
+        p = dense_traces(rho.entries, effects)
+        np.testing.assert_allclose(povm.probabilities(rho), p, rtol=0, atol=1e-13)
+        dp = dense_traces(derivative_state(rho, gen).entries, effects)
+        fired = p > 1e-12
+        expected = float(np.sum(dp[fired] ** 2 / p[fired]))
+        assert math.isclose(classical_fi(rho, gen, povm), expected, rel_tol=1e-10, abs_tol=1e-12)
+
+    def test_probabilities_dimension_mismatch(self):
+        # a dim-8 state on rows 0 and 1 would otherwise be read through
+        # the first rows of a dim-4 POVM without an error
+        povm = random_projective_povm(rng(2), 4)
+        low = DensityMatrix(np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0]).astype(complex))
+        for rho in (low, ghz_state(3), product_plus_state(1)):
+            with pytest.raises(ValueError, match="dimensions"):
+                povm.probabilities(rho)
+
+    def test_restrict_full_support_keeps_povm(self):
+        povm = random_projective_povm(rng(3), 4)
+        sub, reached = povm.restrict(slice(None))
+        assert sub is povm
+        assert reached == slice(None)
 
 
 class TestSld:
@@ -243,6 +281,13 @@ class TestSupportFrame:
         rho = dephase(ghz_state(10), gen, build_c2(10, 0.5, 0.5))
         assert traced_peak_mb(qfi, rho, gen) <= 16.0
 
+    def test_memory_budget_dephased_plus_n10(self):
+        # full real support: the 1024 x 1024 block alone is 8 MiB, and
+        # holding every frame temporary at once peaked at 49 MiB
+        gen = GeneratorSpec.qubits(10)
+        rho = dephase(product_plus_state(10), gen, build_c1(10, 0.5, 0.5))
+        assert traced_peak_mb(qfi, rho, gen) <= 32.0
+
 
 class TestClassicalFi:
     @given(seed=st.integers(0, 60))
@@ -283,6 +328,32 @@ class TestClassicalFi:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
             classical_fi(ghz_state(2), GeneratorSpec.qubits(2), Povm.projective(np.eye(2)))
+
+
+def degenerate_on_support():
+    """(state, support): rank 2 on 8 random basis states of 4 qubits."""
+    r = rng(21)
+    live = np.sort(r.choice(16, size=8, replace=False))
+    g = r.normal(size=(8, 2)) + 1j * r.normal(size=(8, 2))
+    entries = np.zeros((16, 16), dtype=complex)
+    entries[np.ix_(live, live)] = g @ g.conj().T
+    return DensityMatrix(entries / np.trace(entries).real), live
+
+
+def assert_dense_order(rho, gen):
+    """Per outcome, the SLD eigenvalue and the H level inside its degenerate
+    eigenspace are basis-independent, so the support path must list them in
+    the order of the dense path."""
+    ell = dense_sld(rho, gen)
+    h = np.diag(gen.energies)
+    built = optimal_povm(rho, gen).vectors
+    dense = dense_optimal_basis(rho, gen)
+    for op in (ell, h):
+        np.testing.assert_allclose(
+            np.einsum("ik,ij,jk->k", built.conj(), op, built).real,
+            np.einsum("ik,ij,jk->k", dense.conj(), op, dense).real,
+            rtol=0, atol=1e-9,
+        )
 
 
 class TestOptimalPovm:
@@ -338,6 +409,40 @@ class TestOptimalPovm:
         gen = GeneratorSpec.qubits(8)
         rho = dephase(ghz_state(8), gen, build_c2(8, 0.5, 0.5))
         assert traced_peak_mb(optimal_povm, rho, gen) <= 32.0
+
+    def test_memory_budget_ghz_n10(self):
+        # the returned (1024, 1024) complex basis alone is 16 MiB; a dense
+        # SLD eigendecomposition peaked at 96 MiB
+        gen = GeneratorSpec.qubits(10)
+        rho = dephase(ghz_state(10), gen, build_c2(10, 0.5, 0.5))
+        assert traced_peak_mb(optimal_povm, rho, gen) <= 40.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", FRAME_CASES)
+    def test_outcome_order_matches_dense(self, case, n):
+        assert_dense_order(frame_case(case, n, seed=7 * n), GeneratorSpec.qubits(n))
+
+    def test_outcome_order_matches_dense_degenerate_block(self):
+        assert_dense_order(degenerate_on_support()[0], GeneratorSpec.qubits(4))
+
+    def test_degenerate_block_on_strict_support(self):
+        # the block SLD has at least four zero eigenvalues, resolved by H
+        # together with the eight e_j off the support
+        gen = GeneratorSpec.qubits(4)
+        rho, live = degenerate_on_support()
+        ell = sld(rho, gen).entries
+        assert (np.abs(np.linalg.eigvalsh(ell[np.ix_(live, live)])) < 1e-8).sum() >= 4
+        basis = optimal_povm(rho, gen).vectors
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(16), rtol=0, atol=1e-12)
+        for e in optimal_povm(rho, gen).effects:
+            assert np.abs(e @ ell - ell @ e).max() < 1e-8
+        assert math.isclose(
+            classical_fi(rho, gen, optimal_povm(rho, gen)), qfi(rho, gen), rel_tol=1e-9
+        )
+        off = np.setdiff1d(np.arange(16), live)
+        standard = basis[:, (np.abs(basis[live]) == 0).all(axis=0)]
+        np.testing.assert_array_equal(np.sort(np.abs(standard).argmax(axis=0)), off)
+        np.testing.assert_array_equal(np.abs(standard).max(axis=0), 1.0)
 
     def test_attains_qfi_for_pure_states(self):
         gen = GeneratorSpec.qubits(2)
