@@ -29,6 +29,8 @@ from .errors import BoundViolationError
 from .fisher import qfi
 
 VIOLATION_TOL = 1e-8
+# Relative bracket width at which crossover_boundary stops bisecting.
+CROSSOVER_RTOL = 1e-6
 
 CSV_FIELDS = (
     "family",
@@ -143,7 +145,7 @@ def reference_bound_g(n: int, two_beta2: float) -> float:
         raise ValueError("two_beta2 is too large: e^two_beta2 overflows") from None
 
 
-def crossover_boundary(n: int, rel_tol: float = 1e-6) -> float:
+def crossover_boundary(n: int) -> float:
     """Noise strength 2 beta^2 where the independent error floor (with
     F = N^2) stops dominating reference_bound_g; bisection on
     x + 1/N = e^x - 1."""
@@ -164,7 +166,7 @@ def crossover_boundary(n: int, rel_tol: float = 1e-6) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= CROSSOVER_RTOL * mid:
             break
     return 0.5 * (lo + hi)
 
@@ -236,9 +238,10 @@ def asymptotics(
     )
 
 
-def check_violation(report: BoundReport, tol: float = VIOLATION_TOL) -> BoundReport:
-    """Raise when the dephased information exceeds its ceiling."""
-    if report.f_rho_bar is not None and report.f_rho_bar > report.main_bound_value + tol:
+def check_violation(report: BoundReport) -> BoundReport:
+    """Raise when the dephased information exceeds its ceiling by more than
+    VIOLATION_TOL."""
+    if report.f_rho_bar is not None and report.f_rho_bar > report.main_bound_value + VIOLATION_TOL:
         raise BoundViolationError(
             f"dephased information {report.f_rho_bar!r} exceeds the bound "
             f"{report.main_bound_value!r}",

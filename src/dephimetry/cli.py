@@ -46,8 +46,8 @@ EXIT_NUMERICAL = 3
 STATES = ("ghz", "product-plus")
 FAMILIES = ("c1", "c2", "identity")
 
-# Full eigendecompositions are only attempted up to this many qubit sites;
-# larger grid points fall back to exact closed forms where known.
+# Dense 2^n x 2^n states are only built up to this many qubit sites; past it
+# `bound` and `sweep` fall back to exact closed forms where known.
 NUMERIC_SITE_LIMIT = 10
 
 _SWEEP_KEYS = ("state", "family", "n", "alpha", "two_beta2")
@@ -57,6 +57,8 @@ _SWEEP_KEYS = ("state", "family", "n", "alpha", "two_beta2")
 # exponential-decay curve (alpha 0.2) keeps the 1/N scaling.
 SCALING_C1_ALPHA = 0.9
 SCALING_C2_ALPHA = 0.2
+# (family, alpha) per panel column: independent, collective, c1, c2.
+SCALING_CURVES = (("identity", 0.0), ("c1", 1.0), ("c1", SCALING_C1_ALPHA), ("c2", SCALING_C2_ALPHA))
 
 
 class ConfigError(ValueError):
@@ -106,6 +108,10 @@ def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
 
 
 def _family_delta2(family: str, n: int, alpha: float, two_beta2: float) -> float:
+    """Closed-form delta2_c of a family behind the noise gate; 0 at zero noise."""
+    _check_noise_args(n, alpha, two_beta2)
+    if two_beta2 == 0:
+        return 0.0
     if family == "identity":
         return two_beta2 / n
     if family == "c1":
@@ -138,13 +144,23 @@ def _family_mass(family: str, n: int, alpha: float, two_beta2: float) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _dense_setup(
+    state: str, n: int, family: Optional[str] = None, alpha: float = 0.0, two_beta2: float = 0.0
+):
+    """(generator, dense probe, covariance or None when no family is named);
+    the CLI's one refusal of sizes past NUMERIC_SITE_LIMIT."""
+    if n > NUMERIC_SITE_LIMIT:
+        raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
+    cov = None if family is None else _family_matrix(family, n, alpha, two_beta2)
+    return GeneratorSpec.qubits(n), _make_state(state, n), cov
+
+
 def grid_report(
     state: str,
     family: str,
     n: int,
     alpha: float,
     two_beta2: float,
-    with_f_rho_bar: bool = True,
     *,
     dephased_qfi: Optional[dict] = None,
 ) -> bounds.BoundReport:
@@ -153,28 +169,23 @@ def grid_report(
     `dephased_qfi` maps (state, n, covariance entry bytes) to the dephased
     QFI; a caller that passes one dict to several reports computes each
     distinct dephased state once."""
-    _check_noise_args(n, alpha, two_beta2)
+    d2 = _family_delta2(family, n, alpha, two_beta2)
     reference_g = bounds.reference_bound_g(n, two_beta2)
-    if two_beta2 == 0:
-        d2 = 0.0
-    else:
-        d2 = _family_delta2(family, n, alpha, two_beta2)
     f_rho = _state_qfi_exact(state, n)
-
     f_rho_bar = None
-    if with_f_rho_bar:
-        if two_beta2 == 0:
-            f_rho_bar = f_rho
-        elif n <= NUMERIC_SITE_LIMIT:
-            cov = _family_matrix(family, n, alpha, two_beta2)
-            known = {} if dephased_qfi is None else dephased_qfi
-            key = (state, n, cov.entries.tobytes())
-            if key not in known:
-                gen = GeneratorSpec.qubits(n)
-                known[key] = qfi(dephase(_make_state(state, n), gen, cov), gen)
-            f_rho_bar = known[key]
-        elif state == "ghz":
-            f_rho_bar = f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
+    if two_beta2 == 0:
+        f_rho_bar = f_rho
+    elif n <= NUMERIC_SITE_LIMIT:
+        cov = _family_matrix(family, n, alpha, two_beta2)
+        known = {} if dephased_qfi is None else dephased_qfi
+        key = (state, n, cov.entries.tobytes())
+        if key not in known:
+            gen, rho, _ = _dense_setup(state, n)
+            rho = dephase(rho, gen, cov)  # the probe is freed before qfi's peak
+            known[key] = qfi(rho, gen)
+        f_rho_bar = known[key]
+    elif state == "ghz":
+        f_rho_bar = f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
 
     err = bounds.error_bound(d2, f_rho)
     report = bounds.BoundReport(
@@ -208,13 +219,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_qfi(args) -> int:
-    if args.n > NUMERIC_SITE_LIMIT:
-        raise ValueError(f"exact eigendecomposition is limited to n <= {NUMERIC_SITE_LIMIT}")
-    gen = GeneratorSpec.qubits(args.n)
-    rho = _make_state(args.state, args.n)
+    gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
     payload = {"state": args.state, "n": args.n, "f_rho": qfi(rho, gen)}
-    if args.family is not None:
-        cov = _family_matrix(args.family, args.n, args.alpha, args.two_beta2)
+    if cov is not None:
         payload.update(
             family=args.family,
             alpha=args.alpha,
@@ -232,11 +239,8 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_dephase(args) -> int:
-    if args.n > NUMERIC_SITE_LIMIT:
-        raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
-    gen = GeneratorSpec.qubits(args.n)
-    cov = _family_matrix(args.family, args.n, args.alpha, args.two_beta2)
-    state = dephase(_make_state(args.state, args.n), gen, cov)
+    gen, state, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
+    state = dephase(state, gen, cov)
     if args.phi != 0.0:
         state = encode_phase(state, gen, args.phi)
     a = state.entries
@@ -257,15 +261,11 @@ def cmd_dephase(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n > NUMERIC_SITE_LIMIT:
-        raise ValueError(f"dense simulation is limited to n <= {NUMERIC_SITE_LIMIT}")
+    gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
     seed = args.seed
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
         print(f"drawn seed: {seed}", file=sys.stderr)
-    gen = GeneratorSpec.qubits(args.n)
-    cov = _family_matrix(args.family, args.n, args.alpha, args.two_beta2)
-    rho = _make_state(args.state, args.n)
     averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
     povm = optimal_povm(averaged, gen)
     cfg = ExperimentConfig(
@@ -370,8 +370,7 @@ def cmd_sweep(args) -> int:
     ]
     dephased_qfi: dict = {}
     reports = [grid_report(*pt, dephased_qfi=dephased_qfi) for pt in points]
-    lines = [bounds.csv_header()] + [r.csv_row() for r in reports]
-    _write_text("\n".join(lines) + "\n", args.out)
+    _emit_reports(reports, "csv", args.out)
     return EXIT_OK
 
 
@@ -381,9 +380,17 @@ def _log_int_grid(maximum: int, points: int) -> np.ndarray:
 
 
 def cmd_figure(args) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be at least 1")
-    if args.panel == "comparison":
+    # Every flag is gated before the output directory is made.
+    for flag, value in (
+        ("--n-max", args.n_max), ("--n-points", args.n_points), ("--b2-points", args.b2_points)
+    ):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
+    if args.panel == "scaling":
+        # the noise gate of `bound`, which the panel's curves share
+        _check_noise_args(1, 0.0, args.two_beta2)
+        bounds.reference_bound_g(1, args.two_beta2)
+    else:
         for flag, value in (("--b2-min", args.b2_min), ("--b2-max", args.b2_max)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{flag} must be positive and finite")
@@ -393,22 +400,19 @@ def cmd_figure(args) -> int:
                 raise ValueError(f"{flag}: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    ns = _log_int_grid(args.n_max, args.n_points)
     if args.panel == "scaling":
-        ns = _log_int_grid(args.n_max, args.n_points)
         lines = ["n,independent,collective,c1,c2"]
         for n in ns:
             n = int(n)
             cells = [
-                grid_report("ghz", "identity", n, 0.0, args.two_beta2, with_f_rho_bar=False),
-                grid_report("ghz", "c1", n, 1.0, args.two_beta2, with_f_rho_bar=False),
-                grid_report("ghz", "c1", n, SCALING_C1_ALPHA, args.two_beta2, with_f_rho_bar=False),
-                grid_report("ghz", "c2", n, SCALING_C2_ALPHA, args.two_beta2, with_f_rho_bar=False),
+                bounds.error_bound(_family_delta2(family, n, alpha, args.two_beta2), float(n) ** 2)
+                for family, alpha in SCALING_CURVES
             ]
-            lines.append(",".join([str(n)] + [_fmt(c.error_bound_value) for c in cells]))
+            lines.append(",".join([str(n)] + [_fmt(c) for c in cells]))
         (outdir / "scaling-panel.csv").write_text("\n".join(lines) + "\n")
         return EXIT_OK
 
-    ns = _log_int_grid(args.n_max, args.n_points)
     b2s = np.logspace(math.log10(args.b2_min), math.log10(args.b2_max), args.b2_points)
     report = bounds.crossover([int(n) for n in ns], list(b2s))
     grid_lines = ["n,two_beta2,independent_error_bound,reference_g,independent_tighter"]

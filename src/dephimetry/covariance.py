@@ -7,7 +7,8 @@ gamma = delta2_c * C^{-1} 1.  Two analytic families are provided: constant
 off-diagonal correlation (build_c1) and exponentially decaying correlation
 (build_c2).  The fully correlated limit C = c * ones is singular and is
 handled as a declared special case (delta2_c = c, uniform weights) rather
-than through a pseudo-inverse.
+than through a pseudo-inverse.  A covariance counts as singular when its
+smallest eigenvalue is at most SINGULAR_TOL times its largest.
 """
 from __future__ import annotations
 
@@ -22,18 +23,14 @@ from .errors import SingularCovarianceError
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 WEIGHT_SUM_TOL = 1e-10
+SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Symmetric positive semidefinite phase covariance.
-
-    regularization_eps sets the relative eigenvalue threshold below which
-    the matrix is treated as singular.
-    """
+    """Symmetric positive semidefinite phase covariance."""
 
     entries: np.ndarray
-    regularization_eps: float = 1e-12
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=float)
@@ -58,7 +55,7 @@ class CovarianceMatrix:
     @property
     def is_singular(self) -> bool:
         smallest, largest = self._spectrum_edges
-        return smallest <= self.regularization_eps * max(largest, 0.0)
+        return smallest <= SINGULAR_TOL * max(largest, 0.0)
 
     @cached_property
     def is_collective(self) -> bool:

@@ -136,7 +136,7 @@ def conditional_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
     lam = np.linalg.eigvalsh((residual + residual.T) / 2)
     if lam[0] < -1e-10 * max(1.0, float(np.abs(cov.entries).max())):
         raise NumericalConsistencyError("conditional covariance lost positivity")
-    return CovarianceMatrix(residual, cov.regularization_eps)
+    return CovarianceMatrix(residual)
 
 
 def conditional_dephased_state(

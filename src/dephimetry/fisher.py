@@ -241,14 +241,9 @@ def qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
     return float(2.0 * terms.sum())
 
 
-def classical_fi(
-    rho: DensityMatrix,
-    gen: GeneratorSpec,
-    povm: Povm,
-    prob_floor: float = PROB_FLOOR,
-) -> float:
+def classical_fi(rho: DensityMatrix, gen: GeneratorSpec, povm: Povm) -> float:
     """Fisher information of the outcome distribution of `povm` on the
-    encoded family at rho; outcomes at or below prob_floor are skipped."""
+    encoded family at rho; outcomes at or below PROB_FLOOR are skipped."""
     if povm.dim != rho.dim:
         raise ValueError("POVM and state dimensions differ")
     _check_pairing(rho, gen)
@@ -257,7 +252,7 @@ def classical_fi(
     block = rho.entries[_grid(live)]
     p = sub.traces(block)
     dp = sub.traces(_derivative_block(block, gen.energies[live]))
-    fired = p > prob_floor
+    fired = p > PROB_FLOOR
     return float(np.sum(dp[fired] ** 2 / p[fired]))
 
 

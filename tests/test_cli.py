@@ -19,6 +19,14 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def load_repo_module(folder, name):
+    path = Path(__file__).resolve().parent.parent / folder / name
+    spec = importlib.util.spec_from_file_location(Path(name).stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -51,7 +59,19 @@ class TestExitCodes:
                      "two_beta2", id="dephase-inf"),
         pytest.param(["simulate", "--n", "2", "--two-beta2", "nan", "--shots", "4",
                       "--seed", "1"], "two_beta2", id="simulate-nan"),
+        pytest.param(["simulate", "--n", "2", "--two-beta2", "nan", "--shots", "4"],
+                     "two_beta2", id="simulate-nan-no-seed"),
         pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
+        pytest.param(["figure", "scaling", "--two-beta2", "800"], "two_beta2",
+                     id="scaling-overflow"),
+        pytest.param(["figure", "scaling", "--two-beta2", "nan"], "two_beta2",
+                     id="scaling-nan"),
+        pytest.param(["figure", "scaling", "--two-beta2", "-1"], "two_beta2",
+                     id="scaling-negative"),
+        pytest.param(["figure", "comparison", "--n-points", "-3"], "--n-points",
+                     id="n-points-negative"),
+        pytest.param(["figure", "comparison", "--b2-points", "0"], "--b2-points",
+                     id="b2-points-zero"),
         pytest.param(["figure", "comparison", "--b2-min", "0"], "--b2-min", id="b2-min-zero"),
         pytest.param(["figure", "comparison", "--b2-min", "800"], "--b2-min",
                      id="b2-min-overflow"),
@@ -151,7 +171,10 @@ class TestQfi:
         assert math.isclose(payload["f_rho_bar"], 1.4715177646857693, rel_tol=1e-9)
 
     def test_too_large(self, capsys):
-        assert run(["qfi", "--n", "11"]) == 1
+        # qfi, dephase and simulate share the one dense size limit
+        for command in (["qfi"], ["dephase"], ["simulate", "--shots", "4", "--seed", "1"]):
+            assert run(command + ["--n", "11"]) == 1
+            assert capsys.readouterr().err == "error: dense states are limited to n <= 10\n"
 
 
 class TestDephase:
@@ -382,10 +405,7 @@ class TestFigure:
         assert (a / "scaling-panel.csv").read_bytes() == (b / "scaling-panel.csv").read_bytes()
 
     def test_figure_data_script(self, tmp_path, capsys):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "figure_data.py"
-        spec = importlib.util.spec_from_file_location("figure_data", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_repo_module("scripts", "figure_data.py")
         assert script.run(["--out", str(tmp_path)]) == 0
         headers = {
             "scaling-panel.csv": "n,independent,collective,c1,c2",
@@ -399,3 +419,28 @@ class TestFigure:
 
     def test_invalid_panel(self, capsys):
         assert run(["figure", "volume"]) == 1
+
+
+class TestSaturationScript:
+    def test_small_run_prints_table(self, capsys):
+        script = load_repo_module("scripts", "saturation_experiment.py")
+        assert script.run(["--shots", "64"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["case", "pred", "1/F", "emp", "mse", "stderr", "z"]
+        assert len(lines) == 1 + 4 + 1 and lines[-1].startswith("worst |z| = ")
+
+    def test_one_shot_refused_with_message(self, capsys):
+        script = load_repo_module("scripts", "saturation_experiment.py")
+        assert script.run(["--shots", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "need at least 2" in err and "Traceback" not in err
+
+
+def test_trace_names_all_present():
+    # The benchmark's per-layer metrics rebind these names; a missing one
+    # would silently read zero.
+    import dephimetry
+
+    tracing = load_repo_module("bench", "tracing.py")
+    with tracing.instrumented(tracing.Tracer(0), dephimetry) as missing:
+        assert missing == []
