@@ -129,6 +129,10 @@ class QbcrReport:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
+    """A sampled run.  predicted_mse is the local error of est_best,
+    delta2_c^2 / local_error of the estimator table, which equals
+    1 / classical_fi of the measurement exactly (see the module docstring)."""
+
     shots: int
     seed: int
     phi0: float
@@ -142,6 +146,7 @@ class SimulationResult:
     outcomes: np.ndarray
     estimates: np.ndarray
     estimates_best: np.ndarray
+    predicted_mse: float
 
     def per_shot_rows(self):
         """Yield per-shot log rows: index, sampled phases, outcome, estimate."""
@@ -318,4 +323,5 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         outcomes=outcomes,
         estimates=estimates,
         estimates_best=estimates_best,
+        predicted_mse=table.delta2**2 / local_error(cfg, table),
     )

@@ -16,7 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, GeneratorSpec, HermitianOperator, _check_pairing, _trusted, encode_phase
+from .core import (
+    DensityMatrix,
+    GeneratorSpec,
+    HermitianOperator,
+    _check_pairing,
+    _grid,
+    _support,
+    _trusted,
+    encode_phase,
+)
 from .covariance import CovarianceMatrix, delta2_c
 from .errors import NumericalConsistencyError
 
@@ -31,10 +40,10 @@ def _check_cov_pairing(gen: GeneratorSpec, cov: CovarianceMatrix) -> None:
         )
 
 
-def _pair_quadratic(gen: GeneratorSpec, cov: CovarianceMatrix) -> np.ndarray:
-    """(dim, dim) matrix of delta^T C delta over basis-state pairs."""
-    s = gen.site_energy_table
-    gram = s.T @ (cov.entries @ s)
+def _pair_quadratic(table: np.ndarray, cov: CovarianceMatrix) -> np.ndarray:
+    """Matrix of delta^T C delta over pairs of the basis states whose
+    columns of the site energy table are given."""
+    gram = table.T @ (cov.entries @ table)
     gram = (gram + gram.T) / 2
     diag = np.diag(gram)
     quad = diag[:, None] + diag[None, :] - 2.0 * gram
@@ -43,11 +52,19 @@ def _pair_quadratic(gen: GeneratorSpec, cov: CovarianceMatrix) -> np.ndarray:
 
 
 def dephase(rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix) -> DensityMatrix:
-    """Apply the exact channel: entry (m, n) times exp(-1/2 delta^T C delta)."""
+    """Apply the exact channel: entry (m, n) times exp(-1/2 delta^T C delta).
+
+    Only the support of rho (core._support) is computed; every other entry
+    of rho, and so of the result, is zero."""
     _check_pairing(rho, gen)
     _check_cov_pairing(gen, cov)
-    factor = np.exp(-0.5 * _pair_quadratic(gen, cov))
-    return _trusted(DensityMatrix, rho.entries * factor)
+    live = _support(rho.entries)
+    factor = np.exp(-0.5 * _pair_quadratic(gen.site_energy_table[:, live], cov))
+    if isinstance(live, slice):
+        return _trusted(DensityMatrix, rho.entries * factor)
+    out = np.zeros_like(rho.entries)
+    out[_grid(live)] = rho.entries[_grid(live)] * factor
+    return _trusted(DensityMatrix, out)
 
 
 def covariance_sqrt(cov: CovarianceMatrix) -> np.ndarray:

@@ -15,6 +15,27 @@ and -i [H, rho] is entrywise in rho, so its row is zero too and adds no
 term.  When rho is real (every imaginary part zero) the frame is computed
 in real arithmetic.
 
+qfi splits that frame by parity when the state allows it.  Let J reverse
+the order of the support rows, p -> s - 1 - p on a block of s = 2h rows.
+When h >= 2, the block equals its own reversal entry for entry (J B J = B),
+and the energies of its rows pair up from both ends to one constant
+(E_p + E_{s-1-p} = c), the block commutes with J and g anticommutes with
+it.  On a support closed under index reversal m -> dim - 1 - m, J is the
+global spin flip X^N (every site's level flipped), and the energy rule
+holds for sigma_z / 2 and any site spectrum symmetric about its centre;
+both probes and every Gaussian dephasing channel keep that symmetry.  With
+a = block[:h, :h] and b = block[:h, ::-1][:, :h], the J-even half of the
+block is a + b, the J-odd half is a - b, and g only couples the two,
+through G_ik = (E_i - E_k) a_ik - (E_i - E_{s-1-k}) b_ik.  So two h x h
+eigh calls replace one 2h x 2h call, and F = 4 sum |M|^2 / (lam_e + lam_o)
+with M = V_e^dagger G V_o, under the same rank rule, lam_max over both
+halves.  This is a change of basis, and every test is exact equality, so
+the split is exact too; any other state (phase-rotated, random, an
+asymmetric generator, an odd support) takes the full frame.  A two-row
+support (a dephased GHZ state) keeps the 2 x 2 frame: the split would save
+nothing there and would move the last bits of its QFI.  sld and
+optimal_povm always use the full frame.
+
 Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
 with j off the support is an eigenvector of the SLD with eigenvalue 0, and
@@ -187,21 +208,24 @@ class Povm:
         return self.spread(sub.traces(rho.entries[_grid(live)]), reached)
 
 
-def _eig_frame(rho: DensityMatrix, gen: GeneratorSpec):
-    """The frame on the support `live` of rho: eigenpairs (lam, vec) of the
-    live block and mixed = vec^dagger g vec, where drho = -i g with
-    g_mn = (E_m - E_n) rho_mn, so a real block stays real throughout."""
+def _support_block(rho: DensityMatrix, gen: GeneratorSpec):
+    """(live, block, energy): the support `live` of rho (core._support), the
+    block of rho on it, real when rho is, and the energies of its rows."""
     _check_pairing(rho, gen)
     entries = rho.entries
     live = _support(entries)
     # Rows outside `live` are zero, so the block is real when rho is.
     if not entries.imag.any():
         entries = entries.real
-    block = entries[_grid(live)]
+    return live, entries[_grid(live)], gen.energies[live]
+
+
+def _eig_frame(block: np.ndarray, energy: np.ndarray):
+    """The frame of a support block: eigenpairs (lam, vec) of the block and
+    mixed = vec^dagger g vec, where drho = -i g with g_mn = (E_m - E_n)
+    rho_mn, so a real block stays real throughout."""
     lam, vec = np.linalg.eigh(block)
-    energy = gen.energies[live]
     g = np.multiply(block, np.subtract.outer(energy, energy))
-    del block
     # g is released before the second product, which then holds only vec,
     # the half product and its result.
     mixed = vec.conj().T @ g
@@ -209,7 +233,26 @@ def _eig_frame(rho: DensityMatrix, gen: GeneratorSpec):
     mixed = mixed @ vec
     denom = lam[:, None] + lam[None, :]
     keep = denom > RANK_TOL_FACTOR * lam[-1]
-    return live, vec, mixed, denom, keep
+    return vec, mixed, denom, keep
+
+
+def _parity_halves(block: np.ndarray, energy: np.ndarray):
+    """The even block a + b, the odd block a - b and the cross block G of a
+    support block that equals its own reversal (see the module docstring),
+    or None when the block is not one.  Every test is exact."""
+    size = block.shape[0]
+    half = size // 2
+    if size % 2 or half < 2:
+        return None
+    level = energy + energy[::-1]
+    if not (level == level[0]).all() or not np.array_equal(block, block[::-1, ::-1]):
+        return None
+    a = block[:half, :half]
+    b = block[:half, ::-1][:, :half]
+    upper = energy[:half]
+    cross = np.subtract.outer(upper, upper) * a
+    cross -= np.subtract.outer(upper, energy[::-1][:half]) * b
+    return a + b, a - b, cross
 
 
 def _sld_block(vec, mixed, denom, keep) -> np.ndarray:
@@ -220,25 +263,51 @@ def _sld_block(vec, mixed, denom, keep) -> np.ndarray:
     return (block + block.conj().T) / 2
 
 
+def _sld_frame(rho: DensityMatrix, gen: GeneratorSpec):
+    """(live, SLD block): the SLD of rho on its support, from the full frame."""
+    live, block, energy = _support_block(rho, gen)
+    return live, _sld_block(*_eig_frame(block, energy))
+
+
 def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     """Symmetric logarithmic derivative of the encoded family at rho."""
-    live, *frame = _eig_frame(rho, gen)
+    live, block = _sld_frame(rho, gen)
     out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    out[_grid(live)] = _sld_block(*frame)
+    out[_grid(live)] = block
     return _trusted(HermitianOperator, out)
 
 
-def qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
-    """Quantum Fisher information of the encoded family at rho."""
-    mixed, denom, keep = _eig_frame(rho, gen)[2:]
-    # 2 sum |mixed|^2 / denom over the kept pairs, squared and divided in
-    # place so that no further dim^2 temporaries are held.
+def _kept_sum(mixed, denom, keep) -> float:
+    """sum |mixed|^2 / denom over the kept pairs, squared and divided in
+    place so that no further temporaries of mixed's size are held."""
     terms = np.abs(mixed, out=mixed if mixed.dtype.kind == "f" else None)
     del mixed
     np.square(terms, out=terms)
     np.divide(terms, denom, out=terms, where=keep)
     terms[~keep] = 0.0
-    return float(2.0 * terms.sum())
+    return float(terms.sum())
+
+
+def qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
+    """Quantum Fisher information of the encoded family at rho."""
+    _, block, energy = _support_block(rho, gen)
+    halves = _parity_halves(block, energy)
+    if halves is None:
+        return 2.0 * _kept_sum(*_eig_frame(block, energy)[1:])
+    # Each half is released once diagonalized, and G before the second
+    # product, as in _eig_frame.
+    even, odd, cross = halves
+    del block, halves
+    lam_e, vec_e = np.linalg.eigh(even)
+    del even
+    lam_o, vec_o = np.linalg.eigh(odd)
+    del odd
+    mixed = vec_e.conj().T @ cross
+    del cross
+    mixed = mixed @ vec_o
+    denom = lam_e[:, None] + lam_o[None, :]
+    keep = denom > RANK_TOL_FACTOR * max(lam_e[-1], lam_o[-1])
+    return 4.0 * _kept_sum(mixed, denom, keep)
 
 
 def classical_fi(rho: DensityMatrix, gen: GeneratorSpec, povm: Povm) -> float:
@@ -269,8 +338,8 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
     before e_j, and the e_j in ascending index, making the construction
     deterministic.
     """
-    live, *frame = _eig_frame(rho, gen)
-    ell, basis = np.linalg.eigh(_sld_block(*frame))
+    live, block = _sld_frame(rho, gen)
+    ell, basis = np.linalg.eigh(block)
     dim = rho.dim
     energy = gen.energies
     inside = energy[live]

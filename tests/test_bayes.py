@@ -462,6 +462,19 @@ class TestSimulate:
             {0: 1452, 255: 1548}, 18.62425397295733),
     }
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
+    def test_predicted_mse_is_inverse_cfi(self, make_state, n):
+        # delta2_c^2 / local_error of the table is 1 / classical_fi exactly
+        gen = GeneratorSpec.qubits(n)
+        cov = build_c2(n, 0.5, 0.5)
+        rb = encode_phase(dephase(make_state(n), gen, cov), gen, 0.2)
+        povm = optimal_povm(rb, gen)
+        cfg = ExperimentConfig(rho=make_state(n), gen=gen, cov=cov, povm=povm, phi0=0.2,
+                               rho_bar=rb)
+        predicted = simulate(cfg, 16, 5).predicted_mse
+        assert math.isclose(predicted, 1.0 / classical_fi(rb, gen, povm), rel_tol=1e-12)
+
     @pytest.mark.parametrize("n", sorted(GHZ_PINS))
     def test_seeded_ghz_pinned(self, n):
         outcome_digest, phase_digest, counts, estimate = self.GHZ_PINS[n]

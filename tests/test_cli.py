@@ -61,6 +61,10 @@ class TestExitCodes:
                       "--seed", "1"], "two_beta2", id="simulate-nan"),
         pytest.param(["simulate", "--n", "2", "--two-beta2", "nan", "--shots", "4"],
                      "two_beta2", id="simulate-nan-no-seed"),
+        pytest.param(["simulate", "--n", "2", "--two-beta2", "0", "--shots", "4",
+                      "--seed", "1"], "two_beta2", id="simulate-zero-noise"),
+        pytest.param(["simulate", "--n", "10", "--state", "product-plus", "--two-beta2", "0",
+                      "--shots", "4"], "two_beta2", id="simulate-zero-noise-no-seed"),
         pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
         pytest.param(["figure", "scaling", "--two-beta2", "800"], "two_beta2",
                      id="scaling-overflow"),

@@ -23,7 +23,7 @@ from dephimetry import (
     product_plus_state,
     sample_phases,
 )
-from dephimetry.dephasing import CHUNK_SHOTS, chunk_rngs, covariance_sqrt
+from dephimetry.dephasing import CHUNK_SHOTS, _pair_quadratic, chunk_rngs, covariance_sqrt
 
 from helpers import dephase_factor_loops, random_density, random_psd_cov, rng, traced_peak_mb
 
@@ -122,6 +122,35 @@ class TestDephase:
     def test_site_count_mismatch(self):
         with pytest.raises(ValueError, match="sites"):
             dephase(ghz_state(2), GeneratorSpec.qubits(2), build_c1(3, 0.5, 0.1))
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("cov", [
+        lambda n: CovarianceMatrix(0.5 * np.eye(n)),
+        lambda n: build_c1(n, 0.5, 0.0),
+        lambda n: build_c1(n, 0.5, 0.5),
+        lambda n: build_c2(n, 0.5, 0.5),
+    ], ids=["identity", "c1-0", "c1", "c2"])
+    def test_support_matches_full_factor_bitwise(self, cov, n):
+        # the channel computes the support block only; it must equal the
+        # full-table factor bit for bit, and leave every other entry zero
+        gen = GeneratorSpec.qubits(n)
+        c = cov(n)
+        factor = np.exp(-0.5 * _pair_quadratic(gen.site_energy_table, c))
+        for rho in (ghz_state(n), product_plus_state(n)):
+            np.testing.assert_array_equal(dephase(rho, gen, c).entries, rho.entries * factor)
+
+    def test_support_of_random_state(self):
+        gen = GeneratorSpec.qubits(3)
+        cov = random_psd_cov(rng(6), 3)
+        live = np.array([1, 2, 5, 6])
+        entries = np.zeros((8, 8), dtype=complex)
+        entries[np.ix_(live, live)] = random_density(rng(7), 4).entries
+        rho = DensityMatrix(entries)
+        factor = dephase_factor_loops(cov.entries, gen.site_energy_table)
+        out = dephase(rho, gen, cov).entries
+        np.testing.assert_allclose(out, rho.entries * factor, rtol=0, atol=1e-13)
+        off = np.setdiff1d(np.arange(8), live)
+        assert not out[off].any() and not out[:, off].any()
 
 
 class TestCovarianceSqrt:

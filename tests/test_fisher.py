@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dephimetry import (
     sld,
     variance,
 )
+import dephimetry.fisher
 from dephimetry.core import _support
 from dephimetry.dephasing import derivative_state
 
@@ -36,6 +38,7 @@ from helpers import (
     dense_traces,
     embedded_case,
     frame_case,
+    ginibre,
     measurement_case,
     random_density,
     random_projective_povm,
@@ -286,7 +289,143 @@ class TestSupportFrame:
         # holding every frame temporary at once peaked at 49 MiB
         gen = GeneratorSpec.qubits(10)
         rho = dephase(product_plus_state(10), gen, build_c1(10, 0.5, 0.5))
-        assert traced_peak_mb(qfi, rho, gen) <= 32.0
+        assert traced_peak_mb(qfi, rho, gen) <= 16.0
+
+
+def frame_calls(rho, gen):
+    """(qfi, the number of full support frames it diagonalized): 0 when the
+    parity split was taken, 1 when it fell back to the full frame."""
+    frame = dephimetry.fisher._eig_frame
+    with mock.patch.object(dephimetry.fisher, "_eig_frame", wraps=frame) as spy:
+        value = qfi(rho, gen)
+    return value, spy.call_count
+
+
+SPECTRA = {"qubit": (0.5, -0.5), "qutrit": (1.0, 0.0, -1.0)}
+
+
+def flip_symmetric_state(seed, gen, kind, real):
+    """A state equal to its index reversal entry for entry, on a random
+    support closed under reversal with at least two pairs of rows: "pure"
+    (a flip-even or flip-odd vector), "mixed" (full rank on its support)
+    or "deficient" (rank at most 2 on a support of at least 4 rows)."""
+    r = rng(seed)
+    dim = gen.dim
+    first = np.arange(dim // 2)
+    picked = np.sort(r.choice(first, size=int(r.integers(2, first.size + 1)), replace=False))
+    live = np.concatenate([picked, dim - 1 - picked[::-1]])
+    size = live.size
+
+    def draw(cols):
+        x = r.normal(size=(size, cols))
+        return x if real else x + 1j * r.normal(size=(size, cols))
+
+    if kind == "pure":
+        x = draw(1)[:, 0]
+        psi = x + (1 if r.integers(2) else -1) * x[::-1]
+        block = np.outer(psi, psi.conj())
+    else:
+        x = draw(1 if kind == "deficient" else 2 * size)
+        block = x @ x.conj().T
+        block = (block + block[::-1, ::-1]) / 2
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    entries[np.ix_(live, live)] = block / np.trace(block).real
+    return DensityMatrix(entries)
+
+
+class TestParitySplit:
+    @given(
+        seed=st.integers(0, 10_000),
+        sites=st.sampled_from([("qubit", 2), ("qubit", 3), ("qubit", 4),
+                               ("qutrit", 2), ("qutrit", 3)]),
+        kind=st.sampled_from(["pure", "mixed", "deficient"]),
+        real=st.booleans(),
+    )
+    def test_matches_dense_frame(self, seed, sites, kind, real):
+        spectrum, nsites = sites
+        gen = GeneratorSpec((SPECTRA[spectrum],) * nsites)
+        rho = flip_symmetric_state(seed, gen, kind, real)
+        value, calls = frame_calls(rho, gen)
+        assert calls == 0
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    def test_support_need_not_be_closed(self):
+        # rows 0, 1, 4, 5 of 3 qubits: reversed in block order they pair
+        # energies 3/2 + -1/2 and 1/2 + 1/2, though the global flip would
+        # map them to rows 7, 6, 3, 2
+        gen = GeneratorSpec.qubits(3)
+        live = np.array([0, 1, 4, 5])
+        g = ginibre(rng(12), 4, 8)
+        block = g @ g.conj().T
+        block = (block + block[::-1, ::-1]) / 2
+        entries = np.zeros((8, 8), dtype=np.complex128)
+        entries[np.ix_(live, live)] = block / np.trace(block).real
+        rho = DensityMatrix(entries)
+        value, calls = frame_calls(rho, gen)
+        assert calls == 0
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("heavy", ["odd", "even"])
+    def test_rank_rule_spans_both_halves(self, heavy):
+        # nearly all weight on one vector of one half and 3e-11 on a vector
+        # of the other: the pairs of the light vector with the empty modes
+        # of the heavy half sum to 3e-11, below 1e-10 times the largest
+        # eigenvalue, so they are dropped as in the full frame; they would
+        # add about 1e-10 if the light half's own maximum set the rule
+        gen = GeneratorSpec.qubits(3)
+        r = rng(13)
+        x, y = ginibre(r, 8, 1)[:, 0], ginibre(r, 8, 1)[:, 0]
+        odd, even = x - x[::-1], y + y[::-1]
+        big, small = (odd, even) if heavy == "odd" else (even, odd)
+        eps = 3e-11
+        entries = (1 - eps) * np.outer(big, big.conj()) / np.vdot(big, big).real
+        entries += eps * np.outer(small, small.conj()) / np.vdot(small, small).real
+        rho = DensityMatrix(entries)
+        value, calls = frame_calls(rho, gen)
+        assert calls == 0
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-13)
+
+    def fallback(self, rho, gen):
+        value, calls = frame_calls(rho, gen)
+        assert calls == 1
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    def test_phase_rotated_state_falls_back(self):
+        gen = GeneratorSpec.qubits(4)
+        rho = dephase(product_plus_state(4), gen, build_c2(4, 0.5, 0.5))
+        assert frame_calls(rho, gen)[1] == 0
+        self.fallback(encode_phase(rho, gen, 0.3), gen)
+
+    def test_random_state_falls_back(self):
+        self.fallback(random_density(rng(8), 16), GeneratorSpec.qubits(4))
+
+    def test_asymmetric_spectrum_falls_back(self):
+        # reversal swaps levels 0 and 3, whose energies do not pair up
+        gen = GeneratorSpec(((0.0, 1.0, 3.0),) * 2)
+        self.fallback(flip_symmetric_state(3, gen, "mixed", real=False), gen)
+
+    def test_odd_support_falls_back(self):
+        # qutrits with a full support keep the middle row, its own reversal
+        gen = GeneratorSpec((SPECTRA["qutrit"],) * 2)
+        g = rng(4).normal(size=(9, 18))
+        block = g @ g.T
+        block = (block + block[::-1, ::-1]) / 2
+        self.fallback(DensityMatrix(block / np.trace(block)), gen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("family", [
+        lambda n: CovarianceMatrix(0.5 * np.eye(n)),
+        lambda n: build_c1(n, 0.5, 0.5),
+        lambda n: build_c2(n, 0.5, 0.5),
+    ], ids=["identity", "c1", "c2"])
+    def test_dephased_probes_take_split(self, family, n):
+        # product-plus splits from n = 2; a two-row support (GHZ at every
+        # n, product-plus at n = 1) keeps the 2 x 2 frame, so its outputs
+        # keep their last bits
+        gen = GeneratorSpec.qubits(n)
+        cov = family(n)
+        assert frame_calls(dephase(product_plus_state(n), gen, cov), gen)[1] == (n == 1)
+        assert frame_calls(dephase(ghz_state(n), gen, cov), gen)[1] == 1
 
 
 class TestClassicalFi:
