@@ -19,6 +19,23 @@ and applies est_best, using the fixed chunk partition of dephasing.chunk_rngs
 so runs are a deterministic function of (seed, shots).  It samples on the
 support of the probe only, over the outcomes whose columns touch it; the
 others have probability 0 at every phase (see the fisher module).
+
+The sampling kernel works shots-last.  With the probe factored on its
+support as rho = A A^dagger (rank r, s rows) and the m measurement columns
+v_c restricted to those rows, the amplitude of shot weights w on column c
+is (w * a_k)^T conj(v_c) = w^T (a_k * conj(v_c)), so the probe is folded
+into the measurement once per call (_fold), and a batch of b shots is one
+(r m, s) x (s, b) product.  The weights exp(-i phi . h) are cos and sin of
+the phase products, written into one complex buffer (dephasing's
+_phase_weights); the CDF is summed down the outcome axis in place and
+inverted with one vector compare per outcome, the same comparisons a
+shots-first kernel makes.  Each chunk draws its normals, then its
+uniforms, into buffers of the chunk's size, so the streams are those of
+standard_normal((size, n)) and random(size).  Every work buffer is
+allocated once per call, sized by dephasing.BATCH_ELEMENTS: a chunk whose
+widest buffer, max(s, r m) rows, would pass that many elements runs in
+batches of fewer shots.  Batches draw nothing, so the seeded streams do
+not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -31,7 +48,14 @@ import numpy as np
 
 from .core import DensityMatrix, GeneratorSpec, _grid, _support, encode_phase
 from .covariance import CovarianceMatrix, delta2_c, weights
-from .dephasing import chunk_rngs, covariance_sqrt, dephase
+from .dephasing import (
+    _batch_shots,
+    _phase_weights,
+    _shaped,
+    chunk_rngs,
+    covariance_sqrt,
+    dephase,
+)
 from .errors import (
     DegenerateMeasurementError,
     NumericalConsistencyError,
@@ -164,15 +188,37 @@ def _state_factor(rho: DensityMatrix) -> np.ndarray:
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
-def _shot_probabilities(povm: Povm, factor: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(shots, outcomes) probabilities of diag(w_s) A A^dagger diag(w_s)^dagger
-    per row w_s of w: sum over columns of |(w_s * A)^T conj(V)|^2."""
-    size, dim = w.shape
-    rank = factor.shape[1]
-    rotated = (w[:, :, None] * factor[None, :, :]).transpose(0, 2, 1).reshape(size * rank, dim)
-    amplitudes = rotated @ povm.vectors.conj()
-    column_probs = (amplitudes.real**2 + amplitudes.imag**2).reshape(size, rank, -1).sum(axis=1)
-    return povm.collect(column_probs)
+def _fold(povm: Povm, factor: np.ndarray) -> np.ndarray:
+    """(r * m, s) matrix whose row (k, c) is a_k * conj(v_c), for the r
+    columns a_k of the factor and the m columns v_c of the measurement, both
+    on the same s rows.  The amplitude of rank component k on column c for
+    phase weights w is (w * a_k)^T conj(v_c) = row (k, c) . w."""
+    rows, rank = factor.shape
+    folded = np.empty((rank, povm.vectors.shape[1], rows), dtype=np.complex128)
+    for k in range(rank):
+        np.conjugate(povm.vectors.T, out=folded[k])
+        folded[k] *= factor[:, k]
+    return folded.reshape(-1, rows)
+
+
+def _shot_probabilities(
+    povm: Povm, folded: np.ndarray, w: np.ndarray, amplitudes: np.ndarray, squares: np.ndarray
+) -> np.ndarray:
+    """(outcomes, b) probabilities of diag(w_s) A A^dagger diag(w_s)^dagger
+    per column w_s of the (s, b) phase weights w: the sum over the rank of
+    |folded @ w|^2, with folded = _fold(povm, A).  Shots run along the last
+    axis.  amplitudes (r * m, b) complex and squares (m, b) real are
+    overwritten; for a projective povm the result is a view of squares."""
+    m = squares.shape[0]
+    np.matmul(folded, w, out=amplitudes)
+    re, im = amplitudes.real, amplitudes.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    np.add(re[:m], im[:m], out=squares)
+    for k in range(m, amplitudes.shape[0], m):
+        np.add(re[k : k + m], im[k : k + m], out=re[k : k + m])
+        squares += re[k : k + m]
+    return povm.collect(squares.T).T
 
 
 def averaged_probabilities(cfg: ExperimentConfig, phi: float) -> np.ndarray:
@@ -254,6 +300,76 @@ def map_ordered(fn: Callable, items: Iterable) -> list:
     return [fn(item) for item in items]
 
 
+def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np.ndarray:
+    """Fill phases with the seeded draws and return one sampled outcome per
+    shot; see simulate.  Every work buffer is allocated here, once, and freed
+    on return."""
+    shots, nsites = phases.shape
+    root = covariance_sqrt(cfg.cov)
+    # Sample on the support of the probe: the other rows of every encoded
+    # state are zero, and only the outcomes `reached` there can fire.
+    live = _support(cfg.rho.entries)
+    energy_table = cfg.gen.site_energy_table[:, live]
+    factor = _state_factor(cfg.rho)
+    povm, reached = cfg.povm.restrict(live)
+    folded = _fold(povm, factor)
+    support, terms, columns = factor.shape[0], folded.shape[0], povm.vectors.shape[1]
+    mean = cfg.phi0 + cfg.delta_phi
+    jobs = chunk_rngs(seed, shots)
+    starts = np.cumsum([0] + [size for _, size in jobs[:-1]])
+    outcomes = np.empty(shots, dtype=np.int_)
+
+    chunk = jobs[0][1]
+    batch = min(chunk, _batch_shots(max(support, terms)))
+    z = np.empty((chunk, nsites))
+    draws = np.empty(chunk)
+    arg = np.empty(support * batch)
+    w = np.empty(support * batch, dtype=np.complex128)
+    amplitudes = np.empty(terms * batch, dtype=np.complex128)
+    squares = np.empty(columns * batch)
+    total = np.empty(batch)
+    above = np.empty(batch, dtype=bool)
+
+    def run_chunk(job):
+        (rng, size), start = job
+        rows = slice(start, start + size)
+        rng.standard_normal(out=z[:size])
+        np.matmul(z[:size], root, out=phases[rows])
+        phases[rows] += mean
+        rng.random(out=draws[:size])
+        for lo in range(0, size, batch):
+            b = min(batch, size - lo)
+            weights = _phase_weights(
+                energy_table, phases[start + lo : start + lo + b],
+                _shaped(arg, b, support), _shaped(w, support, b),
+            )
+            probs = _shot_probabilities(
+                povm, folded, weights,
+                _shaped(amplitudes, terms, b), _shaped(squares, columns, b),
+            )
+            worst = probs.min()
+            if worst < _NEGATIVE_PROB_TOL:
+                raise NumericalConsistencyError(
+                    f"outcome probability {worst:.3e} below the clamping tolerance"
+                )
+            np.clip(probs, 0.0, None, out=probs)
+            # The CDF down axis 0 in place, one row at a time: the same
+            # additions as np.cumsum, which is ten times slower on this axis.
+            cdf = probs
+            for k in range(1, cdf.shape[0]):
+                np.add(cdf[k - 1], cdf[k], out=cdf[k])
+            np.copyto(total[:b], cdf[-1])
+            cdf /= total[:b]
+            # The outcome is the number of CDF rows below the draw.
+            counts = outcomes[start + lo : start + lo + b]
+            counts[:] = 0
+            for row in cdf:
+                counts += np.greater(draws[lo : lo + b], row, out=above[:b])
+
+    map_ordered(run_chunk, zip(jobs, starts))
+    return outcomes if isinstance(reached, slice) else reached[outcomes]
+
+
 def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
     """Sample phases ~ N((phi0 + delta_phi) 1, C), draw one outcome per shot
     from the exactly encoded state, and apply the locally unbiased estimator.
@@ -265,63 +381,35 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
     if shots < 1:
         raise ValueError("shots must be at least 1")
     table = best_estimator(cfg)
-    root = covariance_sqrt(cfg.cov)
-    # Sample on the support of the probe: the other rows of every encoded
-    # state are zero, and only the outcomes `reached` there can fire.
-    live = _support(cfg.rho.entries)
-    energy_table = cfg.gen.site_energy_table[:, live]
-    factor = _state_factor(cfg.rho)
-    povm, reached = cfg.povm.restrict(live)
-    mean = cfg.phi0 + cfg.delta_phi
-    jobs = chunk_rngs(seed, shots)
-    starts = np.cumsum([0] + [size for _, size in jobs[:-1]])
     phases = np.empty((shots, cfg.cov.n))
-    outcomes = np.empty(shots, dtype=np.int_)
+    outcomes = _sample_outcomes(cfg, seed, phases)
 
-    def run_chunk(job):
-        (rng, size), start = job
-        rows = slice(start, start + size)
-        np.matmul(rng.standard_normal((size, cfg.cov.n)), root, out=phases[rows])
-        phases[rows] += mean
-        w = np.exp(-1j * (phases[rows] @ energy_table))
-        probs = _shot_probabilities(povm, factor, w)
-        worst = probs.min()
-        if worst < _NEGATIVE_PROB_TOL:
-            raise NumericalConsistencyError(
-                f"outcome probability {worst:.3e} below the clamping tolerance"
-            )
-        np.clip(probs, 0.0, None, out=probs)
-        cdf = np.cumsum(probs, axis=1)
-        cdf /= cdf[:, -1:]
-        draws = rng.random(size)
-        outcomes[rows] = (draws[:, None] > cdf).sum(axis=1)
-
-    map_ordered(run_chunk, zip(jobs, starts))
-    if not isinstance(reached, slice):
-        outcomes = reached[outcomes]
-
+    # The summaries come first, so that the squared errors are gone before
+    # the last per-shot arrays are built.
     estimates_best = table.best[outcomes]
-    estimates = table.estimates[outcomes]
-    squares = (estimates_best - cfg.phi0) ** 2
+    squares = np.subtract(estimates_best, cfg.phi0)
+    np.square(squares, out=squares)
+    empirical_mse_best = float(squares.mean())
     if shots > 1:
         mse_stderr = float(squares.std(ddof=1) / np.sqrt(shots))
         mean_stderr = float(estimates_best.std(ddof=1) / np.sqrt(shots))
     else:
         mse_stderr = None
         mean_stderr = None
+    del squares
     return SimulationResult(
         shots=shots,
         seed=seed,
         phi0=cfg.phi0,
         delta_phi=cfg.delta_phi,
-        empirical_mse_best=float(squares.mean()),
+        empirical_mse_best=empirical_mse_best,
         mse_stderr=mse_stderr,
         empirical_mean=float(estimates_best.mean()),
         mean_stderr=mean_stderr,
         phases=phases,
         phi_c=phases @ cfg.gamma,
         outcomes=outcomes,
-        estimates=estimates,
+        estimates=table.estimates[outcomes],
         estimates_best=estimates_best,
         predicted_mse=table.delta2**2 / local_error(cfg, table),
     )

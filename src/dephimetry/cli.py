@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 bound violation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -53,6 +54,13 @@ FAMILIES = ("c1", "c2", "identity")
 # Dense 2^n x 2^n states are only built up to this many qubit sites; past it
 # `bound` and `sweep` fall back to exact closed forms where known.
 NUMERIC_SITE_LIMIT = 10
+
+# `simulate` keeps about 8 (n + 5) bytes per shot in its results (the n
+# phases, phi_c, outcome and two estimates, and one summary temporary);
+# shots past this budget are refused before any work.
+SIMULATE_RESULT_BYTES = 1 << 30
+# Rows of a --per-shot file formatted and written at a time.
+PER_SHOT_BLOCK = 8192
 
 _SWEEP_KEYS = ("state", "family", "n", "alpha", "two_beta2")
 
@@ -146,6 +154,11 @@ def _family_mass(family: str, n: int, alpha: float, two_beta2: float) -> float:
         lags = np.arange(1, n)
         return two_beta2 * (n + 2.0 * float(((n - lags) * alpha**lags).sum()))
     raise ValueError(f"unknown family {family!r}")
+
+
+def _shot_limit(n: int) -> int:
+    """Most shots whose results fit SIMULATE_RESULT_BYTES at n sites."""
+    return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
 
 
 def _dense_setup(
@@ -269,6 +282,12 @@ def cmd_simulate(args) -> int:
     if args.two_beta2 == 0:
         # No noise leaves delta2_c = 0: no estimator has local information.
         raise ValueError("simulate needs two_beta2 > 0")
+    limit = _shot_limit(args.n)
+    if not 1 <= args.shots <= limit:
+        raise ValueError(
+            f"shots must be between 1 and {limit} at n = {args.n} "
+            f"({SIMULATE_RESULT_BYTES} bytes of per-shot results)"
+        )
     gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
     seed = args.seed
     if seed is None:
@@ -312,15 +331,23 @@ def cmd_simulate(args) -> int:
     }
     _write_text(_json_text(payload), args.out)
     if args.per_shot is not None:
-        header = ["shot"] + [f"phi_{j + 1}" for j in range(args.n)] + ["outcome", "estimate"]
-        lines = [",".join(header)]
-        for row in result.per_shot_rows():
-            shot, *phases, outcome, estimate = row
-            lines.append(
-                ",".join([str(shot)] + [_fmt(p) for p in phases] + [str(outcome), _fmt(estimate)])
-            )
-        Path(args.per_shot).write_text("\n".join(lines) + "\n")
+        _write_per_shot(result, args.n, args.per_shot)
     return EXIT_OK
+
+
+def _write_per_shot(result, n: int, path: str) -> None:
+    """CSV of per_shot_rows, formatted and written PER_SHOT_BLOCK rows at a
+    time through one open file."""
+    header = ["shot"] + [f"phi_{j + 1}" for j in range(n)] + ["outcome", "estimate"]
+    rows = result.per_shot_rows()
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        while block := list(itertools.islice(rows, PER_SHOT_BLOCK)):
+            out.write("".join(
+                ",".join([str(shot)] + [_fmt(p) for p in phases] + [str(outcome), _fmt(estimate)])
+                + "\n"
+                for shot, *phases, outcome, estimate in block
+            ))
 
 
 def parse_sweep_config(text: str) -> dict[str, list]:

@@ -31,6 +31,10 @@ from .errors import NumericalConsistencyError
 
 _SQRT_PSD_TOL = -1e-10
 CHUNK_SHOTS = 8192
+# Elements per shots-last work buffer of the Monte Carlo kernels.  A chunk
+# whose buffers would hold more runs in batches of fewer shots; the batches
+# consume no random numbers, so the seeded streams do not depend on this.
+BATCH_ELEMENTS = 1 << 19
 
 
 def _check_cov_pairing(gen: GeneratorSpec, cov: CovarianceMatrix) -> None:
@@ -84,6 +88,31 @@ def sample_phases(
     return mean + z @ covariance_sqrt(cov)
 
 
+def _batch_shots(rows: int) -> int:
+    """Shots per batch of a kernel whose widest buffer has `rows` rows."""
+    return max(1, min(CHUNK_SHOTS, BATCH_ELEMENTS // max(rows, 1)))
+
+
+def _shaped(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Contiguous (rows, cols) view of the front of a flat work buffer."""
+    return buffer[: rows * cols].reshape(rows, cols)
+
+
+def _phase_weights(table: np.ndarray, phases: np.ndarray, arg: np.ndarray, out: np.ndarray):
+    """exp(-i phi_s . h(m)) with the basis states m along the rows and the
+    shots s along the columns: `table` is the (nsites, s) site energy table
+    of those basis states, `phases` the (b, nsites) draws.  arg (b, s) real
+    is overwritten with -phases @ table, the product in the shots-first
+    layout of the draws, and out (s, b) complex receives the weights.  cos
+    and sin fill its real and imaginary parts in place: bit for bit what
+    np.exp(-1j * (phases @ table)).T gives, with no complex temporaries."""
+    np.matmul(phases, table, out=arg)
+    np.negative(arg, out=arg)
+    np.cos(arg.T, out=out.real)
+    np.sin(arg.T, out=out.imag)
+    return out
+
+
 def chunk_rngs(seed: int, shots: int) -> list[tuple[np.random.Generator, int]]:
     """Fixed partition policy: ceil(shots / CHUNK_SHOTS) chunks, chunk i
     seeded with the i-th child of SeedSequence(seed).  Sampled results
@@ -110,7 +139,8 @@ def dephase_monte_carlo(
     multiplying rho entrywise by the empirical characteristic function, a
     Gram matrix, which keeps the sampled state positive.  Shots follow the
     fixed chunk partition of dephasing.chunk_rngs, so the result depends
-    only on (seed, shots).
+    only on (seed, shots).  The weights come from _phase_weights, in
+    batches of at most BATCH_ELEMENTS per buffer, all allocated once.
     """
     _check_pairing(rho, gen)
     _check_cov_pairing(gen, cov)
@@ -118,15 +148,25 @@ def dephase_monte_carlo(
         raise ValueError("shots must be at least 1")
     root = covariance_sqrt(cov)
     table = gen.site_energy_table
-
-    def chunk_gram(rng, size):
-        phases = rng.standard_normal((size, cov.n)) @ root
-        w = np.exp(-1j * (phases @ table))
-        return w.T @ w.conj()
-
+    chunk = min(shots, CHUNK_SHOTS)
+    batch = min(chunk, _batch_shots(gen.dim))
+    z = np.empty((chunk, cov.n))
+    phases = np.empty((chunk, cov.n))
+    arg = np.empty(gen.dim * batch)
+    w = np.empty(gen.dim * batch, dtype=np.complex128)
+    w_conj = np.empty_like(w)
+    block = np.empty((gen.dim, gen.dim), dtype=np.complex128)
     gram = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
     for rng, size in chunk_rngs(seed, shots):
-        gram += chunk_gram(rng, size)
+        rng.standard_normal(out=z[:size])
+        np.matmul(z[:size], root, out=phases[:size])
+        for lo in range(0, size, batch):
+            b = min(batch, size - lo)
+            weights = _phase_weights(
+                table, phases[lo : lo + b], _shaped(arg, b, gen.dim), _shaped(w, gen.dim, b)
+            )
+            conj = np.conjugate(weights, out=_shaped(w_conj, gen.dim, b))
+            gram += np.matmul(weights, conj.T, out=block)
     out = rho.entries * (gram / shots)
     # The Gram sum is Hermitian only to rounding.
     return _trusted(DensityMatrix, (out + out.conj().T) / 2)

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +37,8 @@ from dephimetry import (
     simulate,
 )
 import dephimetry.bayes
-from dephimetry.bayes import _shot_probabilities, _state_factor, map_ordered
+import dephimetry.dephasing
+from dephimetry.bayes import _fold, _shot_probabilities, _state_factor, map_ordered
 from dephimetry.core import _support
 from dephimetry.dephasing import CHUNK_SHOTS, derivative_state
 
@@ -62,6 +66,14 @@ def make_cfg(seed: int, n: int = 2, phi0: float = 0.0, delta_phi: float = 0.0,
     povm = random_projective_povm(r, 2**n)
     return ExperimentConfig(rho=rho, gen=GeneratorSpec.qubits(n), cov=cov,
                             povm=povm, phi0=phi0, delta_phi=delta_phi)
+
+
+def shot_probabilities(povm: Povm, factor: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(shots, outcomes) from the shots-last kernel, for shots-first weights w."""
+    folded = _fold(povm, factor)
+    amplitudes = np.empty((folded.shape[0], w.shape[0]), dtype=np.complex128)
+    squares = np.empty((povm.vectors.shape[1], w.shape[0]))
+    return _shot_probabilities(povm, folded, np.ascontiguousarray(w.T), amplitudes, squares).T
 
 
 class TestExperimentConfig:
@@ -414,6 +426,15 @@ class TestSimulate:
         for shot, phases in pinned.items():
             np.testing.assert_allclose(res.phases[shot], phases, rtol=1e-12, atol=0)
 
+    def test_four_chunk_stream_pinned_in_batches(self, monkeypatch):
+        # a chunk whose buffers would pass BATCH_ELEMENTS runs in batches;
+        # batches draw no random numbers, so 1000-shot batches of the
+        # rank-4, 4-column kernel keep every golden value
+        monkeypatch.setattr(dephimetry.dephasing, "BATCH_ELEMENTS", 16 * 1000)
+        assert dephimetry.dephasing._batch_shots(16) == 1000
+        assert _state_factor(make_cfg(18, n=2).rho).shape == (4, 4)
+        self.test_four_chunk_stream_pinned()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
     def test_shot_probabilities_match_dense(self, case, n):
@@ -426,7 +447,7 @@ class TestSimulate:
         else:
             assert factor.shape[1] > 1
         np.testing.assert_allclose(
-            _shot_probabilities(povm, factor, w),
+            shot_probabilities(povm, factor, w),
             dense_shot_probabilities(w, rho.entries, effects),
             rtol=0, atol=1e-13,
         )
@@ -443,7 +464,7 @@ class TestSimulate:
         phases = rng(n).normal(size=(64, n + 1))
         w = np.exp(-1j * (phases @ GeneratorSpec.qubits(n + 1).site_energy_table))
         np.testing.assert_allclose(
-            povm.spread(_shot_probabilities(sub, factor, w[:, live]), reached),
+            povm.spread(shot_probabilities(sub, factor, w[:, live]), reached),
             dense_shot_probabilities(w, rho.entries, effects),
             rtol=0, atol=1e-13,
         )
@@ -501,6 +522,40 @@ class TestSimulate:
         cfg = ExperimentConfig(rho=ghz_state(10), gen=gen, cov=cov,
                                povm=optimal_povm(rb, gen), rho_bar=rb)
         assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 16.0
+
+    def test_memory_budget_product_plus_n10(self):
+        # one full chunk on the full 1024-row support; holding the weights,
+        # the rotated factor, the amplitudes and their squares for all 8192
+        # shots at once peaked at 513 MiB
+        gen = GeneratorSpec.qubits(10)
+        cov = build_c2(10, 0.5, 0.5)
+        rb = encode_phase(dephase(product_plus_state(10), gen, cov), gen, 0.0)
+        cfg = ExperimentConfig(rho=product_plus_state(10), gen=gen, cov=cov,
+                               povm=optimal_povm(rb, gen), rho_bar=rb)
+        assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 64.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's minor page fault count")
+    def test_chunks_reuse_their_buffers(self, tmp_path):
+        # Temporaries allocated and freed per chunk are trimmed from the heap
+        # and faulted in again by the next chunk: about 1100 minor faults per
+        # chunk, against about 100 for the pages of the growing results.
+        src = os.path.dirname(os.path.dirname(dephimetry.bayes.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+        def faults(chunks):
+            argv = ["simulate", "--state", "product-plus", "--n", "3", "--family", "c1",
+                    "--alpha", "0.3", "--two-beta2", "0.5", "--shots",
+                    str(chunks * CHUNK_SHOTS), "--seed", "3", "--out", str(tmp_path / "s.json")]
+            code = ("import resource\n"
+                    "from dephimetry.cli import main\n"
+                    f"assert main({argv!r}) == 0\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n")
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True, timeout=120)
+            return int(done.stdout)
+
+        assert (faults(32) - faults(2)) / 30 < 256
 
     @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
     def test_memory_budget_n6(self, make_state):

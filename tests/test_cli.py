@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import dephimetry.cli as cli
-from dephimetry import GeneratorSpec, build_c2, dephase, encode_phase, ghz_state
+from dephimetry import GeneratorSpec, build_c2, dephase, encode_phase, ghz_state, simulate
+from dephimetry.bounds import _fmt
+from dephimetry.dephasing import CHUNK_SHOTS
 from dephimetry.errors import NumericalConsistencyError
 
 
@@ -65,6 +67,12 @@ class TestExitCodes:
                       "--seed", "1"], "two_beta2", id="simulate-zero-noise"),
         pytest.param(["simulate", "--n", "10", "--state", "product-plus", "--two-beta2", "0",
                       "--shots", "4"], "two_beta2", id="simulate-zero-noise-no-seed"),
+        pytest.param(["simulate", "--n", "3", "--shots", "16777217", "--seed", "1"],
+                     "shots must be between 1 and 16777216", id="simulate-shots-limit"),
+        pytest.param(["simulate", "--n", "10", "--state", "product-plus", "--shots",
+                      "1000000000"], "between 1 and 8947848", id="simulate-shots-limit-no-seed"),
+        pytest.param(["simulate", "--n", "2", "--shots", "0"], "shots must be between 1",
+                     id="simulate-zero-shots-no-seed"),
         pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
         pytest.param(["figure", "scaling", "--two-beta2", "800"], "two_beta2",
                      id="scaling-overflow"),
@@ -255,6 +263,27 @@ class TestSimulate:
         assert first[0] == "0"
         int(first[3])
         float(first[4])
+
+    def test_per_shot_csv_streams_the_joined_text(self, tmp_path, monkeypatch):
+        # rows are written in blocks through one file; the bytes are those of
+        # the whole table joined at once, across a chunk boundary
+        kept = []
+        monkeypatch.setattr(cli, "simulate", lambda *a: kept.append(simulate(*a)) or kept[-1])
+        shots_file = tmp_path / "shots.csv"
+        assert run(["simulate", "--n", "2", "--shots", str(CHUNK_SHOTS + 7), "--seed", "3",
+                    "--out", str(tmp_path / "sim.json"), "--per-shot", str(shots_file)]) == 0
+        res = kept[0]
+        lines = ["shot,phi_1,phi_2,outcome,estimate"]
+        for i in range(res.shots):
+            lines.append(",".join([str(i)] + [_fmt(p) for p in res.phases[i]]
+                                  + [str(int(res.outcomes[i])), _fmt(res.estimates_best[i])]))
+        assert shots_file.read_text() == "\n".join(lines) + "\n"
+
+    def test_shot_limit_admits_a_million_shots(self):
+        for n in range(1, cli.NUMERIC_SITE_LIMIT + 1):
+            limit = cli._shot_limit(n)
+            assert limit >= 2**20
+            assert 8 * (n + 5) * limit <= cli.SIMULATE_RESULT_BYTES
 
 
 class TestSweepConfig:

@@ -23,7 +23,13 @@ from dephimetry import (
     product_plus_state,
     sample_phases,
 )
-from dephimetry.dephasing import CHUNK_SHOTS, _pair_quadratic, chunk_rngs, covariance_sqrt
+from dephimetry.dephasing import (
+    CHUNK_SHOTS,
+    _pair_quadratic,
+    _phase_weights,
+    chunk_rngs,
+    covariance_sqrt,
+)
 
 from helpers import dephase_factor_loops, random_density, random_psd_cov, rng, traced_peak_mb
 
@@ -226,6 +232,18 @@ class TestDephaseMonteCarlo:
         with pytest.raises(ValueError, match="shots"):
             dephase_monte_carlo(ghz_state(1), GeneratorSpec.qubits(1),
                                 CovarianceMatrix(np.array([[0.5]])), shots=0, seed=0)
+
+
+class TestPhaseWeights:
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_bitwise_equal_to_complex_exp(self, n):
+        table = GeneratorSpec.qubits(n).site_energy_table
+        phases = rng(n).normal(scale=3.0, size=(257, n))
+        arg = np.empty((257, table.shape[1]))
+        out = np.empty((table.shape[1], 257), dtype=np.complex128)
+        weights = _phase_weights(table, phases, arg, out)
+        assert weights is out
+        np.testing.assert_array_equal(weights, np.exp(-1j * (phases @ table)).T)
 
 
 class TestChunkRngs:
