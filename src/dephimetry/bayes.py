@@ -61,7 +61,7 @@ from .errors import (
     NumericalConsistencyError,
     UninformativeMeasurementError,
 )
-from .fisher import PROB_FLOOR, RANK_TOL_FACTOR, Povm, qfi
+from .fisher import PROB_FLOOR, RANK_TOL_FACTOR, Povm, _support_block, qfi
 
 _PROB_SUM_TOL = 1e-10
 _NEGATIVE_PROB_TOL = -1e-12
@@ -178,12 +178,12 @@ class SimulationResult:
             yield (i, *self.phases[i], int(self.outcomes[i]), float(self.estimates_best[i]))
 
 
-def _state_factor(rho: DensityMatrix) -> np.ndarray:
-    """(len(live), r) factor A with rho[live, live] = A A^dagger on the
-    support `live` of rho (core._support; every other row of rho is zero),
-    keeping the eigenvalues above RANK_TOL_FACTOR * lam_max (the rank rule
-    of the SLD)."""
-    lam, vec = np.linalg.eigh(rho.entries[_grid(_support(rho.entries))])
+def _state_factor(block: np.ndarray) -> np.ndarray:
+    """(s, r) factor A with block = A A^dagger, for the block of rho on its
+    support (fisher._support_block: real when rho is, and every other row of
+    rho is zero), keeping the eigenvalues above RANK_TOL_FACTOR * lam_max
+    (the rank rule of the SLD)."""
+    lam, vec = np.linalg.eigh(block)
     keep = lam > RANK_TOL_FACTOR * lam[-1]
     return vec[:, keep] * np.sqrt(lam[keep])
 
@@ -308,9 +308,10 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
     root = covariance_sqrt(cfg.cov)
     # Sample on the support of the probe: the other rows of every encoded
     # state are zero, and only the outcomes `reached` there can fire.
-    live = _support(cfg.rho.entries)
+    live, block, _ = _support_block(cfg.rho, cfg.gen)
     energy_table = cfg.gen.site_energy_table[:, live]
-    factor = _state_factor(cfg.rho)
+    factor = _state_factor(block)
+    del block
     povm, reached = cfg.povm.restrict(live)
     folded = _fold(povm, factor)
     support, terms, columns = factor.shape[0], folded.shape[0], povm.vectors.shape[1]

@@ -32,18 +32,20 @@ VIOLATION_TOL = 1e-8
 # Relative bracket width at which crossover_boundary stops bisecting.
 CROSSOVER_RTOL = 1e-6
 
-CSV_FIELDS = (
-    "family",
-    "n",
-    "alpha",
-    "two_beta2",
-    "delta2_c",
-    "f_rho",
-    "f_rho_bar",
-    "main_bound",
-    "error_bound",
-    "reference_g",
+# (CSV column and JSON key, BoundReport attribute) of a report, in order.
+COLUMNS = (
+    ("family", "family"),
+    ("n", "n"),
+    ("alpha", "alpha"),
+    ("two_beta2", "two_beta2"),
+    ("delta2_c", "delta2_c"),
+    ("f_rho", "f_rho"),
+    ("f_rho_bar", "f_rho_bar"),
+    ("main_bound", "main_bound_value"),
+    ("error_bound", "error_bound_value"),
+    ("reference_g", "reference_g_value"),
 )
+CSV_FIELDS = tuple(key for key, _ in COLUMNS)
 
 
 def _fmt(value) -> str:
@@ -77,33 +79,10 @@ class BoundReport:
                 raise ValueError("main bound is not the reciprocal of the error bound")
 
     def csv_row(self) -> str:
-        values = (
-            self.family,
-            self.n,
-            self.alpha,
-            self.two_beta2,
-            self.delta2_c,
-            self.f_rho,
-            self.f_rho_bar,
-            self.main_bound_value,
-            self.error_bound_value,
-            self.reference_g_value,
-        )
-        return ",".join(_fmt(v) for v in values)
+        return ",".join(_fmt(v) for v in self.to_dict().values())
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "alpha": self.alpha,
-            "two_beta2": self.two_beta2,
-            "delta2_c": self.delta2_c,
-            "f_rho": self.f_rho,
-            "f_rho_bar": self.f_rho_bar,
-            "main_bound": self.main_bound_value,
-            "error_bound": self.error_bound_value,
-            "reference_g": self.reference_g_value,
-        }
+        return {key: getattr(self, attr) for key, attr in COLUMNS}
 
 
 def csv_header() -> str:
@@ -250,28 +229,22 @@ def check_violation(report: BoundReport) -> BoundReport:
     return report
 
 
+def bound_report(delta2: float, f_rho: float, **fields) -> BoundReport:
+    """The report of one evaluation, checked by check_violation: the error
+    floor delta2 + 1/F (inf at F = 0) and its reciprocal, the main bound.
+    `fields` are the report's other inputs, by name."""
+    err = error_bound(delta2, f_rho) if f_rho > 0 else math.inf
+    return check_violation(BoundReport(
+        delta2_c=delta2, f_rho=f_rho, main_bound_value=1.0 / err, error_bound_value=err, **fields
+    ))
+
+
 def verify_bound(rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix) -> BoundReport:
     """Evaluate both sides of the ceiling for an arbitrary state and
     covariance; raises BoundViolationError beyond VIOLATION_TOL."""
     f_rho = qfi(rho, gen)
     f_bar = qfi(dephase(rho, gen, cov), gen)
-    d2 = delta2_c(cov)
-    if f_rho > 0:
-        err = error_bound(d2, f_rho)
-        main = 1.0 / err
-    else:
-        err = math.inf
-        main = 0.0
-    report = BoundReport(
-        family="custom",
-        n=gen.nsites,
-        alpha=None,
-        two_beta2=None,
-        delta2_c=d2,
-        f_rho=f_rho,
-        f_rho_bar=f_bar,
-        main_bound_value=main,
-        error_bound_value=err,
-        reference_g_value=None,
+    return bound_report(
+        delta2_c(cov), f_rho, family="custom", n=gen.nsites, alpha=None, two_beta2=None,
+        f_rho_bar=f_bar, reference_g_value=None,
     )
-    return check_violation(report)

@@ -20,14 +20,14 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import bounds
 from .bounds import _fmt
 from .bayes import ExperimentConfig, simulate
-from .core import DensityMatrix, GeneratorSpec, encode_phase, ghz_state, product_plus_state
+from .core import GeneratorSpec, encode_phase, ghz_state, product_plus_state
 from .covariance import (
     CovarianceMatrix,
     build_c1,
@@ -48,7 +48,12 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_NUMERICAL = 3
 
-STATES = ("ghz", "product-plus")
+# Named probe states: the dense state and its exact noiseless information.
+PROBES = {
+    "ghz": (ghz_state, lambda n: float(n) ** 2),
+    "product-plus": (product_plus_state, float),
+}
+STATES = tuple(PROBES)
 FAMILIES = ("c1", "c2", "identity")
 
 # Dense 2^n x 2^n states are only built up to this many qubit sites; past it
@@ -61,6 +66,12 @@ NUMERIC_SITE_LIMIT = 10
 SIMULATE_RESULT_BYTES = 1 << 30
 # Rows of a --per-shot file formatted and written at a time.
 PER_SHOT_BLOCK = 8192
+# Lags of the c2 covariance mass summed at a time (0.5 MiB per temporary).
+MASS_CHUNK = 1 << 16
+# `figure` grid sizes: at most this many points per axis, so the comparison
+# panel has at most FIGURE_POINTS^2 rows; --n-max stays inside int64.
+FIGURE_POINTS = 500
+FIGURE_N_MAX = 10**18
 
 _SWEEP_KEYS = ("state", "family", "n", "alpha", "two_beta2")
 
@@ -83,7 +94,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
+def _write_text(text: str, out: Optional[str | Path]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -94,17 +105,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _make_state(state: str, n: int) -> DensityMatrix:
-    if state == "ghz":
-        return ghz_state(n)
-    if state == "product-plus":
-        return product_plus_state(n)
-    raise ValueError(f"unknown state {state!r}")
-
-
-def _state_qfi_exact(state: str, n: int) -> float:
-    # Exact noiseless information for the named probes.
-    return float(n) ** 2 if state == "ghz" else float(n)
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """CSV lines of rows, the header among them; every cell through _fmt."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
@@ -151,8 +154,16 @@ def _family_mass(family: str, n: int, alpha: float, two_beta2: float) -> float:
     if family == "c1":
         return two_beta2 * (n + n * (n - 1) * alpha)
     if family == "c2":
-        lags = np.arange(1, n)
-        return two_beta2 * (n + 2.0 * float(((n - lags) * alpha**lags).sum()))
+        # sum_k (n - k) alpha^k, MASS_CHUNK lags at a time: one numpy sum (so
+        # the same bits) up to MASS_CHUNK + 1 sites, and no further once
+        # alpha^k underflows to zero.
+        lagged = 0.0
+        for lo in range(1, n, MASS_CHUNK):
+            if alpha**lo == 0.0:
+                break
+            lags = np.arange(lo, min(lo + MASS_CHUNK, n))
+            lagged += float(((n - lags) * alpha**lags).sum())
+        return two_beta2 * (n + 2.0 * lagged)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -169,7 +180,7 @@ def _dense_setup(
     if n > NUMERIC_SITE_LIMIT:
         raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
     cov = None if family is None else _family_matrix(family, n, alpha, two_beta2)
-    return GeneratorSpec.qubits(n), _make_state(state, n), cov
+    return GeneratorSpec.qubits(n), PROBES[state][0](n), cov
 
 
 def grid_report(
@@ -188,7 +199,7 @@ def grid_report(
     distinct dephased state once."""
     d2 = _family_delta2(family, n, alpha, two_beta2)
     reference_g = bounds.reference_bound_g(n, two_beta2)
-    f_rho = _state_qfi_exact(state, n)
+    f_rho = PROBES[state][1](n)
     f_rho_bar = None
     if two_beta2 == 0:
         f_rho_bar = f_rho
@@ -203,28 +214,16 @@ def grid_report(
         f_rho_bar = known[key]
     elif state == "ghz":
         f_rho_bar = f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
-
-    err = bounds.error_bound(d2, f_rho)
-    report = bounds.BoundReport(
-        family=family,
-        n=n,
-        alpha=alpha,
-        two_beta2=two_beta2,
-        delta2_c=d2,
-        f_rho=f_rho,
-        f_rho_bar=f_rho_bar,
-        main_bound_value=1.0 / err,
-        error_bound_value=err,
+    return bounds.bound_report(
+        d2, f_rho, family=family, n=n, alpha=alpha, two_beta2=two_beta2, f_rho_bar=f_rho_bar,
         reference_g_value=reference_g,
     )
-    return bounds.check_violation(report)
 
 
 def _emit_reports(reports: list[bounds.BoundReport], fmt: str, out: Optional[str]) -> None:
     """CSV rows for any number of reports; JSON for the one report of `bound`."""
     if fmt == "csv":
-        lines = [bounds.csv_header()] + [r.csv_row() for r in reports]
-        _write_text("\n".join(lines) + "\n", out)
+        _write_text(_csv_text([bounds.CSV_FIELDS, *(r.to_dict().values() for r in reports)]), out)
     else:
         (report,) = reports
         _write_text(_json_text(report.to_dict()), out)
@@ -247,10 +246,7 @@ def cmd_qfi(args) -> int:
             f_rho_bar=qfi(dephase(rho, gen, cov), gen),
         )
     if args.format == "csv":
-        keys = list(payload)
-        lines = [",".join(keys)]
-        lines.append(",".join(_fmt(payload[k]) for k in keys))
-        _write_text("\n".join(lines) + "\n", args.out)
+        _write_text(_csv_text([payload.keys(), payload.values()]), args.out)
     else:
         _write_text(_json_text(payload), args.out)
     return EXIT_OK
@@ -263,11 +259,10 @@ def cmd_dephase(args) -> int:
         state = encode_phase(state, gen, args.phi)
     a = state.entries
     if args.format == "csv":
-        lines = ["row,col,real,imag"]
-        for i in range(state.dim):
-            for j in range(state.dim):
-                lines.append(f"{i},{j},{_fmt(a[i, j].real)},{_fmt(a[i, j].imag)}")
-        _write_text("\n".join(lines) + "\n", args.out)
+        cells = (
+            (i, j, z.real, z.imag) for i, row in enumerate(a) for j, z in enumerate(row.tolist())
+        )
+        _write_text(_csv_text(itertools.chain([("row", "col", "real", "imag")], cells)), args.out)
     else:
         payload = {
             "dim": state.dim,
@@ -311,24 +306,18 @@ def cmd_simulate(args) -> int:
         # exact agreement should read as z ~ 0, not 0/0 noise.
         slack = max(result.mse_stderr, 1e-12 * max(1.0, abs(predicted)))
         z_score = (result.empirical_mse_best - predicted) / slack
-    payload = {
-        "state": args.state,
-        "n": args.n,
-        "family": args.family,
-        "alpha": args.alpha,
-        "two_beta2": args.two_beta2,
-        "phi0": args.phi0,
-        "delta_phi": args.delta_phi,
-        "shots": args.shots,
-        "seed": seed,
-        "predicted_mse": predicted,
-        "empirical_mse_best": result.empirical_mse_best,
-        "mse_stderr": result.mse_stderr,
-        "empirical_mean": result.empirical_mean,
-        "mean_stderr": result.mean_stderr,
-        "z_score": z_score,
-        "undefined_variance": undefined,
-    }
+    inputs = ("state", "n", "family", "alpha", "two_beta2", "phi0", "delta_phi", "shots")
+    payload = {key: getattr(args, key) for key in inputs}
+    payload.update(
+        seed=seed,
+        predicted_mse=predicted,
+        empirical_mse_best=result.empirical_mse_best,
+        mse_stderr=result.mse_stderr,
+        empirical_mean=result.empirical_mean,
+        mean_stderr=result.mean_stderr,
+        z_score=z_score,
+        undefined_variance=undefined,
+    )
     _write_text(_json_text(payload), args.out)
     if args.per_shot is not None:
         _write_per_shot(result, args.n, args.per_shot)
@@ -338,16 +327,11 @@ def cmd_simulate(args) -> int:
 def _write_per_shot(result, n: int, path: str) -> None:
     """CSV of per_shot_rows, formatted and written PER_SHOT_BLOCK rows at a
     time through one open file."""
-    header = ["shot"] + [f"phi_{j + 1}" for j in range(n)] + ["outcome", "estimate"]
-    rows = result.per_shot_rows()
+    header = ["shot", *(f"phi_{j + 1}" for j in range(n)), "outcome", "estimate"]
+    rows = itertools.chain([header], result.per_shot_rows())
     with open(path, "w") as out:
-        out.write(",".join(header) + "\n")
         while block := list(itertools.islice(rows, PER_SHOT_BLOCK)):
-            out.write("".join(
-                ",".join([str(shot)] + [_fmt(p) for p in phases] + [str(outcome), _fmt(estimate)])
-                + "\n"
-                for shot, *phases, outcome, estimate in block
-            ))
+            out.write(_csv_text(block))
 
 
 def parse_sweep_config(text: str) -> dict[str, list]:
@@ -395,14 +379,8 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     grids = parse_sweep_config(text)
-    points = [
-        (state, family, n, alpha, two_beta2)
-        for state in grids["state"]
-        for family in grids["family"]
-        for n in grids["n"]
-        for alpha in grids["alpha"]
-        for two_beta2 in grids["two_beta2"]
-    ]
+    # state outermost, two_beta2 innermost
+    points = itertools.product(*(grids[key] for key in _SWEEP_KEYS))
     dephased_qfi: dict = {}
     reports = [grid_report(*pt, dephased_qfi=dephased_qfi) for pt in points]
     _emit_reports(reports, "csv", args.out)
@@ -416,11 +394,13 @@ def _log_int_grid(maximum: int, points: int) -> np.ndarray:
 
 def cmd_figure(args) -> int:
     # Every flag is gated before the output directory is made.
-    for flag, value in (
-        ("--n-max", args.n_max), ("--n-points", args.n_points), ("--b2-points", args.b2_points)
+    for flag, value, limit in (
+        ("--n-max", args.n_max, FIGURE_N_MAX),
+        ("--n-points", args.n_points, FIGURE_POINTS),
+        ("--b2-points", args.b2_points, FIGURE_POINTS),
     ):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1")
+        if not 1 <= value <= limit:
+            raise ValueError(f"{flag} must be between 1 and {limit}")
     if args.panel == "scaling":
         # the noise gate of `bound`, which the panel's curves share
         _check_noise_args(1, 0.0, args.two_beta2)
@@ -435,88 +415,61 @@ def cmd_figure(args) -> int:
                 raise ValueError(f"{flag}: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ns = _log_int_grid(args.n_max, args.n_points)
+    ns = [int(n) for n in _log_int_grid(args.n_max, args.n_points)]
     if args.panel == "scaling":
-        lines = ["n,independent,collective,c1,c2"]
+        rows = [("n", "independent", "collective", "c1", "c2")]
         for n in ns:
-            n = int(n)
-            cells = [
-                bounds.error_bound(_family_delta2(family, n, alpha, args.two_beta2), float(n) ** 2)
-                for family, alpha in SCALING_CURVES
-            ]
-            lines.append(",".join([str(n)] + [_fmt(c) for c in cells]))
-        (outdir / "scaling-panel.csv").write_text("\n".join(lines) + "\n")
+            curves = [_family_delta2(f, n, alpha, args.two_beta2) for f, alpha in SCALING_CURVES]
+            rows.append((n, *(bounds.error_bound(d2, float(n) ** 2) for d2 in curves)))
+        _write_text(_csv_text(rows), outdir / "scaling-panel.csv")
         return EXIT_OK
 
     b2s = np.logspace(math.log10(args.b2_min), math.log10(args.b2_max), args.b2_points)
-    report = bounds.crossover([int(n) for n in ns], list(b2s))
-    grid_lines = ["n,two_beta2,independent_error_bound,reference_g,independent_tighter"]
-    for i, n in enumerate(report.n_values):
-        for j, b2 in enumerate(report.two_beta2_values):
-            ours = bounds.error_bound(b2 / n, float(n) ** 2)
-            theirs = bounds.reference_bound_g(int(n), float(b2))
-            grid_lines.append(
-                f"{int(n)},{_fmt(b2)},{_fmt(ours)},{_fmt(theirs)},"
-                f"{int(report.independent_tighter[i, j])}"
-            )
-    boundary_lines = ["n,boundary_two_beta2,approx_two_beta2"]
-    for i, n in enumerate(report.n_values):
-        boundary_lines.append(
-            f"{int(n)},{_fmt(report.boundary[i])},{_fmt(report.approx_boundary[i])}"
-        )
-    (outdir / "comparison-panel-grid.csv").write_text("\n".join(grid_lines) + "\n")
-    (outdir / "comparison-panel-boundary.csv").write_text("\n".join(boundary_lines) + "\n")
+    report = bounds.crossover(ns, list(b2s))
+    grid = (
+        (int(n), b2, bounds.error_bound(b2 / n, float(n) ** 2),
+         bounds.reference_bound_g(int(n), float(b2)), int(report.independent_tighter[i, j]))
+        for i, n in enumerate(report.n_values)
+        for j, b2 in enumerate(report.two_beta2_values)
+    )
+    header = ("n", "two_beta2", "independent_error_bound", "reference_g", "independent_tighter")
+    _write_text(_csv_text(itertools.chain([header], grid)), outdir / "comparison-panel-grid.csv")
+    boundary = zip(report.n_values.tolist(), report.boundary, report.approx_boundary)
+    _write_text(
+        _csv_text(itertools.chain([("n", "boundary_two_beta2", "approx_two_beta2")], boundary)),
+        outdir / "comparison-panel-boundary.csv",
+    )
     return EXIT_OK
-
-
-def _add_family_flags(parser, alpha_default=0.0, two_beta2_default=0.5, family_default="c1"):
-    parser.add_argument("--family", choices=FAMILIES, default=family_default)
-    parser.add_argument("--alpha", type=float, default=alpha_default)
-    parser.add_argument("--two-beta2", dest="two_beta2", type=float, default=two_beta2_default)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dephimetry", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_bound = sub.add_parser("bound", help="evaluate the precision ceiling")
-    p_bound.add_argument("--state", choices=STATES, default="ghz")
-    p_bound.add_argument("--n", type=int, required=True)
-    _add_family_flags(p_bound)
-    p_bound.add_argument("--out", default=None)
-    p_bound.add_argument("--format", choices=("csv", "json"), default="json")
-    p_bound.set_defaults(handler=cmd_bound)
-
-    p_qfi = sub.add_parser("qfi", help="quantum Fisher information of a named probe")
-    p_qfi.add_argument("--state", choices=STATES, default="ghz")
-    p_qfi.add_argument("--n", type=int, required=True)
-    p_qfi.add_argument("--family", choices=FAMILIES, default=None)
-    p_qfi.add_argument("--alpha", type=float, default=0.0)
-    p_qfi.add_argument("--two-beta2", dest="two_beta2", type=float, default=0.5)
-    p_qfi.add_argument("--out", default=None)
-    p_qfi.add_argument("--format", choices=("csv", "json"), default="json")
-    p_qfi.set_defaults(handler=cmd_qfi)
-
-    p_dep = sub.add_parser("dephase", help="emit the dephased state matrix")
-    p_dep.add_argument("--state", choices=STATES, default="ghz")
-    p_dep.add_argument("--n", type=int, required=True)
-    _add_family_flags(p_dep, family_default="identity")
-    p_dep.add_argument("--phi", type=float, default=0.0)
-    p_dep.add_argument("--out", default=None)
-    p_dep.add_argument("--format", choices=("csv", "json"), default="json")
-    p_dep.set_defaults(handler=cmd_dephase)
-
-    p_sim = sub.add_parser("simulate", help="sampled estimation run")
-    p_sim.add_argument("--state", choices=STATES, default="ghz")
-    p_sim.add_argument("--n", type=int, required=True)
-    _add_family_flags(p_sim, family_default="identity")
-    p_sim.add_argument("--phi0", type=float, default=0.0)
-    p_sim.add_argument("--delta-phi", dest="delta_phi", type=float, default=0.0)
-    p_sim.add_argument("--shots", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--per-shot", dest="per_shot", default=None)
-    p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(handler=cmd_simulate)
+    real = dict(type=float, default=0.0)
+    # Subcommands on one named probe: name, help, handler, --family default,
+    # the command's own flags, and whether it offers --format.
+    for name, summary, handler, family, flags, formats in (
+        ("bound", "evaluate the precision ceiling", cmd_bound, "c1", (), True),
+        ("qfi", "quantum Fisher information of a named probe", cmd_qfi, None, (), True),
+        ("dephase", "emit the dephased state matrix", cmd_dephase, "identity",
+         (("--phi", real),), True),
+        ("simulate", "sampled estimation run", cmd_simulate, "identity", (
+            ("--phi0", real), ("--delta-phi", real), ("--shots", dict(type=int, required=True)),
+            ("--seed", dict(type=int)), ("--per-shot", {}),
+        ), False),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--state", choices=STATES, default="ghz")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--family", choices=FAMILIES, default=family)
+        p.add_argument("--alpha", **real)
+        p.add_argument("--two-beta2", type=float, default=0.5)
+        for flag, opts in flags:
+            p.add_argument(flag, **opts)
+        p.add_argument("--out", default=None)
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.set_defaults(handler=handler)
 
     p_sweep = sub.add_parser("sweep", help="grid of bound reports from a config file")
     p_sweep.add_argument("--config", required=True)
@@ -526,12 +479,12 @@ def _build_parser() -> _Parser:
     p_fig = sub.add_parser("figure", help="emit panel data files")
     p_fig.add_argument("panel", choices=("scaling", "comparison"))
     p_fig.add_argument("--out", default=".")
-    p_fig.add_argument("--two-beta2", dest="two_beta2", type=float, default=0.5)
-    p_fig.add_argument("--n-max", dest="n_max", type=int, default=10_000)
-    p_fig.add_argument("--n-points", dest="n_points", type=int, default=33)
-    p_fig.add_argument("--b2-min", dest="b2_min", type=float, default=0.01)
-    p_fig.add_argument("--b2-max", dest="b2_max", type=float, default=2.0)
-    p_fig.add_argument("--b2-points", dest="b2_points", type=int, default=25)
+    p_fig.add_argument("--two-beta2", type=float, default=0.5)
+    p_fig.add_argument("--n-max", type=int, default=10_000)
+    p_fig.add_argument("--n-points", type=int, default=33)
+    p_fig.add_argument("--b2-min", type=float, default=0.01)
+    p_fig.add_argument("--b2-max", type=float, default=2.0)
+    p_fig.add_argument("--b2-points", type=int, default=25)
     p_fig.set_defaults(handler=cmd_figure)
     return parser
 

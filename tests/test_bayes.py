@@ -39,8 +39,8 @@ from dephimetry import (
 import dephimetry.bayes
 import dephimetry.dephasing
 from dephimetry.bayes import _fold, _shot_probabilities, _state_factor, map_ordered
-from dephimetry.core import _support
 from dephimetry.dephasing import CHUNK_SHOTS, derivative_state
+from dephimetry.fisher import _support_block
 
 from helpers import (
     dense_shot_probabilities,
@@ -432,7 +432,8 @@ class TestSimulate:
         # rank-4, 4-column kernel keep every golden value
         monkeypatch.setattr(dephimetry.dephasing, "BATCH_ELEMENTS", 16 * 1000)
         assert dephimetry.dephasing._batch_shots(16) == 1000
-        assert _state_factor(make_cfg(18, n=2).rho).shape == (4, 4)
+        cfg = make_cfg(18, n=2)
+        assert _state_factor(_support_block(cfg.rho, cfg.gen)[1]).shape == (4, 4)
         self.test_four_chunk_stream_pinned()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -440,8 +441,9 @@ class TestSimulate:
     def test_shot_probabilities_match_dense(self, case, n):
         rho, povm, effects = measurement_case(case, n, seed=10 * n + 1)
         phases = rng(n).normal(size=(64, n))
-        w = np.exp(-1j * (phases @ GeneratorSpec.qubits(n).site_energy_table))
-        factor = _state_factor(rho)
+        gen = GeneratorSpec.qubits(n)
+        w = np.exp(-1j * (phases @ gen.site_energy_table))
+        factor = _state_factor(_support_block(rho, gen)[1])
         if case == "pure":
             assert factor.shape[1] == 1
         else:
@@ -457,8 +459,8 @@ class TestSimulate:
     @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
     def test_support_shot_probabilities_match_dense(self, case, n, mixing):
         rho, povm, effects = embedded_case(case, n, seed=10 * n + 1, mixing=mixing)
-        live = _support(rho.entries)
-        factor = _state_factor(rho)
+        live, block, _ = _support_block(rho, GeneratorSpec.qubits(n + 1))
+        factor = _state_factor(block)
         assert factor.shape[0] == live.size == rho.dim // 2
         sub, reached = povm.restrict(live)
         phases = rng(n).normal(size=(64, n + 1))

@@ -1,6 +1,8 @@
+import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,12 @@ class TestExitCodes:
                      id="n-points-negative"),
         pytest.param(["figure", "comparison", "--b2-points", "0"], "--b2-points",
                      id="b2-points-zero"),
+        pytest.param(["figure", "comparison", "--n-points", "501"],
+                     "--n-points must be between 1 and 500", id="n-points-limit"),
+        pytest.param(["figure", "scaling", "--b2-points", "100000000000"],
+                     "--b2-points must be between 1 and 500", id="b2-points-limit"),
+        pytest.param(["figure", "scaling", "--n-max", "1000000000000000001"],
+                     "--n-max must be between 1 and 1000000000000000000", id="n-max-limit"),
         pytest.param(["figure", "comparison", "--b2-min", "0"], "--b2-min", id="b2-min-zero"),
         pytest.param(["figure", "comparison", "--b2-min", "800"], "--b2-min",
                      id="b2-min-overflow"),
@@ -168,6 +176,33 @@ class TestBound:
         payload = json.loads(capsys.readouterr().out)
         assert payload["f_rho_bar"] is None
         assert payload["f_rho"] == 64.0
+
+
+class TestFamilyMass:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.999, 0.999999])
+    @pytest.mark.parametrize("n", [1, 2, 11, 4097, cli.MASS_CHUNK + 1, cli.MASS_CHUNK + 2, 10**6])
+    def test_c2_matches_the_one_numpy_sum(self, n, alpha):
+        lags = np.arange(1, n)
+        whole = 0.5 * (n + 2.0 * float(((n - lags) * alpha**lags).sum()))
+        mass = cli._family_mass("c2", n, alpha, 0.5)
+        if n <= cli.MASS_CHUNK + 1:
+            assert mass == whole
+        else:
+            assert math.isclose(mass, whole, rel_tol=1e-12)
+
+    def test_c2_bounded_memory_at_1e8_sites(self):
+        # about 113 chunks before alpha^k underflows; one numpy sum over the
+        # 10^8 lags would hold several 800 MB arrays
+        n, alpha = 10**8, 0.9999
+        tracemalloc.start()
+        try:
+            mass = cli._family_mass("c2", n, alpha, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        lagged = alpha * (n * (1.0 - alpha) - 1.0 + alpha**n) / (1.0 - alpha) ** 2
+        assert math.isclose(mass, 0.5 * (n + 2.0 * lagged), rel_tol=1e-12)
 
 
 class TestQfi:
@@ -477,3 +512,85 @@ def test_trace_names_all_present():
     tracing = load_repo_module("bench", "tracing.py")
     with tracing.instrumented(tracing.Tracer(0), dephimetry) as missing:
         assert missing == []
+
+
+# Every CLI writer on a small matrix, n <= 3 wherever a state is dense so
+# that the BLAS thread count cannot move a bit.  Each digest is the sha256
+# of the files the command writes under {out}, by name; an output that
+# changes on purpose is re-recorded with golden_digest.
+GOLDEN_SWEEP = (
+    "state = ghz, product-plus\nfamily = c1, c2, identity\nn = 1, 3, 12\n"
+    "alpha = 0, 0.5\ntwo_beta2 = 0, 0.5\n"
+)
+GOLDEN_CASES = {
+    "bound-json": ["bound", "--n", "2", "--family", "c1", "--alpha", "0"],
+    "bound-csv": ["bound", "--n", "3", "--family", "c2", "--alpha", "0.4", "--two-beta2",
+                  "0.6", "--format", "csv"],
+    "bound-ghz-closed-json": ["bound", "--n", "30", "--family", "c2", "--alpha", "0.5"],
+    "bound-ghz-closed-csv": ["bound", "--n", "4097", "--family", "c2", "--alpha", "0.999",
+                             "--two-beta2", "1e-7", "--format", "csv"],
+    "bound-plus-empty-json": ["bound", "--state", "product-plus", "--n", "64", "--family",
+                              "identity"],
+    "bound-plus-empty-csv": ["bound", "--state", "product-plus", "--n", "64", "--family",
+                             "c1", "--alpha", "0.3", "--format", "csv"],
+    "bound-zero-noise-json": ["bound", "--n", "3", "--family", "c1", "--alpha", "0.2",
+                              "--two-beta2", "0"],
+    "bound-zero-noise-csv": ["bound", "--state", "product-plus", "--n", "20", "--two-beta2",
+                             "0", "--format", "csv"],
+    "qfi-json": ["qfi", "--state", "product-plus", "--n", "3", "--family", "c2", "--alpha",
+                 "0.4"],
+    "qfi-csv": ["qfi", "--state", "product-plus", "--n", "3", "--family", "c2", "--alpha",
+                "0.4", "--format", "csv"],
+    "qfi-plain-csv": ["qfi", "--n", "2", "--format", "csv"],
+    "dephase-json": ["dephase", "--n", "2", "--family", "c2", "--alpha", "0.4", "--two-beta2",
+                     "0.6", "--phi", "0.3"],
+    "dephase-csv": ["dephase", "--state", "product-plus", "--n", "2", "--family", "c1",
+                    "--alpha", "0.3", "--phi", "0.7", "--format", "csv"],
+    "sweep": ["sweep", "--config", "{cfg}"],
+    "figure-scaling": ["figure", "scaling"],
+    "figure-comparison": ["figure", "comparison"],
+    "simulate-ghz": ["simulate", "--n", "2", "--family", "c2", "--alpha", "0.5", "--shots",
+                     "300", "--seed", "11", "--per-shot", "{out}/shots.csv"],
+    "simulate-plus": ["simulate", "--state", "product-plus", "--n", "3", "--family", "c1",
+                      "--alpha", "0.3", "--phi0", "0.2", "--delta-phi", "0.1", "--shots", "200",
+                      "--seed", "5", "--per-shot", "{out}/shots.csv"],
+}
+GOLDEN_DIGESTS = {
+    "bound-csv": "8c8e6d6622ec3d1895e522fc48d987398c37942fc1c846cbbc68b208c7a16f4d",
+    "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
+    "bound-ghz-closed-json": "2dd03af1a30bcb4bdf18514e742820bc4f31aeed640692c2ef9725ead3c60408",
+    "bound-json": "a12da3902deed4e1052a155373aafb0b16939e87da46a27e218b6fe154c363c0",
+    "bound-plus-empty-csv": "8601a6a911f0956d90466a8fdd953357ef707c5bce1248b8ffa77014a6ce66cb",
+    "bound-plus-empty-json": "f9e82d7bdc1b337517a7ce401bb01b7c9944ad32b6a3b06f2764d4b14065981d",
+    "bound-zero-noise-csv": "da5651f20107840ef4a74206a362752de7a14ea6703aba595beec2ed0ed04ac7",
+    "bound-zero-noise-json": "5fd6cde9fd4ca7c9d69e212a6298ce23035b68b55934b0aae2ed1deffe34be7b",
+    "dephase-csv": "9191a0492840013430d5b119b8148606630690e92aab01b101c3fc8aa058e7cc",
+    "dephase-json": "c1d21e4ac2ca45c25a8f46dd8cd7a87802097ea47e2d95bb001f92a048e95a81",
+    "figure-comparison": "52c5dc9ab11fc0c046990c4b83abda0d1b999fe3d3c832e20359938875eb09ab",
+    "figure-scaling": "82d4aad49bf1aebe2970d3db4396d5b635946366f43209036d2cdc641df53389",
+    "qfi-csv": "6bbf164c869b9ae8f79358c4258e1527d4e414810836360eb8890a0d673ec4a9",
+    "qfi-json": "09ff6422ad729a7038559212018925b263bbedd6f16a0d14f0592bd1b20aea4d",
+    "qfi-plain-csv": "5ebe1be30f42591e59a78b4e26ab47c75e55ac5f63d0769d7167ece626a2cbfb",
+    "simulate-ghz": "679f633821d56b1c8c35252c0386febfa2cf524930300fbb79e44ba27fe564e8",
+    "simulate-plus": "5c7cecee8228c03906cbef05a5ee3d5f354e805771c7658be5c03e39c61221d4",
+    "sweep": "b6028e3aa2cb55ffe37ca2fd7092e18bedf3e4bc750fbf6387f4122a8873800f",
+}
+
+
+def golden_digest(case, tmp_path):
+    """Run one GOLDEN_CASES entry; the sha256 of its output files."""
+    cfg, out = tmp_path / "grid.cfg", tmp_path / "out"
+    cfg.write_text(GOLDEN_SWEEP)
+    out.mkdir()
+    args = [a.format(cfg=cfg, out=out) for a in GOLDEN_CASES[case]]
+    target = out if args[0] == "figure" else out / "out.txt"
+    assert run(args + ["--out", str(target)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_bytes(case, tmp_path):
+    assert golden_digest(case, tmp_path) == GOLDEN_DIGESTS[case]
