@@ -54,9 +54,7 @@ from .dephasing import (
     conditional_covariance,
     conditional_dephased_state,
     dephase,
-    dephase_monte_carlo,
     derivative_state,
-    sample_phases,
 )
 from .errors import (
     BoundViolationError,
@@ -106,7 +104,6 @@ __all__ = [
     "delta2_c1_closed",
     "delta2_c2_closed",
     "dephase",
-    "dephase_monte_carlo",
     "derivative_state",
     "encode_phase",
     "error_bound",
@@ -118,7 +115,6 @@ __all__ = [
     "qbcr_gap",
     "qfi",
     "reference_bound_g",
-    "sample_phases",
     "simulate",
     "sld",
     "variance",

@@ -25,7 +25,10 @@ support as rho = A A^dagger (rank r, s rows) and the m measurement columns
 v_c restricted to those rows, the amplitude of shot weights w on column c
 is (w * a_k)^T conj(v_c) = w^T (a_k * conj(v_c)), so the probe is folded
 into the measurement once per call (_fold), and a batch of b shots is one
-(r m, s) x (s, b) product.  The weights exp(-i phi . h) are cos and sin of
+(r m, s) x (s, b) product.  The folded matrix is not batched: it holds
+r m s complex entries, 16 MiB per rank component at n = 10 (s = m = 1024),
+so a full-rank library probe there would need 16 GiB.  Both named probes
+are pure (r = 1).  The weights exp(-i phi . h) are cos and sin of
 the phase products, written into one complex buffer (dephasing's
 _phase_weights); the CDF is summed down the outcome axis in place and
 inverted with one vector compare per outcome, the same comparisons a

@@ -78,15 +78,8 @@ class BoundReport:
             if abs(self.main_bound_value - recip) > 1e-12 * max(1.0, recip):
                 raise ValueError("main bound is not the reciprocal of the error bound")
 
-    def csv_row(self) -> str:
-        return ",".join(_fmt(v) for v in self.to_dict().values())
-
     def to_dict(self) -> dict:
         return {key: getattr(self, attr) for key, attr in COLUMNS}
-
-
-def csv_header() -> str:
-    return ",".join(CSV_FIELDS)
 
 
 def main_bound(delta2: float, f_rho: float) -> float:

@@ -69,9 +69,12 @@ PER_SHOT_BLOCK = 8192
 # Lags of the c2 covariance mass summed at a time (0.5 MiB per temporary).
 MASS_CHUNK = 1 << 16
 # `figure` grid sizes: at most this many points per axis, so the comparison
-# panel has at most FIGURE_POINTS^2 rows; --n-max stays inside int64.
+# panel has at most FIGURE_POINTS^2 rows.
 FIGURE_POINTS = 500
-FIGURE_N_MAX = 10**18
+# Most sites any command accepts: `bound` and `sweep` refuse n past it (the
+# closed forms square n as a float), and `figure --n-max` stays inside it
+# (its grid is cast to int64).
+N_MAX = 10**18
 
 _SWEEP_KEYS = ("state", "family", "n", "alpha", "two_beta2")
 
@@ -114,8 +117,8 @@ def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
     """The CLI's gate on family arguments, run before any work.  Zero noise
     is the noiseless point of every family; c1 and c2 then also pass
     covariance._check_family_args when their matrix or closed form is built."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"n must be between 1 and {N_MAX}")
     if not 0.0 <= two_beta2 < math.inf:
         raise ValueError("two_beta2 must be nonnegative and finite")
     if not math.isfinite(alpha):
@@ -395,7 +398,7 @@ def _log_int_grid(maximum: int, points: int) -> np.ndarray:
 def cmd_figure(args) -> int:
     # Every flag is gated before the output directory is made.
     for flag, value, limit in (
-        ("--n-max", args.n_max, FIGURE_N_MAX),
+        ("--n-max", args.n_max, N_MAX),
         ("--n-points", args.n_points, FIGURE_POINTS),
         ("--b2-points", args.b2_points, FIGURE_POINTS),
     ):

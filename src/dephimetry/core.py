@@ -103,12 +103,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def purity(self) -> float:
-        return float(np.vdot(self.entries, self.entries).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:

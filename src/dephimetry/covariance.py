@@ -63,14 +63,6 @@ class CovarianceMatrix:
         c = self.entries[0, 0]
         return bool(np.allclose(self.entries, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c))))
 
-    @property
-    def delta2(self) -> float:
-        return delta2_c(self)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return weights(self).gamma
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:

@@ -1,4 +1,5 @@
-"""Correlated Gaussian dephasing, exact and Monte Carlo.
+"""Correlated Gaussian dephasing: the exact channel, and the seeded phase
+sampling that bayes.simulate, the one Monte Carlo sampler, is built on.
 
 Averaging exp(-i sum_j phi_j H_j) rho exp(+i ...) over zero-mean Gaussian
 phases with covariance C multiplies entry (m, n) by the characteristic
@@ -31,17 +32,11 @@ from .errors import NumericalConsistencyError
 
 _SQRT_PSD_TOL = -1e-10
 CHUNK_SHOTS = 8192
-# Elements per shots-last work buffer of the Monte Carlo kernels.  A chunk
-# whose buffers would hold more runs in batches of fewer shots; the batches
-# consume no random numbers, so the seeded streams do not depend on this.
+# Elements per shots-last work buffer of the one Monte Carlo sampler,
+# bayes.simulate.  A chunk whose buffers would hold more runs in batches of
+# fewer shots; the batches consume no random numbers, so the seeded streams
+# do not depend on this.
 BATCH_ELEMENTS = 1 << 19
-
-
-def _check_cov_pairing(gen: GeneratorSpec, cov: CovarianceMatrix) -> None:
-    if cov.n != gen.nsites:
-        raise ValueError(
-            f"covariance is {cov.n}-site but generator has {gen.nsites} sites"
-        )
 
 
 def _pair_quadratic(table: np.ndarray, cov: CovarianceMatrix) -> np.ndarray:
@@ -61,7 +56,8 @@ def dephase(rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix) -> De
     Only the support of rho (core._support) is computed; every other entry
     of rho, and so of the result, is zero."""
     _check_pairing(rho, gen)
-    _check_cov_pairing(gen, cov)
+    if cov.n != gen.nsites:
+        raise ValueError(f"covariance is {cov.n}-site but generator has {gen.nsites} sites")
     live = _support(rho.entries)
     factor = np.exp(-0.5 * _pair_quadratic(gen.site_energy_table[:, live], cov))
     if isinstance(live, slice):
@@ -78,14 +74,6 @@ def covariance_sqrt(cov: CovarianceMatrix) -> np.ndarray:
         raise NumericalConsistencyError("covariance is not PSD within tolerance")
     root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
     return (root + root.T) / 2
-
-
-def sample_phases(
-    cov: CovarianceMatrix, mean: float, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """(count, n) Gaussian phase draws with common mean and covariance C."""
-    z = rng.standard_normal((count, cov.n))
-    return mean + z @ covariance_sqrt(cov)
 
 
 def _batch_shots(rows: int) -> int:
@@ -124,52 +112,6 @@ def chunk_rngs(seed: int, shots: int) -> list[tuple[np.random.Generator, int]]:
         sizes = [*sizes, shots % CHUNK_SHOTS]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     return [(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
-
-
-def dephase_monte_carlo(
-    rho: DensityMatrix,
-    gen: GeneratorSpec,
-    cov: CovarianceMatrix,
-    shots: int,
-    seed: int,
-) -> DensityMatrix:
-    """Average exp(-i phi . H) rho exp(+i phi . H) over `shots` Gaussian draws.
-
-    Conjugation by a diagonal unitary is entrywise, so the average reduces to
-    multiplying rho entrywise by the empirical characteristic function, a
-    Gram matrix, which keeps the sampled state positive.  Shots follow the
-    fixed chunk partition of dephasing.chunk_rngs, so the result depends
-    only on (seed, shots).  The weights come from _phase_weights, in
-    batches of at most BATCH_ELEMENTS per buffer, all allocated once.
-    """
-    _check_pairing(rho, gen)
-    _check_cov_pairing(gen, cov)
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    root = covariance_sqrt(cov)
-    table = gen.site_energy_table
-    chunk = min(shots, CHUNK_SHOTS)
-    batch = min(chunk, _batch_shots(gen.dim))
-    z = np.empty((chunk, cov.n))
-    phases = np.empty((chunk, cov.n))
-    arg = np.empty(gen.dim * batch)
-    w = np.empty(gen.dim * batch, dtype=np.complex128)
-    w_conj = np.empty_like(w)
-    block = np.empty((gen.dim, gen.dim), dtype=np.complex128)
-    gram = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
-    for rng, size in chunk_rngs(seed, shots):
-        rng.standard_normal(out=z[:size])
-        np.matmul(z[:size], root, out=phases[:size])
-        for lo in range(0, size, batch):
-            b = min(batch, size - lo)
-            weights = _phase_weights(
-                table, phases[lo : lo + b], _shaped(arg, b, gen.dim), _shaped(w, gen.dim, b)
-            )
-            conj = np.conjugate(weights, out=_shaped(w_conj, gen.dim, b))
-            gram += np.matmul(weights, conj.T, out=block)
-    out = rho.entries * (gram / shots)
-    # The Gram sum is Hermitian only to rounding.
-    return _trusted(DensityMatrix, (out + out.conj().T) / 2)
 
 
 def derivative_state(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:

@@ -160,12 +160,6 @@ class Povm:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def effects(self) -> tuple[np.ndarray, ...]:
-        """Dense effects rebuilt from the columns; for inspection only."""
-        blocks = [self.vectors[:, self.labels == x] for x in range(self.outcomes)]
-        return tuple(_readonly(b @ b.conj().T) for b in blocks)
-
     def collect(self, terms: np.ndarray) -> np.ndarray:
         """Sum per-column terms (last axis, m columns) into per-outcome totals."""
         if self._membership is None:

@@ -18,7 +18,7 @@ from dephimetry import (
     product_plus_state,
     weights,
 )
-from dephimetry.dephasing import covariance_sqrt, derivative_state
+from dephimetry.dephasing import chunk_rngs, covariance_sqrt, derivative_state
 from dephimetry.fisher import RANK_TOL_FACTOR
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -86,6 +86,7 @@ def gh_bayes_mse(
     z, wts = hermgauss(nodes)
     root = covariance_sqrt(cov)
     w_vec = weights(cov).gamma
+    effects = dense_effects(povm)
     total = 0.0
     grids = np.meshgrid(*([z] * n), indexing="ij")
     zs = np.stack([g.ravel() for g in grids], axis=1)
@@ -95,7 +96,7 @@ def gh_bayes_mse(
     for k in range(zs.shape[0]):
         theta = phi0 + np.sqrt(2.0) * (root @ zs[k])
         probs = np.array(
-            [np.trace(e @ phase_profile_state(rho, gen, theta)).real for e in povm.effects]
+            [np.trace(e @ phase_profile_state(rho, gen, theta)).real for e in effects]
         )
         target = float(w_vec @ theta)
         total += wprod[k] * float(probs @ (estimates - target) ** 2)
@@ -120,12 +121,13 @@ def gh_site_estimates(
     wprod = np.prod(
         np.stack(np.meshgrid(*([wts] * n), indexing="ij"), axis=0).reshape(n, -1), axis=0
     )
+    effects = dense_effects(povm)
     numer = np.zeros((povm.outcomes, n))
     denom = np.zeros(povm.outcomes)
     for k in range(zs.shape[0]):
         theta = phi0 + np.sqrt(2.0) * (root @ zs[k])
         state = phase_profile_state(rho, gen, theta)
-        probs = np.array([np.trace(e @ state).real for e in povm.effects])
+        probs = np.array([np.trace(e @ state).real for e in effects])
         numer += wprod[k] * probs[:, None] * theta[None, :]
         denom += wprod[k] * probs
     return numer / denom[:, None]
@@ -135,6 +137,27 @@ def delta2_brute(cov: CovarianceMatrix) -> float:
     """1 / (1^T C^{-1} 1) via plain inv; oracle for the solver route."""
     n = cov.entries.shape[0]
     return 1.0 / float(np.ones(n) @ np.linalg.inv(cov.entries) @ np.ones(n))
+
+
+def dense_effects(povm: Povm) -> list[np.ndarray]:
+    """Dense effects Pi_x rebuilt from the POVM's columns, one per outcome."""
+    blocks = [povm.vectors[:, povm.labels == x] for x in range(povm.outcomes)]
+    return [b @ b.conj().T for b in blocks]
+
+
+def dephase_monte_carlo(
+    rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix, shots: int, seed: int
+) -> DensityMatrix:
+    """Average exp(-i phi . H) rho exp(+i phi . H) over `shots` Gaussian
+    draws in the chunks of chunk_rngs: rho times the empirical characteristic
+    function, a Gram matrix of the phase weights; oracle for dephase."""
+    root, table = covariance_sqrt(cov), gen.site_energy_table
+    gram = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
+    for r, size in chunk_rngs(seed, shots):
+        w = np.exp(-1j * (r.standard_normal((size, cov.n)) @ root @ table))
+        gram += w.T @ w.conj()
+    out = rho.entries * gram / shots
+    return DensityMatrix((out + out.conj().T) / 2)
 
 
 def dephase_factor_loops(cov: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from dephimetry import (
     build_c1,
     build_c2,
     classical_fi,
+    delta2_c,
     dephase,
     encode_phase,
     ghz_state,
@@ -35,6 +36,7 @@ from dephimetry import (
     qbcr_gap,
     qfi,
     simulate,
+    weights,
 )
 import dephimetry.bayes
 import dephimetry.dephasing
@@ -43,6 +45,7 @@ from dephimetry.dephasing import CHUNK_SHOTS, derivative_state
 from dephimetry.fisher import _support_block
 
 from helpers import (
+    dense_effects,
     dense_shot_probabilities,
     dense_traces,
     embedded_case,
@@ -119,8 +122,8 @@ class TestExperimentConfig:
 
     def test_delta2_gamma(self):
         cfg = make_cfg(1)
-        assert math.isclose(cfg.delta2, cfg.cov.delta2, rel_tol=1e-15)
-        np.testing.assert_array_equal(cfg.gamma, cfg.cov.gamma)
+        assert math.isclose(cfg.delta2, delta2_c(cfg.cov), rel_tol=1e-15)
+        np.testing.assert_array_equal(cfg.gamma, weights(cfg.cov).gamma)
 
 
 class TestEstimatorTable:
@@ -156,7 +159,7 @@ class TestBayesEstimators:
         cfg = make_cfg(seed, phi0=0.3)
         table = bayes_estimators(cfg)
         drho = derivative_state(cfg.averaged_state, cfg.gen).entries
-        for x, effect in enumerate(cfg.povm.effects):
+        for x, effect in enumerate(dense_effects(cfg.povm)):
             p = np.trace(cfg.averaged_state.entries @ effect).real
             dp = np.trace(drho @ effect).real
             expected = cfg.phi0 + cfg.delta2 * dp / p
@@ -168,7 +171,7 @@ class TestBayesEstimators:
         table = bayes_estimators(cfg)
         rb = cfg.averaged_state.entries
         energy_table = cfg.gen.site_energy_table
-        for x, effect in enumerate(cfg.povm.effects):
+        for x, effect in enumerate(dense_effects(cfg.povm)):
             p = np.trace(rb @ effect).real
             tr = np.array([
                 np.trace(-1j * ((sj[:, None] - sj[None, :]) * rb) @ effect).real
@@ -331,7 +334,7 @@ class TestBestEstimator:
         cfg = make_cfg(11, n=3, phi0=0.1)
         table = bayes_estimators(cfg)
         drho = derivative_state(cfg.averaged_state, cfg.gen).entries
-        dp = np.array([np.trace(drho @ e).real for e in cfg.povm.effects])
+        dp = np.array([np.trace(drho @ e).real for e in dense_effects(cfg.povm)])
         floor = 1.0 / classical_fi(cfg.averaged_state, cfg.gen, cfg.povm)
         r = rng(40)
         trials = 0
@@ -408,6 +411,17 @@ class TestSimulate:
         b = simulate(cfg, 3000, 21)
         np.testing.assert_array_equal(a.outcomes, b.outcomes)
         np.testing.assert_array_equal(a.phases, b.phases)
+
+    def test_phase_moments(self):
+        # the drawn phases have mean phi0 + delta_phi and covariance C
+        gen, cov, rho = GeneratorSpec.qubits(3), build_c2(3, 0.5, 0.5), ghz_state(3)
+        averaged = encode_phase(dephase(rho, gen, cov), gen, 0.3)
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=optimal_povm(averaged, gen),
+                               phi0=0.3, delta_phi=0.4, rho_bar=averaged)
+        phases = simulate(cfg, 200_000, 8).phases
+        assert phases.shape == (200_000, 3)
+        np.testing.assert_allclose(phases.mean(axis=0), 0.7, atol=0.01)
+        np.testing.assert_allclose(np.cov(phases.T), cov.entries, atol=0.01)
 
     def test_four_chunk_stream_pinned(self):
         # golden values of the fixed chunk partition: a change here changes

@@ -22,7 +22,8 @@ from dephimetry import (
     reference_bound_g,
     verify_bound,
 )
-from dephimetry.bounds import csv_header
+import dephimetry.cli as cli
+from dephimetry.bounds import CSV_FIELDS
 
 from helpers import random_density, random_psd_cov, rng
 
@@ -156,16 +157,21 @@ class TestBoundReport:
         with pytest.raises(ValueError, match="reciprocal"):
             self._report(main_bound_value=2.1)
 
+    @staticmethod
+    def _csv(report):
+        """(header, row) of one report, as the CLI writes them."""
+        return cli._csv_text([CSV_FIELDS, report.to_dict().values()]).splitlines()
+
     def test_csv_row_fixed_layout(self):
-        row = self._report().csv_row()
+        header, row = self._csv(self._report())
         cells = row.split(",")
-        assert len(cells) == len(csv_header().split(","))
+        assert len(cells) == len(header.split(","))
         assert cells[0] == "c1"
         assert cells[1] == "2"
         assert float(cells[7]) == 2.0
 
     def test_none_fields_serialize_empty(self):
-        row = self._report(alpha=None, two_beta2=None, reference_g_value=None).csv_row()
+        _, row = self._csv(self._report(alpha=None, two_beta2=None, reference_g_value=None))
         cells = row.split(",")
         assert cells[2] == "" and cells[3] == "" and cells[-1] == ""
 
@@ -175,17 +181,17 @@ class TestBoundReport:
             delta2_c=value, f_rho=4.0, main_bound_value=1.0 / (value + 0.25),
             error_bound_value=value + 0.25,
         )
-        cells = report.csv_row().split(",")
+        cells = self._csv(report)[1].split(",")
         assert float(cells[4]) == value
 
     def test_header(self):
-        assert csv_header() == (
+        assert self._csv(self._report())[0] == (
             "family,n,alpha,two_beta2,delta2_c,f_rho,f_rho_bar,"
             "main_bound,error_bound,reference_g"
         )
 
     def test_to_dict_keys_match_header(self):
-        assert list(self._report().to_dict()) == csv_header().split(",")
+        assert list(self._report().to_dict()) == list(CSV_FIELDS)
 
 
 class TestCheckViolation:

@@ -23,6 +23,12 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+# A sweep grid past the site limit, refused before any output is written.
+HUGE_N_SWEEP = (
+    f"state = ghz, product-plus\nfamily = identity\nn = {10**155}\nalpha = 0\ntwo_beta2 = 0.5\n"
+)
+
+
 def load_repo_module(folder, name):
     path = Path(__file__).resolve().parent.parent / folder / name
     spec = importlib.util.spec_from_file_location(Path(name).stem, path)
@@ -49,6 +55,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, named", [
         pytest.param(["bound", "--n", "0", "--family", "identity"], "n must", id="n-zero"),
+        pytest.param(["bound", "--n", str(10**18 + 1), "--family", "identity"],
+                     "n must be between 1 and 1000000000000000000", id="n-limit"),
+        pytest.param(["bound", "--n", str(10**155), "--family", "identity"],
+                     "n must be between 1 and 1000000000000000000", id="n-huge-ghz"),
+        pytest.param(["bound", "--state", "product-plus", "--n", str(10**309)],
+                     "n must be between 1 and 1000000000000000000", id="n-huge-product-plus"),
+        pytest.param(["sweep", "--config", "{config}"],
+                     "n must be between 1 and 1000000000000000000", id="sweep-n-huge"),
         pytest.param(["bound", "--n", "30", "--family", "c1", "--two-beta2", "inf"],
                      "two_beta2", id="two-beta2-inf"),
         pytest.param(["bound", "--n", "3", "--family", "identity", "--two-beta2", "nan"],
@@ -100,6 +114,9 @@ class TestExitCodes:
     ])
     def test_bad_family_args_refused_up_front(self, args, named, tmp_path, capsys):
         out = tmp_path / "out"
+        config = tmp_path / "grid.cfg"
+        config.write_text(HUGE_N_SWEEP)
+        args = [a.format(config=config) for a in args]
         assert run(args + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -128,6 +145,11 @@ class TestExitCodes:
 
 
 class TestBound:
+    @pytest.mark.parametrize("family", ["identity", "c1", "c2"])
+    def test_site_limit_accepted(self, family, capsys):
+        assert run(["bound", "--n", str(cli.N_MAX), "--family", family, "--alpha", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == cli.N_MAX
+
     def test_contract_example(self, capsys):
         assert run([
             "bound", "--state", "ghz", "--n", "2", "--family", "c1",
@@ -405,7 +427,8 @@ class TestSweep:
         rows = out.read_text().splitlines()[1:]
         points = [(state, family, 3, alpha, 0.5) for state in ("ghz", "product-plus")
                   for family in ("c1", "c2") for alpha in (0.0, 0.5)]
-        assert rows == [cli.grid_report(*point).csv_row() for point in points]
+        reports = (cli.grid_report(*point).to_dict().values() for point in points)
+        assert rows == cli._csv_text(reports).splitlines()
 
     def test_missing_file(self, capsys):
         assert run(["sweep", "--config", "/nonexistent/grid.cfg"]) == 1

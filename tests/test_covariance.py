@@ -51,11 +51,6 @@ class TestCovarianceMatrix:
         assert CovarianceMatrix(0.4 * np.ones((3, 3))).is_collective
         assert not build_c1(3, 0.5, 0.5).is_collective
 
-    def test_delta2_gamma_properties(self):
-        cov = build_c1(3, 0.5, 0.2)
-        assert math.isclose(cov.delta2, delta2_c(cov), rel_tol=1e-15)
-        np.testing.assert_allclose(cov.gamma, weights(cov).gamma)
-
 
 class TestWeightVector:
     def test_rejects_bad_sum(self):

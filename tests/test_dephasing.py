@@ -16,12 +16,11 @@ from dephimetry import (
     conditional_dephased_state,
     delta2_c,
     dephase,
-    dephase_monte_carlo,
     derivative_state,
     encode_phase,
     ghz_state,
     product_plus_state,
-    sample_phases,
+    weights,
 )
 from dephimetry.dephasing import (
     CHUNK_SHOTS,
@@ -31,15 +30,18 @@ from dephimetry.dephasing import (
     covariance_sqrt,
 )
 
-from helpers import dephase_factor_loops, random_density, random_psd_cov, rng, traced_peak_mb
+from helpers import (
+    dephase_factor_loops,
+    dephase_monte_carlo,
+    random_density,
+    random_psd_cov,
+    rng,
+)
 
 # Every public producer of a DensityMatrix, as (rng, rho, gen, cov) -> state.
 PRODUCERS = {
     "dephase": lambda r, rho, gen, cov: dephase(rho, gen, cov),
     "encode_phase": lambda r, rho, gen, cov: encode_phase(rho, gen, r.uniform(-3, 3)),
-    "dephase_monte_carlo": lambda r, rho, gen, cov: dephase_monte_carlo(
-        rho, gen, cov, int(r.integers(1, 200)), int(r.integers(1000))
-    ),
     "conditional_dephased_state": lambda r, rho, gen, cov: conditional_dephased_state(
         rho, gen, cov, r.uniform(-3, 3)
     ),
@@ -94,7 +96,7 @@ class TestDephase:
         a = out.entries
         np.testing.assert_array_equal(a, a.conj().T)
         assert abs(a.trace().real - 1.0) <= 1e-12
-        assert out.eigenvalues()[0] >= -1e-12
+        assert np.linalg.eigvalsh(a)[0] >= -1e-12
         np.testing.assert_array_equal(DensityMatrix(a).entries, a)
 
     @given(phi=st.floats(-3, 3, allow_nan=False), seed=st.integers(0, 40))
@@ -172,17 +174,9 @@ class TestCovarianceSqrt:
         np.testing.assert_allclose(root @ root, np.ones((2, 2)), atol=1e-12)
 
 
-class TestSamplePhases:
-    def test_moments(self):
-        cov = build_c2(3, 0.5, 0.5)
-        draws = sample_phases(cov, 0.7, rng(8), 200_000)
-        assert draws.shape == (200_000, 3)
-        np.testing.assert_allclose(draws.mean(axis=0), 0.7, atol=0.01)
-        emp = np.cov(draws.T)
-        np.testing.assert_allclose(emp, cov.entries, atol=0.01)
-
-
 class TestDephaseMonteCarlo:
+    # The sampled channel is a test oracle (helpers.dephase_monte_carlo) on
+    # the chunk partition and phase draws of simulate; these pin both.
     def test_converges_to_exact(self):
         gen = GeneratorSpec.qubits(2)
         rho = ghz_state(2)
@@ -199,12 +193,6 @@ class TestDephaseMonteCarlo:
         a = dephase_monte_carlo(rho, gen, cov, shots=10_000, seed=9)
         b = dephase_monte_carlo(rho, gen, cov, shots=10_000, seed=9)
         np.testing.assert_array_equal(a.entries, b.entries)
-        # chunks are summed into one Gram matrix, not held until the end:
-        # a dim-256 matrix per chunk would add 1 MiB each
-        gen, rho, cov = GeneratorSpec.qubits(8), ghz_state(8), build_c2(8, 0.5, 0.5)
-        one = traced_peak_mb(dephase_monte_carlo, rho, gen, cov, CHUNK_SHOTS, 3)
-        eight = traced_peak_mb(dephase_monte_carlo, rho, gen, cov, 8 * CHUNK_SHOTS, 3)
-        assert eight <= one + 2.0
 
     def test_two_chunk_entries_pinned(self):
         # golden values of the fixed chunk partition: a change here changes
@@ -309,7 +297,7 @@ class TestConditional:
 
     def test_weighted_average_has_zero_conditional_variance(self):
         cov = build_c2(3, 0.5, 0.5)
-        g = cov.gamma
+        g = weights(cov).gamma
         cc = conditional_covariance(cov)
         assert abs(float(g @ cc.entries @ g)) < 1e-13
 
