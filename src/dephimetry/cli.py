@@ -30,6 +30,7 @@ from .bayes import ExperimentConfig, simulate
 from .core import GeneratorSpec, encode_phase, ghz_state, product_plus_state
 from .covariance import (
     CovarianceMatrix,
+    _collective_and_local,
     build_c1,
     build_c2,
     delta2_c1_closed,
@@ -37,7 +38,7 @@ from .covariance import (
 )
 from .dephasing import dephase
 from .errors import BoundViolationError, NumericalConsistencyError
-from .fisher import optimal_povm, qfi
+from .fisher import _product_plus_qfi, optimal_povm, qfi
 
 # Not called here since simulate reports its own predicted_mse; the name
 # stays because bench/tracing.py rebinds it for a per-layer metric.
@@ -48,10 +49,12 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_NUMERICAL = 3
 
-# Named probe states: the dense state and its exact noiseless information.
+# Named probe states: the dense state, its exact noiseless information, and
+# its dephased information from blocks, f(n, a, b) under C = a 11^T + b I,
+# or None when the probe has no such path.
 PROBES = {
-    "ghz": (ghz_state, lambda n: float(n) ** 2),
-    "product-plus": (product_plus_state, float),
+    "ghz": (ghz_state, lambda n: float(n) ** 2, None),
+    "product-plus": (product_plus_state, float, _product_plus_qfi),
 }
 STATES = tuple(PROBES)
 FAMILIES = ("c1", "c2", "identity")
@@ -186,6 +189,18 @@ def _dense_setup(
     return GeneratorSpec.qubits(n), PROBES[state][0](n), cov
 
 
+def _dephased_qfi(state: str, n: int, cov: CovarianceMatrix) -> float:
+    """F of the named probe dephased by cov: from the probe's blocks when it
+    has them and cov = a 11^T + b I, else from the dense eigenproblem."""
+    blocks = PROBES[state][2]
+    split = None if blocks is None else _collective_and_local(cov)
+    if split is not None:
+        return blocks(n, *split)
+    gen, rho, _ = _dense_setup(state, n)
+    rho = dephase(rho, gen, cov)  # the probe is freed before qfi's peak
+    return qfi(rho, gen)
+
+
 def grid_report(
     state: str,
     family: str,
@@ -211,9 +226,7 @@ def grid_report(
         known = {} if dephased_qfi is None else dephased_qfi
         key = (state, n, cov.entries.tobytes())
         if key not in known:
-            gen, rho, _ = _dense_setup(state, n)
-            rho = dephase(rho, gen, cov)  # the probe is freed before qfi's peak
-            known[key] = qfi(rho, gen)
+            known[key] = _dephased_qfi(state, n, cov)
         f_rho_bar = known[key]
     elif state == "ghz":
         f_rho_bar = f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
@@ -241,12 +254,13 @@ def cmd_bound(args) -> int:
 def cmd_qfi(args) -> int:
     gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
     payload = {"state": args.state, "n": args.n, "f_rho": qfi(rho, gen)}
+    del rho  # _dephased_qfi builds its own probe when it takes the dense path
     if cov is not None:
         payload.update(
             family=args.family,
             alpha=args.alpha,
             two_beta2=args.two_beta2,
-            f_rho_bar=qfi(dephase(rho, gen, cov), gen),
+            f_rho_bar=_dephased_qfi(args.state, args.n, cov),
         )
     if args.format == "csv":
         _write_text(_csv_text([payload.keys(), payload.values()]), args.out)
@@ -328,13 +342,23 @@ def cmd_simulate(args) -> int:
 
 
 def _write_per_shot(result, n: int, path: str) -> None:
-    """CSV of per_shot_rows, formatted and written PER_SHOT_BLOCK rows at a
-    time through one open file."""
+    """CSV of per_shot_rows, the bytes _csv_text gives them, formatted and
+    written PER_SHOT_BLOCK rows at a time through one open file: each block
+    is one %-format of a repeated row template (%.17g is _fmt's float
+    format)."""
     header = ["shot", *(f"phi_{j + 1}" for j in range(n)), "outcome", "estimate"]
-    rows = itertools.chain([header], result.per_shot_rows())
+    template = "%d," + "%.17g," * n + "%d,%.17g\n"
     with open(path, "w") as out:
-        while block := list(itertools.islice(rows, PER_SHOT_BLOCK)):
-            out.write(_csv_text(block))
+        out.write(_csv_text([header]))
+        for lo in range(0, result.shots, PER_SHOT_BLOCK):
+            hi = min(lo + PER_SHOT_BLOCK, result.shots)
+            columns = (
+                range(lo, hi),
+                *result.phases[lo:hi].T.tolist(),
+                result.outcomes[lo:hi].tolist(),
+                result.estimates_best[lo:hi].tolist(),
+            )
+            out.write(template * (hi - lo) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def parse_sweep_config(text: str) -> dict[str, list]:
@@ -383,7 +407,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot read config: {exc}") from exc
     grids = parse_sweep_config(text)
     # state outermost, two_beta2 innermost
-    points = itertools.product(*(grids[key] for key in _SWEEP_KEYS))
+    points = list(itertools.product(*(grids[key] for key in _SWEEP_KEYS)))
+    # grid_report's own closed-form checks, on every point before any row
+    for _, family, n, alpha, two_beta2 in points:
+        _family_delta2(family, n, alpha, two_beta2)
+        bounds.reference_bound_g(n, two_beta2)
     dephased_qfi: dict = {}
     reports = [grid_report(*pt, dephased_qfi=dephased_qfi) for pt in points]
     _emit_reports(reports, "csv", args.out)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -110,6 +111,22 @@ def _check_family_args(n: int, two_beta2: float, alpha: float) -> None:
         raise ValueError("two_beta2 must be positive and finite")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+
+
+def _collective_and_local(cov: CovarianceMatrix) -> Optional[tuple[float, float]]:
+    """(a, b) with C = a 11^T + b I entry for entry and b >= 0, or None.
+
+    Every test is exact equality, so identity noise, every c1 and c2 at
+    alpha = 0 qualify, and any other matrix does not.  A one-site C is
+    taken as all local, (0, C_00)."""
+    entries = cov.entries
+    diagonal = float(entries[0, 0])
+    collective = float(entries[0, 1]) if cov.n > 1 else 0.0
+    off = ~np.eye(cov.n, dtype=bool)
+    if not ((np.diag(entries) == diagonal).all() and (entries[off] == collective).all()):
+        return None
+    local = diagonal - collective
+    return (collective, local) if local >= 0.0 else None
 
 
 def _inverse_times_ones(cov: CovarianceMatrix) -> np.ndarray:

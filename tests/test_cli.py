@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import dephimetry.cli as cli
-from dephimetry import GeneratorSpec, build_c2, dephase, encode_phase, ghz_state, simulate
+from dephimetry import (
+    GeneratorSpec,
+    SimulationResult,
+    build_c2,
+    dephase,
+    encode_phase,
+    ghz_state,
+    simulate,
+)
 from dephimetry.bounds import _fmt
 from dephimetry.dephasing import CHUNK_SHOTS
 from dephimetry.errors import NumericalConsistencyError
@@ -200,6 +208,46 @@ class TestBound:
         assert payload["f_rho"] == 64.0
 
 
+class TestDephasedQfiRoute:
+    """Product-plus under C = a 11^T + b I takes the Schur-Weyl blocks; every
+    other probe and covariance keeps the dense path (cli.dephase, cli.qfi)."""
+
+    def dense_calls(self, monkeypatch, args, capsys):
+        calls = []
+        original = cli.qfi
+        monkeypatch.setattr(cli, "qfi", lambda rho, gen: calls.append(rho.dim) or original(rho, gen))
+        assert run(args) == 0
+        return calls, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("state, family, alpha, dense", [
+        ("product-plus", "c2", 0.5, True),
+        ("product-plus", "c2", 0.0, False),
+        ("product-plus", "c1", 0.5, False),
+        ("product-plus", "c1", 1.0, False),
+        ("product-plus", "identity", 0.0, False),
+        ("ghz", "c1", 0.0, True),
+    ])
+    def test_bound(self, state, family, alpha, dense, monkeypatch, capsys):
+        calls, payload = self.dense_calls(monkeypatch, [
+            "bound", "--state", state, "--n", "4", "--family", family, "--alpha", str(alpha)], capsys)
+        assert calls == ([16] if dense else [])
+        gen = GeneratorSpec.qubits(4)
+        probe = cli.PROBES[state][0](4)
+        cov = cli._family_matrix(family, 4, alpha, 0.5)
+        expected = cli.qfi(dephase(probe, gen, cov), gen)
+        assert math.isclose(payload["f_rho_bar"], expected, rel_tol=1e-12)
+
+    def test_qfi_command(self, monkeypatch, capsys):
+        # the noiseless f_rho stays dense; f_rho_bar comes from blocks
+        calls, payload = self.dense_calls(monkeypatch, [
+            "qfi", "--state", "product-plus", "--n", "5", "--family", "c1", "--alpha", "0.3"],
+            capsys)
+        assert calls == [32]
+        gen = GeneratorSpec.qubits(5)
+        rho = dephase(cli.PROBES["product-plus"][0](5), gen, cli._family_matrix("c1", 5, 0.3, 0.5))
+        assert math.isclose(payload["f_rho_bar"], cli.qfi(rho, gen), rel_tol=1e-12)
+
+
 class TestFamilyMass:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.999, 0.999999])
     @pytest.mark.parametrize("n", [1, 2, 11, 4097, cli.MASS_CHUNK + 1, cli.MASS_CHUNK + 2, 10**6])
@@ -336,6 +384,26 @@ class TestSimulate:
                                   + [str(int(res.outcomes[i])), _fmt(res.estimates_best[i])]))
         assert shots_file.read_text() == "\n".join(lines) + "\n"
 
+    def test_per_shot_block_format_matches_csv_text(self, tmp_path, monkeypatch):
+        # one %-format per block gives _fmt's bytes, across block boundaries
+        # and for signed zero, subnormals, huge and integer-valued floats
+        monkeypatch.setattr(cli, "PER_SHOT_BLOCK", 3)
+        phases = np.array([[-0.0, 5e-324], [1e300, 3.0], [0.1, -2.0], [-1e-300, 0.0],
+                           [np.pi, -7.0], [2.5, 1e16], [-0.5, 123456789.0]])
+        shots = len(phases)
+        result = SimulationResult(
+            shots=shots, seed=0, phi0=0.0, delta_phi=0.0, empirical_mse_best=1.0,
+            mse_stderr=None, empirical_mean=0.0, mean_stderr=None, phases=phases,
+            phi_c=phases.mean(axis=1), outcomes=np.array([0, 3, 1, 2, 0, 7, 12]),
+            estimates=np.zeros(shots),
+            estimates_best=np.array([-0.0, 4.0, 5e-324, -1e300, 0.25, 1.0 / 3.0, -6.0]),
+            predicted_mse=1.0,
+        )
+        path = tmp_path / "shots.csv"
+        cli._write_per_shot(result, 2, str(path))
+        header = ("shot", "phi_1", "phi_2", "outcome", "estimate")
+        assert path.read_text() == cli._csv_text([header, *result.per_shot_rows()])
+
     def test_shot_limit_admits_a_million_shots(self):
         for n in range(1, cli.NUMERIC_SITE_LIMIT + 1):
             limit = cli._shot_limit(n)
@@ -407,15 +475,16 @@ class TestSweep:
         assert out == "family,n,alpha,two_beta2,delta2_c,f_rho,f_rho_bar,main_bound,error_bound,reference_g\n"
 
     def test_repeated_covariance_computed_once(self, tmp_path, monkeypatch):
-        # c1 and c2 coincide at alpha = 0: 8 points, 3 covariances per state
+        # c1 and c2 coincide at alpha = 0: 8 points, 3 covariances per state,
+        # each one dephased QFI, whether from blocks or the dense path
         calls = []
-        original = cli.qfi
+        original = cli._dephased_qfi
 
-        def counted(rho, gen):
-            calls.append(rho.dim)
-            return original(rho, gen)
+        def counted(state, n, cov):
+            calls.append((state, cov.entries.tobytes()))
+            return original(state, n, cov)
 
-        monkeypatch.setattr(cli, "qfi", counted)
+        monkeypatch.setattr(cli, "_dephased_qfi", counted)
         cfg = self.write_config(
             tmp_path,
             "state = ghz, product-plus\nfamily = c1, c2\nn = 3\nalpha = 0, 0.5\n"
@@ -423,12 +492,28 @@ class TestSweep:
         )
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert len(calls) == 6
+        assert len(calls) == len(set(calls)) == 6
         rows = out.read_text().splitlines()[1:]
         points = [(state, family, 3, alpha, 0.5) for state in ("ghz", "product-plus")
                   for family in ("c1", "c2") for alpha in (0.0, 0.5)]
         reports = (cli.grid_report(*point).to_dict().values() for point in points)
         assert rows == cli._csv_text(reports).splitlines()
+
+    def test_late_bad_point_refused_before_any_row(self, tmp_path, monkeypatch, capsys):
+        # the n = 10 row would take the dense path; the gate runs first
+        calls = []
+        monkeypatch.setattr(cli, "dephase", lambda *a: calls.append("dephase"))
+        monkeypatch.setattr(cli, "qfi", lambda *a: calls.append("qfi"))
+        cfg = self.write_config(
+            tmp_path,
+            f"state = product-plus\nfamily = c2\nn = 10, {10**19}\nalpha = 0.5\n"
+            "two_beta2 = 0.5\n",
+        )
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert f"n must be between 1 and {cli.N_MAX}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_missing_file(self, capsys):
         assert run(["sweep", "--config", "/nonexistent/grid.cfg"]) == 1
@@ -596,7 +681,7 @@ GOLDEN_DIGESTS = {
     "qfi-plain-csv": "5ebe1be30f42591e59a78b4e26ab47c75e55ac5f63d0769d7167ece626a2cbfb",
     "simulate-ghz": "679f633821d56b1c8c35252c0386febfa2cf524930300fbb79e44ba27fe564e8",
     "simulate-plus": "5c7cecee8228c03906cbef05a5ee3d5f354e805771c7658be5c03e39c61221d4",
-    "sweep": "b6028e3aa2cb55ffe37ca2fd7092e18bedf3e4bc750fbf6387f4122a8873800f",
+    "sweep": "f696936e220160af4b6b3e81d1d70af684239ed5019bbf994deb9fac4dd29ddd",
 }
 
 

@@ -17,6 +17,8 @@ from dephimetry import (
     weights,
 )
 
+from dephimetry.covariance import _collective_and_local
+
 from helpers import delta2_brute, random_psd_cov, rng
 
 
@@ -196,3 +198,36 @@ class TestWeights:
             d -= d.mean()  # stay on the sum-1 affine slice
             other = g + 0.1 * d
             assert float(other @ cov.entries @ other) >= base - 1e-12
+
+
+class TestCollectiveAndLocal:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_families_of_that_form(self, n):
+        assert _collective_and_local(CovarianceMatrix(0.5 * np.eye(n))) == (0.0, 0.5)
+        assert _collective_and_local(build_c2(n, 0.5, 0.0)) == (0.0, 0.5)
+        for alpha in (0.0, 0.3, 1.0):
+            collective, local = _collective_and_local(build_c1(n, 0.5, alpha))
+            if n > 1:
+                assert collective == 0.5 * alpha
+            assert collective + local == 0.5
+
+    def test_one_site_is_all_local(self):
+        assert _collective_and_local(CovarianceMatrix([[0.7]])) == (0.0, 0.7)
+
+    @pytest.mark.parametrize("entries", [
+        build_c2(4, 0.5, 0.5).entries,
+        random_psd_cov(rng(2), 4).entries,
+        np.diag([0.5, 0.5, 0.5, 0.6]),
+    ], ids=["c2", "random", "uneven-diagonal"])
+    def test_other_matrices_refused(self, entries):
+        assert _collective_and_local(CovarianceMatrix(entries)) is None
+
+    def test_one_ulp_off_refused(self):
+        entries = build_c1(4, 0.5, 0.3).entries.copy()
+        entries[1, 2] = entries[2, 1] = np.nextafter(entries[1, 2], 1.0)
+        assert _collective_and_local(CovarianceMatrix(entries)) is None
+
+    def test_negative_local_part_refused(self):
+        # PSD within CovarianceMatrix's tolerance, but b < 0 is no channel
+        cov = CovarianceMatrix(np.ones((3, 3)) - 1e-11 * np.eye(3))
+        assert _collective_and_local(cov) is None

@@ -28,6 +28,7 @@ from dephimetry import (
 )
 import dephimetry.fisher
 from dephimetry.core import _support
+from dephimetry.covariance import _collective_and_local
 from dephimetry.dephasing import derivative_state
 
 from helpers import (
@@ -427,6 +428,81 @@ class TestParitySplit:
         cov = family(n)
         assert frame_calls(dephase(product_plus_state(n), gen, cov), gen)[1] == (n == 1)
         assert frame_calls(dephase(ghz_state(n), gen, cov), gen)[1] == 1
+
+
+# Every noise strength of the block tests.  At the two ends the global rank
+# rule drops whole blocks (2 beta^2 = 1e-6: the blocks below j = n/2 - 1
+# weigh 1e-12 of the top one) or the coherences are tiny (2 beta^2 = 50:
+# c = e^-25).
+BLOCK_NOISE = (1e-6, 0.1, 0.5, 2.0, 50.0)
+BLOCK_FAMILIES = {
+    "identity": lambda n, b2: CovarianceMatrix(b2 * np.eye(n)),
+    **{f"c1-{alpha}": (lambda n, b2, a=alpha: build_c1(n, b2, a))
+       for alpha in (0.0, 0.2, 0.5, 0.9, 1.0)},
+    "c2-0.0": lambda n, b2: build_c2(n, b2, 0.0),
+}
+_DENSE_PLUS = {}
+
+
+def dense_plus_qfi(cov):
+    """qfi(dephase(|+>^n, C)) by the dense path, once per distinct C."""
+    key = cov.entries.tobytes()
+    if key not in _DENSE_PLUS:
+        gen = GeneratorSpec.qubits(cov.n)
+        _DENSE_PLUS[key] = qfi(dephase(product_plus_state(cov.n), gen, cov), gen)
+    return _DENSE_PLUS[key]
+
+
+def block_plus_qfi(cov):
+    split = _collective_and_local(cov)
+    assert split is not None
+    # underflow is allowed: far-off coherences of strong noise are 0 in
+    # the dense state too
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return dephimetry.fisher._product_plus_qfi(cov.n, *split)
+
+
+class TestProductPlusBlocks:
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_dense(self, n, family):
+        # alpha = 1 leaves no local noise: lam- = 0 and only j = n/2 is
+        # built, with no log 0 or 0/0 taken (errstate raises on either)
+        for two_beta2 in BLOCK_NOISE:
+            cov = BLOCK_FAMILIES[family](n, two_beta2)
+            assert math.isclose(block_plus_qfi(cov), dense_plus_qfi(cov), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_identity_oracle(self, n):
+        # n e^{-2 beta^2}; at 2 beta^2 <= 0.1 and n >= 8 the rank rule drops
+        # pairs that carry more than 1e-12 of it (see the next test)
+        for two_beta2 in BLOCK_NOISE if n <= 7 else BLOCK_NOISE[2:]:
+            cov = CovarianceMatrix(two_beta2 * np.eye(n))
+            assert math.isclose(block_plus_qfi(cov), n * math.exp(-two_beta2), rel_tol=1e-12)
+
+    def test_rank_rule_loss_is_the_dense_one(self):
+        # n = 10, 2 beta^2 = 0.1: pairs below 1e-10 lam_max hold 1.8e-10 of
+        # the information; both paths drop the same pairs
+        cov = CovarianceMatrix(0.1 * np.eye(10))
+        oracle = 10 * math.exp(-0.1)
+        block = block_plus_qfi(cov)
+        assert 1e-10 < (oracle - block) / oracle < 3e-10
+        assert math.isclose(block, dense_plus_qfi(cov), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("a, b", [(-0.05, 0.8), (0.37, 0.11), (0.0, 0.0)])
+    def test_hand_built_covariance(self, n, a, b):
+        # anti-correlated (a < 0), arbitrary and zero-noise entries that no
+        # family builds
+        cov = CovarianceMatrix(a * np.ones((n, n)) + b * np.eye(n))
+        collective, local = _collective_and_local(cov)
+        assert collective == a and math.isclose(local, b, abs_tol=1e-16)
+        assert math.isclose(block_plus_qfi(cov), dense_plus_qfi(cov), rel_tol=1e-12)
+
+    def test_no_dense_matrix(self):
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            dephimetry.fisher._product_plus_qfi(10, 0.25, 0.25)
+        assert max(call.args[0].shape[0] for call in eigh.call_args_list) == 11
 
 
 class TestClassicalFi:
