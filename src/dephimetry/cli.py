@@ -31,10 +31,12 @@ from .core import GeneratorSpec, encode_phase, ghz_state, product_plus_state
 from .covariance import (
     CovarianceMatrix,
     _collective_and_local,
+    _check_family_args,
     build_c1,
     build_c2,
     delta2_c1_closed,
     delta2_c2_closed,
+    mass_c2_closed,
 )
 from .dephasing import dephase
 from .errors import BoundViolationError, NumericalConsistencyError
@@ -49,18 +51,16 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_NUMERICAL = 3
 
-# Named probe states: the dense state, its exact noiseless information, and
-# its dephased information from blocks, f(n, a, b) under C = a 11^T + b I,
-# or None when the probe has no such path.
+# Named probe states: the dense state and its exact noiseless information.
 PROBES = {
-    "ghz": (ghz_state, lambda n: float(n) ** 2, None),
-    "product-plus": (product_plus_state, float, _product_plus_qfi),
+    "ghz": (ghz_state, lambda n: float(n) ** 2),
+    "product-plus": (product_plus_state, float),
 }
 STATES = tuple(PROBES)
 FAMILIES = ("c1", "c2", "identity")
 
 # Dense 2^n x 2^n states are only built up to this many qubit sites; past it
-# `bound` and `sweep` fall back to exact closed forms where known.
+# `bound` and `sweep` report f_rho_bar only where a closed form is known.
 NUMERIC_SITE_LIMIT = 10
 
 # `simulate` keeps about 8 (n + 5) bytes per shot in its results (the n
@@ -69,8 +69,6 @@ NUMERIC_SITE_LIMIT = 10
 SIMULATE_RESULT_BYTES = 1 << 30
 # Rows of a --per-shot file formatted and written at a time.
 PER_SHOT_BLOCK = 8192
-# Lags of the c2 covariance mass summed at a time (0.5 MiB per temporary).
-MASS_CHUNK = 1 << 16
 # `figure` grid sizes: at most this many points per axis, so the comparison
 # panel has at most FIGURE_POINTS^2 rows.
 FIGURE_POINTS = 500
@@ -118,8 +116,8 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
 
 def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
     """The CLI's gate on family arguments, run before any work.  Zero noise
-    is the noiseless point of every family; c1 and c2 then also pass
-    covariance._check_family_args when their matrix or closed form is built."""
+    is every family's zero covariance, for any alpha, in every command; at
+    positive noise c1 and c2 also pass covariance._check_family_args."""
     if not 1 <= n <= N_MAX:
         raise ValueError(f"n must be between 1 and {N_MAX}")
     if not 0.0 <= two_beta2 < math.inf:
@@ -144,6 +142,8 @@ def _family_delta2(family: str, n: int, alpha: float, two_beta2: float) -> float
 
 def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> CovarianceMatrix:
     _check_noise_args(n, alpha, two_beta2)
+    if two_beta2 == 0:
+        return CovarianceMatrix(np.zeros((n, n)))
     if family == "identity":
         return CovarianceMatrix(two_beta2 * np.eye(n))
     if family == "c1":
@@ -154,22 +154,14 @@ def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> Covar
 
 
 def _family_mass(family: str, n: int, alpha: float, two_beta2: float) -> float:
-    """Sum of all covariance entries, 1^T C 1."""
+    """Sum of all covariance entries, 1^T C 1, behind the builders' checks."""
     if family == "identity":
         return two_beta2 * n
     if family == "c1":
+        _check_family_args(n, two_beta2, alpha)
         return two_beta2 * (n + n * (n - 1) * alpha)
     if family == "c2":
-        # sum_k (n - k) alpha^k, MASS_CHUNK lags at a time: one numpy sum (so
-        # the same bits) up to MASS_CHUNK + 1 sites, and no further once
-        # alpha^k underflows to zero.
-        lagged = 0.0
-        for lo in range(1, n, MASS_CHUNK):
-            if alpha**lo == 0.0:
-                break
-            lags = np.arange(lo, min(lo + MASS_CHUNK, n))
-            lagged += float(((n - lags) * alpha**lags).sum())
-        return two_beta2 * (n + 2.0 * lagged)
+        return mass_c2_closed(n, two_beta2, alpha)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -178,94 +170,78 @@ def _shot_limit(n: int) -> int:
     return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
 
 
-def _dense_setup(
-    state: str, n: int, family: Optional[str] = None, alpha: float = 0.0, two_beta2: float = 0.0
-):
-    """(generator, dense probe, covariance or None when no family is named);
-    the CLI's one refusal of sizes past NUMERIC_SITE_LIMIT."""
+def _check_dense_size(n: int) -> None:
+    """The CLI's one refusal of sizes past NUMERIC_SITE_LIMIT."""
     if n > NUMERIC_SITE_LIMIT:
         raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
-    cov = None if family is None else _family_matrix(family, n, alpha, two_beta2)
+
+
+def _dense_setup(state: str, n: int, family: str, alpha: float, two_beta2: float):
+    """(generator, dense probe, covariance) within the dense size limit."""
+    _check_dense_size(n)
+    cov = _family_matrix(family, n, alpha, two_beta2)
     return GeneratorSpec.qubits(n), PROBES[state][0](n), cov
 
 
-def _dephased_qfi(state: str, n: int, cov: CovarianceMatrix) -> float:
-    """F of the named probe dephased by cov: from the probe's blocks when it
-    has them and cov = a 11^T + b I, else from the dense eigenproblem."""
-    blocks = PROBES[state][2]
-    split = None if blocks is None else _collective_and_local(cov)
-    if split is not None:
-        return blocks(n, *split)
-    gen, rho, _ = _dense_setup(state, n)
-    rho = dephase(rho, gen, cov)  # the probe is freed before qfi's peak
+def _dephased_qfi(state: str, family: str, n: int, alpha: float, two_beta2: float):
+    """f_rho_bar of a named probe under a family, the one place that picks its
+    route: f_rho at zero noise, N^2 e^{-1^T C 1} for GHZ, None past the dense
+    sizes, Schur-Weyl blocks under C = a 11^T + b I, else the dense path."""
+    _check_noise_args(n, alpha, two_beta2)
+    f_rho = PROBES[state][1](n)
+    if two_beta2 == 0:
+        return f_rho
+    if state == "ghz":
+        return f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
+    if n > NUMERIC_SITE_LIMIT:
+        return None
+    cov = _family_matrix(family, n, alpha, two_beta2)
+    split = _collective_and_local(cov)
+    if split is not None:  # product-plus, since GHZ has returned
+        return _product_plus_qfi(n, *split)
+    gen = GeneratorSpec.qubits(n)
+    rho = dephase(PROBES[state][0](n), gen, cov)  # the probe is freed before qfi's peak
     return qfi(rho, gen)
 
 
 def grid_report(
-    state: str,
-    family: str,
-    n: int,
-    alpha: float,
-    two_beta2: float,
-    *,
-    dephased_qfi: Optional[dict] = None,
+    state: str, family: str, n: int, alpha: float, two_beta2: float
 ) -> bounds.BoundReport:
-    """Assemble one BoundReport for a named probe and covariance family.
-
-    `dephased_qfi` maps (state, n, covariance entry bytes) to the dephased
-    QFI; a caller that passes one dict to several reports computes each
-    distinct dephased state once."""
+    """Assemble one BoundReport for a named probe and covariance family."""
     d2 = _family_delta2(family, n, alpha, two_beta2)
     reference_g = bounds.reference_bound_g(n, two_beta2)
-    f_rho = PROBES[state][1](n)
-    f_rho_bar = None
-    if two_beta2 == 0:
-        f_rho_bar = f_rho
-    elif n <= NUMERIC_SITE_LIMIT:
-        cov = _family_matrix(family, n, alpha, two_beta2)
-        known = {} if dephased_qfi is None else dephased_qfi
-        key = (state, n, cov.entries.tobytes())
-        if key not in known:
-            known[key] = _dephased_qfi(state, n, cov)
-        f_rho_bar = known[key]
-    elif state == "ghz":
-        f_rho_bar = f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
     return bounds.bound_report(
-        d2, f_rho, family=family, n=n, alpha=alpha, two_beta2=two_beta2, f_rho_bar=f_rho_bar,
+        d2, PROBES[state][1](n), family=family, n=n, alpha=alpha, two_beta2=two_beta2,
+        f_rho_bar=_dephased_qfi(state, family, n, alpha, two_beta2),
         reference_g_value=reference_g,
     )
 
 
-def _emit_reports(reports: list[bounds.BoundReport], fmt: str, out: Optional[str]) -> None:
-    """CSV rows for any number of reports; JSON for the one report of `bound`."""
-    if fmt == "csv":
-        _write_text(_csv_text([bounds.CSV_FIELDS, *(r.to_dict().values() for r in reports)]), out)
-    else:
-        (report,) = reports
-        _write_text(_json_text(report.to_dict()), out)
+def _emit_record(record: dict, fmt: str, out: Optional[str]) -> None:
+    """One record as JSON, or as a CSV header and row."""
+    text = _csv_text([record.keys(), record.values()]) if fmt == "csv" else _json_text(record)
+    _write_text(text, out)
 
 
 def cmd_bound(args) -> int:
     report = grid_report(args.state, args.family, args.n, args.alpha, args.two_beta2)
-    _emit_reports([report], args.format, args.out)
+    _emit_record(report.to_dict(), args.format, args.out)
     return EXIT_OK
 
 
 def cmd_qfi(args) -> int:
-    gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
-    payload = {"state": args.state, "n": args.n, "f_rho": qfi(rho, gen)}
-    del rho  # _dephased_qfi builds its own probe when it takes the dense path
-    if cov is not None:
+    _check_dense_size(args.n)
+    payload = {"state": args.state, "n": args.n, "f_rho": PROBES[args.state][1](args.n)}
+    if args.family is not None:
         payload.update(
             family=args.family,
             alpha=args.alpha,
             two_beta2=args.two_beta2,
-            f_rho_bar=_dephased_qfi(args.state, args.n, cov),
+            f_rho_bar=_dephased_qfi(args.state, args.family, args.n, args.alpha, args.two_beta2),
         )
-    if args.format == "csv":
-        _write_text(_csv_text([payload.keys(), payload.values()]), args.out)
-    else:
-        _write_text(_json_text(payload), args.out)
+    elif args.n < 1:
+        raise ValueError("need at least one qubit")  # the probe builders' refusal
+    _emit_record(payload, args.format, args.out)
     return EXIT_OK
 
 
@@ -412,9 +388,8 @@ def cmd_sweep(args) -> int:
     for _, family, n, alpha, two_beta2 in points:
         _family_delta2(family, n, alpha, two_beta2)
         bounds.reference_bound_g(n, two_beta2)
-    dephased_qfi: dict = {}
-    reports = [grid_report(*pt, dephased_qfi=dephased_qfi) for pt in points]
-    _emit_reports(reports, "csv", args.out)
+    rows = (grid_report(*pt).to_dict().values() for pt in points)
+    _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), args.out)
     return EXIT_OK
 
 

