@@ -230,7 +230,7 @@ def averaged_probabilities(cfg: ExperimentConfig, phi: float) -> np.ndarray:
     return cfg.povm.probabilities(state)
 
 
-def bayes_estimators(cfg: ExperimentConfig, prob_floor: float = PROB_FLOOR) -> EstimatorTable:
+def bayes_estimators(cfg: ExperimentConfig) -> EstimatorTable:
     """Posterior-mean site estimators via the commutator-trace reduction."""
     # Per column v: p = v^dagger rho_bar v and, for each site,
     # v^dagger (-i [S_j, rho_bar]) v = 2 Im(v^dagger S_j rho_bar v).
@@ -241,7 +241,7 @@ def bayes_estimators(cfg: ExperimentConfig, prob_floor: float = PROB_FLOOR) -> E
     v = sub.vectors
     terms = v.conj() * (entries[_grid(live)] @ v)
     probs = cfg.povm.spread(sub.collect(terms.sum(axis=0).real), reached)
-    included = probs > prob_floor
+    included = probs > PROB_FLOOR
     if not included.any():
         raise DegenerateMeasurementError("every outcome fell below the probability floor")
     site_traces = 2.0 * (cfg.gen.site_energy_table[:, live] @ terms).imag

@@ -30,8 +30,6 @@ from .bayes import ExperimentConfig, simulate
 from .core import GeneratorSpec, encode_phase, ghz_state, product_plus_state
 from .covariance import (
     CovarianceMatrix,
-    _collective_and_local,
-    _check_family_args,
     build_c1,
     build_c2,
     delta2_c1_closed,
@@ -60,7 +58,7 @@ STATES = tuple(PROBES)
 FAMILIES = ("c1", "c2", "identity")
 
 # Dense 2^n x 2^n states are only built up to this many qubit sites; past it
-# `bound` and `sweep` report f_rho_bar only where a closed form is known.
+# `bound`, `sweep` and `qfi` report f_rho_bar only where a closed form is known.
 NUMERIC_SITE_LIMIT = 10
 
 # `simulate` keeps about 8 (n + 5) bytes per shot in its results (the n
@@ -72,8 +70,8 @@ PER_SHOT_BLOCK = 8192
 # `figure` grid sizes: at most this many points per axis, so the comparison
 # panel has at most FIGURE_POINTS^2 rows.
 FIGURE_POINTS = 500
-# Most sites any command accepts: `bound` and `sweep` refuse n past it (the
-# closed forms square n as a float), and `figure --n-max` stays inside it
+# Most sites any command accepts: `bound`, `sweep` and `qfi` refuse n past it
+# (the closed forms square n as a float), and `figure --n-max` stays inside it
 # (its grid is cast to int64).
 N_MAX = 10**18
 
@@ -126,22 +124,32 @@ def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
         raise ValueError("alpha must be finite")
 
 
-def _family_delta2(family: str, n: int, alpha: float, two_beta2: float) -> float:
-    """Closed-form delta2_c of a family behind the noise gate; 0 at zero noise."""
+def _family_point(family: str, n: int, alpha: float, two_beta2: float):
+    """(delta2_c, 1^T C 1, split) of a family point behind the noise gate,
+    from closed forms.  split is (a, b) with C = a 11^T + b I, declared from
+    the arguments: (0, 2 beta^2) for identity noise or one site;
+    (2 beta^2 alpha, 2 beta^2 - 2 beta^2 alpha) for every c1, and for c2 at
+    alpha in {0, 1} or n = 2; None for any other c2.  Zero noise is the
+    zero covariance of every family."""
     _check_noise_args(n, alpha, two_beta2)
     if two_beta2 == 0:
-        return 0.0
+        return 0.0, 0.0, (0.0, 0.0)
     if family == "identity":
-        return two_beta2 / n
+        return two_beta2 / n, two_beta2 * n, (0.0, two_beta2)
+    collective = two_beta2 * alpha
+    split = (collective, two_beta2 - collective) if n > 1 else (0.0, two_beta2)
     if family == "c1":
-        return delta2_c1_closed(n, two_beta2, alpha)
+        delta2 = delta2_c1_closed(n, two_beta2, alpha)
+        return delta2, two_beta2 * (n + n * (n - 1) * alpha), split
     if family == "c2":
-        return delta2_c2_closed(n, two_beta2, alpha)
+        delta2 = delta2_c2_closed(n, two_beta2, alpha)
+        blocks = alpha in (0.0, 1.0) or n <= 2
+        return delta2, mass_c2_closed(n, two_beta2, alpha), split if blocks else None
     raise ValueError(f"unknown family {family!r}")
 
 
 def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> CovarianceMatrix:
-    _check_noise_args(n, alpha, two_beta2)
+    """The dense n x n covariance of a point that has passed the noise gate."""
     if two_beta2 == 0:
         return CovarianceMatrix(np.zeros((n, n)))
     if family == "identity":
@@ -153,53 +161,39 @@ def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> Covar
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_mass(family: str, n: int, alpha: float, two_beta2: float) -> float:
-    """Sum of all covariance entries, 1^T C 1, behind the builders' checks."""
-    if family == "identity":
-        return two_beta2 * n
-    if family == "c1":
-        _check_family_args(n, two_beta2, alpha)
-        return two_beta2 * (n + n * (n - 1) * alpha)
-    if family == "c2":
-        return mass_c2_closed(n, two_beta2, alpha)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _shot_limit(n: int) -> int:
     """Most shots whose results fit SIMULATE_RESULT_BYTES at n sites."""
     return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
 
 
-def _check_dense_size(n: int) -> None:
-    """The CLI's one refusal of sizes past NUMERIC_SITE_LIMIT."""
+def _dense_setup(state: str, n: int, family: str, alpha: float, two_beta2: float):
+    """(generator, dense probe, covariance) behind the CLI's one refusal of
+    sizes past NUMERIC_SITE_LIMIT and the noise gate."""
     if n > NUMERIC_SITE_LIMIT:
         raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
-
-
-def _dense_setup(state: str, n: int, family: str, alpha: float, two_beta2: float):
-    """(generator, dense probe, covariance) within the dense size limit."""
-    _check_dense_size(n)
+    _check_noise_args(n, alpha, two_beta2)
     cov = _family_matrix(family, n, alpha, two_beta2)
     return GeneratorSpec.qubits(n), PROBES[state][0](n), cov
 
 
-def _dephased_qfi(state: str, family: str, n: int, alpha: float, two_beta2: float):
-    """f_rho_bar of a named probe under a family, the one place that picks its
-    route: f_rho at zero noise, N^2 e^{-1^T C 1} for GHZ, None past the dense
-    sizes, Schur-Weyl blocks under C = a 11^T + b I, else the dense path."""
-    _check_noise_args(n, alpha, two_beta2)
+def _dephased_qfi(
+    state: str, family: str, n: int, alpha: float, two_beta2: float, mass: float, split
+):
+    """f_rho_bar of a named probe at a gated family point with mass 1^T C 1
+    and split (a, b) or None, the one place that picks its route: f_rho at
+    zero noise, N^2 e^{-1^T C 1} for GHZ, None past the dense sizes,
+    Schur-Weyl blocks under C = a 11^T + b I, else the dense path."""
     f_rho = PROBES[state][1](n)
     if two_beta2 == 0:
         return f_rho
     if state == "ghz":
-        return f_rho * math.exp(-_family_mass(family, n, alpha, two_beta2))
+        return f_rho * math.exp(-mass)
     if n > NUMERIC_SITE_LIMIT:
         return None
-    cov = _family_matrix(family, n, alpha, two_beta2)
-    split = _collective_and_local(cov)
     if split is not None:  # product-plus, since GHZ has returned
         return _product_plus_qfi(n, *split)
     gen = GeneratorSpec.qubits(n)
+    cov = _family_matrix(family, n, alpha, two_beta2)
     rho = dephase(PROBES[state][0](n), gen, cov)  # the probe is freed before qfi's peak
     return qfi(rho, gen)
 
@@ -208,11 +202,11 @@ def grid_report(
     state: str, family: str, n: int, alpha: float, two_beta2: float
 ) -> bounds.BoundReport:
     """Assemble one BoundReport for a named probe and covariance family."""
-    d2 = _family_delta2(family, n, alpha, two_beta2)
+    d2, mass, split = _family_point(family, n, alpha, two_beta2)
     reference_g = bounds.reference_bound_g(n, two_beta2)
     return bounds.bound_report(
         d2, PROBES[state][1](n), family=family, n=n, alpha=alpha, two_beta2=two_beta2,
-        f_rho_bar=_dephased_qfi(state, family, n, alpha, two_beta2),
+        f_rho_bar=_dephased_qfi(state, family, n, alpha, two_beta2, mass, split),
         reference_g_value=reference_g,
     )
 
@@ -230,17 +224,17 @@ def cmd_bound(args) -> int:
 
 
 def cmd_qfi(args) -> int:
-    _check_dense_size(args.n)
+    # Without --family the noise flags go unused: only n meets the gate.
+    noise = (args.alpha, args.two_beta2) if args.family else (0.0, 0.0)
+    _, mass, split = _family_point(args.family or "identity", args.n, *noise)
     payload = {"state": args.state, "n": args.n, "f_rho": PROBES[args.state][1](args.n)}
     if args.family is not None:
         payload.update(
             family=args.family,
             alpha=args.alpha,
             two_beta2=args.two_beta2,
-            f_rho_bar=_dephased_qfi(args.state, args.family, args.n, args.alpha, args.two_beta2),
+            f_rho_bar=_dephased_qfi(args.state, args.family, args.n, *noise, mass, split),
         )
-    elif args.n < 1:
-        raise ValueError("need at least one qubit")  # the probe builders' refusal
     _emit_record(payload, args.format, args.out)
     return EXIT_OK
 
@@ -386,7 +380,7 @@ def cmd_sweep(args) -> int:
     points = list(itertools.product(*(grids[key] for key in _SWEEP_KEYS)))
     # grid_report's own closed-form checks, on every point before any row
     for _, family, n, alpha, two_beta2 in points:
-        _family_delta2(family, n, alpha, two_beta2)
+        _family_point(family, n, alpha, two_beta2)
         bounds.reference_bound_g(n, two_beta2)
     rows = (grid_report(*pt).to_dict().values() for pt in points)
     _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), args.out)
@@ -425,7 +419,7 @@ def cmd_figure(args) -> int:
     if args.panel == "scaling":
         rows = [("n", "independent", "collective", "c1", "c2")]
         for n in ns:
-            curves = [_family_delta2(f, n, alpha, args.two_beta2) for f, alpha in SCALING_CURVES]
+            curves = [_family_point(f, n, a, args.two_beta2)[0] for f, a in SCALING_CURVES]
             rows.append((n, *(bounds.error_bound(d2, float(n) ** 2) for d2 in curves)))
         _write_text(_csv_text(rows), outdir / "scaling-panel.csv")
         return EXIT_OK

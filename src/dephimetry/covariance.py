@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -114,22 +113,6 @@ def _check_family_args(n: int, two_beta2: float, alpha: float) -> None:
         raise ValueError("alpha must lie in [0, 1]")
 
 
-def _collective_and_local(cov: CovarianceMatrix) -> Optional[tuple[float, float]]:
-    """(a, b) with C = a 11^T + b I entry for entry and b >= 0, or None.
-
-    Every test is exact equality, so identity noise, every c1, and c2 at
-    alpha = 0 or n <= 2 qualify, and no other family matrix does.  A one-site
-    C is taken as all local, (0, C_00)."""
-    entries = cov.entries
-    diagonal = float(entries[0, 0])
-    collective = float(entries[0, 1]) if cov.n > 1 else 0.0
-    off = ~np.eye(cov.n, dtype=bool)
-    if not ((np.diag(entries) == diagonal).all() and (entries[off] == collective).all()):
-        return None
-    local = diagonal - collective
-    return (collective, local) if local >= 0.0 else None
-
-
 def _inverse_times_ones(cov: CovarianceMatrix) -> np.ndarray:
     # SPD Cholesky solve; singularity is gated on the eigenvalue ratio first.
     chol = np.linalg.cholesky(cov.entries)
@@ -178,11 +161,10 @@ def delta2_c2_closed(n: int, two_beta2: float, alpha: float) -> float:
     This is the exact reduction of (1^T C^{-1} 1)^{-1} via the tridiagonal
     inverse of the correlation matrix; it matches direct numerical
     inversion to rounding for all n and alpha < 1, and keeps the large-n
-    asymptote 2 beta^2 (1 + alpha) / ((1 - alpha) n).
+    asymptote 2 beta^2 (1 + alpha) / ((1 - alpha) n).  At alpha = 1 it is
+    exactly 2 beta^2, the collective matrix's limit value.
     """
     _check_family_args(n, two_beta2, alpha)
-    if not alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1) for the closed form")
     return two_beta2 * (1.0 + alpha) / (n * (1.0 - alpha) + 2.0 * alpha)
 
 

@@ -51,8 +51,8 @@ that touch the support only (Povm.restrict).
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
-which is identity noise, every c1 and c2 at alpha = 0
-(covariance._collective_and_local).  The channel factor of entry (x, y)
+which is identity noise, every c1, and c2 at alpha in {0, 1} or n <= 2
+(the split cli._family_point declares).  The channel factor of entry (x, y)
 is exp(-a (m_x - m_y)^2 / 2) c^{d(x, y)}, with m the J_z levels, d the
 Hamming distance and c = e^{-b/2}.  The local part maps |+>^n to
 rho_1^{(x)n}, rho_1 = [[1, c], [c, 1]] / 2, and by Schur-Weyl duality

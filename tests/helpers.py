@@ -16,6 +16,7 @@ from dephimetry import (
     encode_phase,
     ghz_state,
     product_plus_state,
+    qfi,
     weights,
 )
 from dephimetry.dephasing import chunk_rngs, covariance_sqrt, derivative_state
@@ -137,6 +138,32 @@ def delta2_brute(cov: CovarianceMatrix) -> float:
     """1 / (1^T C^{-1} 1) via plain inv; oracle for the solver route."""
     n = cov.entries.shape[0]
     return 1.0 / float(np.ones(n) @ np.linalg.inv(cov.entries) @ np.ones(n))
+
+
+def collective_and_local(cov: CovarianceMatrix):
+    """(a, b) with C = a 11^T + b I entry for entry and b >= 0, or None;
+    read back from the dense matrix by exact equality, the oracle for the
+    split the CLI declares.  A one-site C is taken as all local, (0, C_00)."""
+    entries = cov.entries
+    diagonal = float(entries[0, 0])
+    collective = float(entries[0, 1]) if cov.n > 1 else 0.0
+    off = ~np.eye(cov.n, dtype=bool)
+    if not ((np.diag(entries) == diagonal).all() and (entries[off] == collective).all()):
+        return None
+    local = diagonal - collective
+    return (collective, local) if local >= 0.0 else None
+
+
+_DENSE_PLUS = {}
+
+
+def dense_plus_qfi(cov: CovarianceMatrix) -> float:
+    """qfi(dephase(|+>^n, C)) by the dense path, once per distinct C."""
+    key = (cov.entries + 0.0).tobytes()  # -0.0 and 0.0 entries are one C
+    if key not in _DENSE_PLUS:
+        gen = GeneratorSpec.qubits(cov.n)
+        _DENSE_PLUS[key] = qfi(dephase(product_plus_state(cov.n), gen, cov), gen)
+    return _DENSE_PLUS[key]
 
 
 def dense_effects(povm: Povm) -> list[np.ndarray]:

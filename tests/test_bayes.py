@@ -270,10 +270,11 @@ class TestBayesEstimators:
             table.site_estimates, 0.2 + (cov.entries @ ratios).T, rtol=0, atol=1e-11
         )
 
-    def test_all_dead_raises(self):
+    def test_all_dead_raises(self, monkeypatch):
         cfg = make_cfg(3)
+        monkeypatch.setattr(dephimetry.bayes, "PROB_FLOOR", 2.0)
         with pytest.raises(DegenerateMeasurementError):
-            bayes_estimators(cfg, prob_floor=2.0)
+            bayes_estimators(cfg)
 
     def test_collective_reduction_to_single_site(self):
         # two qubits under fully correlated noise behave as one four-level

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +142,8 @@ class TestAsymptotics:
             asymptotics("identity", 0.5, 0.5, [10, 100])
         with pytest.raises(ValueError, match="two grid points"):
             asymptotics("c1", 0.5, 0.5, [10])
+        with pytest.raises(ValueError, match="alpha"):
+            asymptotics("c2", 1.0, 0.5, [10, 100])
 
 
 class TestBoundReport:
@@ -212,6 +215,26 @@ class TestCheckViolation:
         with pytest.raises(BoundViolationError) as err:
             check_violation(report)
         assert err.value.report is report
+
+    @staticmethod
+    def report_at(main_bound, f_rho_bar):
+        return BoundReport(
+            family="custom", n=2, alpha=None, two_beta2=None, delta2_c=0.0,
+            f_rho=main_bound, f_rho_bar=f_rho_bar, main_bound_value=main_bound,
+            error_bound_value=1.0 / main_bound, reference_g_value=None,
+        )
+
+    @pytest.mark.parametrize("main_bound, excess", [(1e18, 2e-8 * 1e18), (0.5, 2e-8)])
+    def test_margin_scales_past_one(self, main_bound, excess):
+        # absolute 1e-8 up to a bound of 1, relative past it
+        with pytest.raises(BoundViolationError):
+            check_violation(self.report_at(main_bound, main_bound + excess))
+
+    @pytest.mark.parametrize("main_bound", [1.9e8, 1e18, 1e24])
+    def test_rounding_past_one_ulp_passes(self, main_bound):
+        # 1e-8 absolute is under one ulp past about 6.7e7
+        report = self.report_at(main_bound, main_bound * (1 + 4 * sys.float_info.epsilon))
+        assert check_violation(report) is report
 
     def test_none_information_skipped(self):
         report = BoundReport(

@@ -23,6 +23,9 @@ from dephimetry import (
 from dephimetry.bounds import _fmt
 from dephimetry.dephasing import CHUNK_SHOTS
 from dephimetry.errors import NumericalConsistencyError
+from dephimetry.fisher import _product_plus_qfi
+
+from helpers import collective_and_local, dense_plus_qfi
 
 
 def run(args):
@@ -62,8 +65,8 @@ class TestExitCodes:
         assert run(["bound"]) == 1
 
     def test_domain_error_is_usage(self, capsys):
-        # closed form rejects alpha = 1 for the exponential-decay family
-        assert run(["bound", "--n", "3", "--family", "c2", "--alpha", "1.0"]) == 1
+        # the exponential-decay family takes alpha in [0, 1] only
+        assert run(["bound", "--n", "3", "--family", "c2", "--alpha", "1.5"]) == 1
         assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, named", [
@@ -227,6 +230,31 @@ class TestBound:
             250_000 * math.exp(-250.0), rel=1e-9
         )
 
+    @pytest.mark.parametrize("args", [
+        ["--n", "13805", "--two-beta2", "0"],
+        ["--n", "13805", "--two-beta2", "1e-30"],
+        ["--n", str(10**9), "--two-beta2", "0"],
+        ["--n", str(10**12), "--two-beta2", "0"],
+        ["--state", "product-plus", "--n", str(10**9), "--two-beta2", "0"],
+    ], ids=["ghz-13805", "ghz-13805-1e-30", "ghz-1e9", "ghz-1e12", "plus-1e9"])
+    def test_large_noiseless_rows_are_no_violation(self, args, capsys):
+        # f_rho_bar = f_rho sits within rounding of a bound past 6.7e7,
+        # where one ulp exceeds an absolute 1e-8
+        assert run(["bound", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isclose(payload["f_rho_bar"], payload["main_bound"], rel_tol=1e-15)
+
+    @pytest.mark.parametrize("state", ["ghz", "product-plus"])
+    @pytest.mark.parametrize("n", [1, 3, 10, 10**6])
+    def test_c2_alpha_one_is_the_collective_row(self, state, n, capsys):
+        rows = []
+        for family in ("c2", "c1"):
+            assert run(["bound", "--state", state, "--n", str(n), "--family", family,
+                        "--alpha", "1"]) == 0
+            rows.append(json.loads(capsys.readouterr().out))
+        assert rows[0].pop("family") == "c2" and rows[1].pop("family") == "c1"
+        assert rows[0] == rows[1]
+
     def test_product_plus_large_n_leaves_fbar_empty(self, capsys):
         assert run(["bound", "--state", "product-plus", "--n", "64",
                     "--family", "identity", "--alpha", "0"]) == 0
@@ -287,13 +315,75 @@ class TestDephasedQfiRoute:
             for two_beta2 in (1e-6, 0.1, 0.5, 2.0, 10.0):
                 cov = cli._family_matrix(family, n, alpha, two_beta2)
                 dense = cli.qfi(dephase(ghz_state(n), gen, cov), gen)
-                closed = cli._dephased_qfi("ghz", family, n, alpha, two_beta2)
+                closed = cli.grid_report("ghz", family, n, alpha, two_beta2).f_rho_bar
                 assert math.isclose(closed, dense, rel_tol=1e-12, abs_tol=sys.float_info.min), (
                     n, two_beta2)
 
 
+FAMILY_ALPHAS = [0.0, -0.0, 0.2, 0.5, 0.9, 1.0]
+FAMILY_NOISE = [1e-6, 0.1, 0.5, 2.0, 50.0]
+
+
+class TestFamilyPoint:
+    """The split (a, b) of C = a 11^T + b I is declared from the arguments;
+    the oracle reads it back from the dense matrix by exact equality."""
+
+    @pytest.mark.parametrize("alpha", FAMILY_ALPHAS)
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("family", ["identity", "c1", "c2"])
+    def test_split_is_the_dense_one(self, family, n, alpha):
+        for two_beta2 in FAMILY_NOISE:
+            split = cli._family_point(family, n, alpha, two_beta2)[2]
+            cov = cli._family_matrix(family, n, alpha, two_beta2)
+            assert split == collective_and_local(cov), two_beta2
+            if split is not None:
+                f_bar = cli.grid_report("product-plus", family, n, alpha, two_beta2).f_rho_bar
+                assert math.isclose(f_bar, dense_plus_qfi(cov), rel_tol=1e-12), two_beta2
+
+    @pytest.mark.parametrize("n, alpha, two_beta2", [
+        *((3, 1 - 2**-53, b2) for b2 in (1e-30, 1e-6, 0.3)),
+        *((n, 1e-300, 1e-30) for n in range(3, 11)),
+    ])
+    def test_rounding_coincidences_take_the_dense_route(self, n, alpha, two_beta2, monkeypatch):
+        # the c2 lags round to one value, so the matrix reads as a 11^T + b I;
+        # the declared split is None and the dense path agrees with the blocks
+        oracle = collective_and_local(cli._family_matrix("c2", n, alpha, two_beta2))
+        assert oracle is not None
+        assert cli._family_point("c2", n, alpha, two_beta2)[2] is None
+        calls = []
+        original = cli.qfi
+        monkeypatch.setattr(cli, "qfi", lambda rho, gen: calls.append(1) or original(rho, gen))
+        f_bar = cli.grid_report("product-plus", "c2", n, alpha, two_beta2).f_rho_bar
+        assert calls == [1]
+        assert math.isclose(f_bar, _product_plus_qfi(n, *oracle), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        ["--state", "product-plus", "--family", "c1", "--alpha", "0.5"],
+        ["--state", "product-plus", "--family", "identity"],
+        ["--state", "product-plus", "--family", "c2", "--alpha", "0"],
+        ["--state", "product-plus", "--family", "c2", "--alpha", "1"],
+        ["--state", "product-plus", "--family", "c2", "--alpha", "0.5", "--two-beta2", "0"],
+        ["--family", "c2", "--alpha", "0.5"],
+    ], ids=["plus-c1", "plus-identity", "plus-c2-0", "plus-c2-1", "plus-zero-noise", "ghz-c2"])
+    def test_no_matrix(self, args, monkeypatch, capsys):
+        # the GHZ, zero-noise and block routes build no n x n covariance
+        def refuse(*a, **k):
+            raise AssertionError("a dense covariance was built")
+
+        for name in ("build_c1", "build_c2", "CovarianceMatrix"):
+            monkeypatch.setattr(cli, name, refuse)
+        for command in ("bound", "qfi"):
+            assert run([command, "--n", "10", *args]) == 0
+            assert json.loads(capsys.readouterr().out)["f_rho_bar"] > 0
+
+
 MASS_NS = [1, 2, 11, 4097, 65537, 65538, 10**6]
 MASS_ALPHAS = [0.0, 0.5, 0.999, 0.999999]
+
+
+def family_mass(family, n, alpha, two_beta2):
+    """1^T C 1 as the CLI's one family point gives it."""
+    return cli._family_point(family, n, alpha, two_beta2)[1]
 
 
 def c2_mass_decimal(n, two_beta2, alpha):
@@ -314,12 +404,12 @@ class TestFamilyMass:
     def test_c2_matches_the_one_numpy_sum(self, n, alpha):
         lags = np.arange(1, n)
         whole = 0.5 * (n + 2.0 * float(((n - lags) * alpha**lags).sum()))
-        assert math.isclose(cli._family_mass("c2", n, alpha, 0.5), whole, rel_tol=1e-14)
+        assert math.isclose(family_mass("c2", n, alpha, 0.5), whole, rel_tol=1e-14)
 
     @pytest.mark.parametrize("alpha", MASS_ALPHAS + [1 - 1e-12, 1 - 2**-53, 1.0])
     @pytest.mark.parametrize("n", MASS_NS + [10**12, 10**18])
     def test_c2_matches_decimal(self, n, alpha):
-        mass = cli._family_mass("c2", n, alpha, 0.5)
+        mass = family_mass("c2", n, alpha, 0.5)
         assert math.isclose(mass, c2_mass_decimal(n, 0.5, alpha), rel_tol=1e-14)
 
     @pytest.mark.parametrize("two_beta2", [1e-20, 1e-27])
@@ -336,7 +426,7 @@ class TestFamilyMass:
         n, alpha = 10**8, 0.9999
         tracemalloc.start()
         try:
-            mass = cli._family_mass("c2", n, alpha, 0.5)
+            mass = family_mass("c2", n, alpha, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -352,8 +442,31 @@ class TestQfi:
         assert payload == {"state": "ghz", "n": 3, "f_rho": 9.0}
 
     def test_plain_zero_sites_refused(self, capsys):
-        assert run(["qfi", "--n", "0"]) == 1
-        assert capsys.readouterr().err == "error: need at least one qubit\n"
+        # plain qfi meets the noise gate's size check, as bound does
+        for n in (0, 10**19):
+            assert run(["qfi", "--n", str(n)]) == 1
+            assert capsys.readouterr().err == f"error: n must be between 1 and {cli.N_MAX}\n"
+
+    @pytest.mark.parametrize("state", ["ghz", "product-plus"])
+    def test_past_the_dense_sizes(self, state, capsys):
+        # no dense state is built: GHZ answers in closed form, product-plus
+        # leaves f_rho_bar empty as bound does
+        args = ["--state", state, "--n", "11", "--family", "c1", "--alpha", "0.5"]
+        assert run(["qfi", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(["bound", *args]) == 0
+        assert payload["f_rho_bar"] == json.loads(capsys.readouterr().out)["f_rho_bar"]
+        assert (payload["f_rho_bar"] is None) == (state == "product-plus")
+        assert run(["qfi", "--state", state, "--n", str(10**18)]) == 0
+        assert json.loads(capsys.readouterr().out)["f_rho"] == cli.PROBES[state][1](10**18)
+
+    def test_ghz_million_sites_matches_bound(self, capsys):
+        args = ["--n", str(10**6), "--family", "c2", "--alpha", "0.999", "--two-beta2", "1e-9"]
+        assert run(["qfi", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(["bound", *args]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert payload["f_rho_bar"] == row["f_rho_bar"] and 0.0 < row["f_rho_bar"] < 1e12
 
     @pytest.mark.parametrize("state", ["ghz", "product-plus"])
     @pytest.mark.parametrize("family", ["c1", "c2"])
@@ -377,8 +490,8 @@ class TestQfi:
         assert math.isclose(payload["f_rho_bar"], 1.4715177646857693, rel_tol=1e-9)
 
     def test_too_large(self, capsys):
-        # qfi, dephase and simulate share the one dense size limit
-        for command in (["qfi"], ["dephase"], ["simulate", "--shots", "4", "--seed", "1"]):
+        # dephase and simulate share the one dense size limit
+        for command in (["dephase"], ["simulate", "--shots", "4", "--seed", "1"]):
             assert run(command + ["--n", "11"]) == 1
             assert capsys.readouterr().err == "error: dense states are limited to n <= 10\n"
 

@@ -17,9 +17,7 @@ from dephimetry import (
     weights,
 )
 
-from dephimetry.covariance import _collective_and_local
-
-from helpers import delta2_brute, random_psd_cov, rng
+from helpers import collective_and_local, delta2_brute, random_psd_cov, rng
 
 
 class TestCovarianceMatrix:
@@ -148,9 +146,10 @@ class TestDelta2:
         assert math.isclose(delta2_c1_closed(5, 0.5, 1.0), 0.5, rel_tol=1e-15)
         assert math.isclose(delta2_c(build_c1(5, 0.5, 1.0)), 0.5, rel_tol=1e-15)
 
-    def test_c2_closed_rejects_alpha_one(self):
-        with pytest.raises(ValueError, match="alpha"):
-            delta2_c2_closed(5, 0.5, 1.0)
+    def test_c2_closed_alpha_one_equals_collective(self):
+        # 2 beta^2 (1 + 1) / (0 + 2): the collective matrix's exact value
+        assert delta2_c2_closed(5, 0.5, 1.0) == delta2_c1_closed(5, 0.5, 1.0) == 0.5
+        assert math.isclose(delta2_c(build_c2(5, 0.5, 1.0)), 0.5, rel_tol=1e-15)
 
     def test_monotone_in_alpha(self):
         # stronger positive correlation leaves less to average away
@@ -201,18 +200,21 @@ class TestWeights:
 
 
 class TestCollectiveAndLocal:
+    """The exact-equality oracle that cli._family_point's declared split is
+    tested against."""
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_families_of_that_form(self, n):
-        assert _collective_and_local(CovarianceMatrix(0.5 * np.eye(n))) == (0.0, 0.5)
-        assert _collective_and_local(build_c2(n, 0.5, 0.0)) == (0.0, 0.5)
+        assert collective_and_local(CovarianceMatrix(0.5 * np.eye(n))) == (0.0, 0.5)
+        assert collective_and_local(build_c2(n, 0.5, 0.0)) == (0.0, 0.5)
         for alpha in (0.0, 0.3, 1.0):
-            collective, local = _collective_and_local(build_c1(n, 0.5, alpha))
+            collective, local = collective_and_local(build_c1(n, 0.5, alpha))
             if n > 1:
                 assert collective == 0.5 * alpha
             assert collective + local == 0.5
 
     def test_one_site_is_all_local(self):
-        assert _collective_and_local(CovarianceMatrix([[0.7]])) == (0.0, 0.7)
+        assert collective_and_local(CovarianceMatrix([[0.7]])) == (0.0, 0.7)
 
     @pytest.mark.parametrize("entries", [
         build_c2(4, 0.5, 0.5).entries,
@@ -220,14 +222,14 @@ class TestCollectiveAndLocal:
         np.diag([0.5, 0.5, 0.5, 0.6]),
     ], ids=["c2", "random", "uneven-diagonal"])
     def test_other_matrices_refused(self, entries):
-        assert _collective_and_local(CovarianceMatrix(entries)) is None
+        assert collective_and_local(CovarianceMatrix(entries)) is None
 
     def test_one_ulp_off_refused(self):
         entries = build_c1(4, 0.5, 0.3).entries.copy()
         entries[1, 2] = entries[2, 1] = np.nextafter(entries[1, 2], 1.0)
-        assert _collective_and_local(CovarianceMatrix(entries)) is None
+        assert collective_and_local(CovarianceMatrix(entries)) is None
 
     def test_negative_local_part_refused(self):
         # PSD within CovarianceMatrix's tolerance, but b < 0 is no channel
         cov = CovarianceMatrix(np.ones((3, 3)) - 1e-11 * np.eye(3))
-        assert _collective_and_local(cov) is None
+        assert collective_and_local(cov) is None

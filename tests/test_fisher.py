@@ -28,13 +28,14 @@ from dephimetry import (
 )
 import dephimetry.fisher
 from dephimetry.core import _support
-from dephimetry.covariance import _collective_and_local
 from dephimetry.dephasing import derivative_state
 
 from helpers import (
     SIGMA_Y,
+    collective_and_local,
     dense_effects,
     dense_optimal_basis,
+    dense_plus_qfi,
     dense_qfi,
     dense_sld,
     dense_traces,
@@ -441,20 +442,8 @@ BLOCK_FAMILIES = {
        for alpha in (0.0, 0.2, 0.5, 0.9, 1.0)},
     "c2-0.0": lambda n, b2: build_c2(n, b2, 0.0),
 }
-_DENSE_PLUS = {}
-
-
-def dense_plus_qfi(cov):
-    """qfi(dephase(|+>^n, C)) by the dense path, once per distinct C."""
-    key = cov.entries.tobytes()
-    if key not in _DENSE_PLUS:
-        gen = GeneratorSpec.qubits(cov.n)
-        _DENSE_PLUS[key] = qfi(dephase(product_plus_state(cov.n), gen, cov), gen)
-    return _DENSE_PLUS[key]
-
-
 def block_plus_qfi(cov):
-    split = _collective_and_local(cov)
+    split = collective_and_local(cov)
     assert split is not None
     # underflow is allowed: far-off coherences of strong noise are 0 in
     # the dense state too
@@ -495,7 +484,7 @@ class TestProductPlusBlocks:
         # anti-correlated (a < 0), arbitrary and zero-noise entries that no
         # family builds
         cov = CovarianceMatrix(a * np.ones((n, n)) + b * np.eye(n))
-        collective, local = _collective_and_local(cov)
+        collective, local = collective_and_local(cov)
         assert collective == a and math.isclose(local, b, abs_tol=1e-16)
         assert math.isclose(block_plus_qfi(cov), dense_plus_qfi(cov), rel_tol=1e-12)
 
