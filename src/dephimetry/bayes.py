@@ -184,8 +184,9 @@ class SimulationResult:
 def _state_factor(block: np.ndarray) -> np.ndarray:
     """(s, r) factor A with block = A A^dagger, for the block of rho on its
     support (fisher._support_block: real when rho is, and every other row of
-    rho is zero), keeping the eigenvalues above RANK_TOL_FACTOR * lam_max
-    (the rank rule of the SLD)."""
+    rho is zero), keeping the eigenvalues lam > RANK_TOL_FACTOR * lam_max.
+    This cut is on single eigenvalues; the SLD's rank rule
+    (fisher._kept_pairs) keeps pairs with lam_k + lam_l above that level."""
     lam, vec = np.linalg.eigh(block)
     keep = lam > RANK_TOL_FACTOR * lam[-1]
     return vec[:, keep] * np.sqrt(lam[keep])

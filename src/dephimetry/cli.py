@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 bound violation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -166,12 +167,20 @@ def _shot_limit(n: int) -> int:
     return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
 
 
-def _dense_setup(state: str, n: int, family: str, alpha: float, two_beta2: float):
-    """(generator, dense probe, covariance) behind the CLI's one refusal of
-    sizes past NUMERIC_SITE_LIMIT and the noise gate."""
+def _dense_gate(n: int, alpha: float, two_beta2: float, **phases: float) -> None:
+    """The gate of the commands that build a dense state, run before any work
+    and building nothing: the CLI's one refusal of sizes past
+    NUMERIC_SITE_LIMIT, the noise gate, and finite phases."""
     if n > NUMERIC_SITE_LIMIT:
         raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
     _check_noise_args(n, alpha, two_beta2)
+    for name, value in phases.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
+def _dense_setup(state: str, n: int, family: str, alpha: float, two_beta2: float):
+    """(generator, dense probe, covariance) of a point past _dense_gate."""
     cov = _family_matrix(family, n, alpha, two_beta2)
     return GeneratorSpec.qubits(n), PROBES[state][0](n), cov
 
@@ -240,6 +249,7 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_dephase(args) -> int:
+    _dense_gate(args.n, args.alpha, args.two_beta2, phi=args.phi)
     gen, state, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
     state = dephase(state, gen, cov)
     if args.phi != 0.0:
@@ -261,6 +271,7 @@ def cmd_dephase(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _dense_gate(args.n, args.alpha, args.two_beta2, phi0=args.phi0, delta_phi=args.delta_phi)
     if args.two_beta2 == 0:
         # No noise leaves delta2_c = 0: no estimator has local information.
         raise ValueError("simulate needs two_beta2 > 0")
@@ -270,65 +281,67 @@ def cmd_simulate(args) -> int:
             f"shots must be between 1 and {limit} at n = {args.n} "
             f"({SIMULATE_RESULT_BYTES} bytes of per-shot results)"
         )
-    gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
-    seed = args.seed
-    if seed is None:
-        seed = int.from_bytes(os.urandom(8), "big")
-        print(f"drawn seed: {seed}", file=sys.stderr)
-    averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
-    povm = optimal_povm(averaged, gen)
-    cfg = ExperimentConfig(
-        rho=rho, gen=gen, cov=cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
-        rho_bar=averaged,
-    )
-    result = simulate(cfg, args.shots, seed)
-    predicted = result.predicted_mse
+    # Opened before any seed is drawn, so an unwritable path costs no work.
+    per_shot = contextlib.nullcontext() if args.per_shot is None else open(args.per_shot, "w")
+    with per_shot:
+        gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
+        seed = args.seed
+        if seed is None:
+            seed = int.from_bytes(os.urandom(8), "big")
+            print(f"drawn seed: {seed}", file=sys.stderr)
+        averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
+        povm = optimal_povm(averaged, gen)
+        cfg = ExperimentConfig(
+            rho=rho, gen=gen, cov=cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
+            rho_bar=averaged,
+        )
+        result = simulate(cfg, args.shots, seed)
+        predicted = result.predicted_mse
 
-    undefined = result.mse_stderr is None
-    if undefined:
-        z_score = None
-    else:
-        # Floor the denominator at numerical resolution: measurements whose
-        # squared estimate is constant give stderr at rounding level, and the
-        # exact agreement should read as z ~ 0, not 0/0 noise.
-        slack = max(result.mse_stderr, 1e-12 * max(1.0, abs(predicted)))
-        z_score = (result.empirical_mse_best - predicted) / slack
-    inputs = ("state", "n", "family", "alpha", "two_beta2", "phi0", "delta_phi", "shots")
-    payload = {key: getattr(args, key) for key in inputs}
-    payload.update(
-        seed=seed,
-        predicted_mse=predicted,
-        empirical_mse_best=result.empirical_mse_best,
-        mse_stderr=result.mse_stderr,
-        empirical_mean=result.empirical_mean,
-        mean_stderr=result.mean_stderr,
-        z_score=z_score,
-        undefined_variance=undefined,
-    )
-    _write_text(_json_text(payload), args.out)
-    if args.per_shot is not None:
-        _write_per_shot(result, args.n, args.per_shot)
+        undefined = result.mse_stderr is None
+        if undefined:
+            z_score = None
+        else:
+            # Floor the denominator at numerical resolution: measurements whose
+            # squared estimate is constant give stderr at rounding level, and the
+            # exact agreement should read as z ~ 0, not 0/0 noise.
+            slack = max(result.mse_stderr, 1e-12 * max(1.0, abs(predicted)))
+            z_score = (result.empirical_mse_best - predicted) / slack
+        inputs = ("state", "n", "family", "alpha", "two_beta2", "phi0", "delta_phi", "shots")
+        payload = {key: getattr(args, key) for key in inputs}
+        payload.update(
+            seed=seed,
+            predicted_mse=predicted,
+            empirical_mse_best=result.empirical_mse_best,
+            mse_stderr=result.mse_stderr,
+            empirical_mean=result.empirical_mean,
+            mean_stderr=result.mean_stderr,
+            z_score=z_score,
+            undefined_variance=undefined,
+        )
+        _write_text(_json_text(payload), args.out)
+        if args.per_shot is not None:
+            _write_per_shot(result, args.n, per_shot)
     return EXIT_OK
 
 
-def _write_per_shot(result, n: int, path: str) -> None:
-    """CSV of per_shot_rows, the bytes _csv_text gives them, formatted and
-    written PER_SHOT_BLOCK rows at a time through one open file: each block
-    is one %-format of a repeated row template (%.17g is _fmt's float
+def _write_per_shot(result, n: int, out) -> None:
+    """CSV of per_shot_rows to the open text file `out`, the bytes _csv_text
+    gives them, formatted and written PER_SHOT_BLOCK rows at a time: each
+    block is one %-format of a repeated row template (%.17g is _fmt's float
     format)."""
     header = ["shot", *(f"phi_{j + 1}" for j in range(n)), "outcome", "estimate"]
     template = "%d," + "%.17g," * n + "%d,%.17g\n"
-    with open(path, "w") as out:
-        out.write(_csv_text([header]))
-        for lo in range(0, result.shots, PER_SHOT_BLOCK):
-            hi = min(lo + PER_SHOT_BLOCK, result.shots)
-            columns = (
-                range(lo, hi),
-                *result.phases[lo:hi].T.tolist(),
-                result.outcomes[lo:hi].tolist(),
-                result.estimates_best[lo:hi].tolist(),
-            )
-            out.write(template * (hi - lo) % tuple(itertools.chain.from_iterable(zip(*columns))))
+    out.write(_csv_text([header]))
+    for lo in range(0, result.shots, PER_SHOT_BLOCK):
+        hi = min(lo + PER_SHOT_BLOCK, result.shots)
+        columns = (
+            range(lo, hi),
+            *result.phases[lo:hi].T.tolist(),
+            result.outcomes[lo:hi].tolist(),
+            result.estimates_best[lo:hi].tolist(),
+        )
+        out.write(template * (hi - lo) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def parse_sweep_config(text: str) -> dict[str, list]:
@@ -503,7 +516,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericalConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,21 +1,23 @@
 """Quantum and classical Fisher information for diagonal-generator families.
 
 Conventions: the symmetric logarithmic derivative L solves
-L rho + rho L = -2i [H, rho], so for a pure state L = 2 drho.  In the
-eigenbasis of rho, L_mn = 2 (drho)_mn / (lam_m + lam_n) on mode pairs whose
-eigenvalue sum exceeds rank_tol = 1e-10 * lam_max; excluded pairs carry no
-information and are set to zero.  The quantum Fisher information is
-F = 2 sum |(drho)_mn|^2 / (lam_m + lam_n) over the same pairs, and a
-projective measurement in any eigenbasis of L attains it.
+L rho + rho L = -2i [H, rho], so for a pure state L = 2 drho.  Every QFI is
+one kept-pair sum over frames (copies, lam, lam', M), F = 2 sum over frames
+of copies * sum |M_kl|^2 / (lam_k + lam'_l).  The rank rule lives in
+_kept_pairs alone: a pair is kept when lam_k + lam'_l > RANK_TOL_FACTOR *
+top, top the largest eigenvalue over all frames of the state.
 
-The eigen-frame is taken on the support of rho only: the indices whose row
-of rho is not identically zero.  This is exact, not a cutoff: a PSD state
-with a zero row has that basis vector as an eigenvector of eigenvalue 0,
-and -i [H, rho] is entrywise in rho, so its row is zero too and adds no
-term.  When rho is real (every imaginary part zero) the frame is computed
-in real arithmetic.
+The full frame is (1, lam, lam, V^dagger g V), with rho = V diag(lam)
+V^dagger and drho = -i g.  It also gives the SLD, L_kl = 2 (V^dagger drho
+V)_kl / (lam_k + lam_l) on the kept pairs and 0 on the rest, and a
+projective measurement in any eigenbasis of L attains F.  It is taken on
+the support of rho only: the indices whose row of rho is not identically
+zero.  This is exact, not a cutoff: a PSD state with a zero row has that
+basis vector as an eigenvector of eigenvalue 0, and -i [H, rho] is
+entrywise in rho, so its row is zero too and adds no term.  When rho is
+real (every imaginary part zero) the frame is computed in real arithmetic.
 
-qfi splits that frame by parity when the state allows it.  Let J reverse
+qfi takes a parity frame instead when the state allows it.  Let J reverse
 the order of the support rows, p -> s - 1 - p on a block of s = 2h rows.
 When h >= 2, the block equals its own reversal entry for entry (J B J = B),
 and the energies of its rows pair up from both ends to one constant
@@ -26,15 +28,14 @@ holds for sigma_z / 2 and any site spectrum symmetric about its centre;
 both probes and every Gaussian dephasing channel keep that symmetry.  With
 a = block[:h, :h] and b = block[:h, ::-1][:, :h], the J-even half of the
 block is a + b, the J-odd half is a - b, and g only couples the two,
-through G_ik = (E_i - E_k) a_ik - (E_i - E_{s-1-k}) b_ik.  So two h x h
-eigh calls replace one 2h x 2h call, and F = 4 sum |M|^2 / (lam_e + lam_o)
-with M = V_e^dagger G V_o, under the same rank rule, lam_max over both
-halves.  This is a change of basis, and every test is exact equality, so
-the split is exact too; any other state (phase-rotated, random, an
-asymmetric generator, an odd support) takes the full frame.  A two-row
+through G_ik = (E_i - E_k) a_ik - (E_i - E_{s-1-k}) b_ik.  Two h x h eigh
+calls replace one 2h x 2h call, and the frame is (2, lam_e, lam_o,
+V_e^dagger G V_o): even-odd and odd-even pairs add alike.  This is a change
+of basis, and every test is exact equality, so the split is exact too; any
+other state (phase-rotated, random, an asymmetric generator, an odd
+support) takes the full frame, and so do sld and optimal_povm.  A two-row
 support (a dephased GHZ state) keeps the 2 x 2 frame: the split would save
-nothing there and would move the last bits of its QFI.  sld and
-optimal_povm always use the full frame.
+nothing there and would move the last bits of its QFI.
 
 Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
@@ -63,18 +64,16 @@ sqrt(C(s, i') / C(s, i)) times the y^i coefficient of
 (1 + c y)^{s-i'} (c + y)^{i'}, a sum of positive terms, so every entry
 keeps full relative precision at any noise strength.  The collective part
 acts inside each block as the factor exp(-a (m - m')^2 / 2), and -i[H, rho]
-stays block diagonal, so F = 2 sum_j d_j sum |V^T g V|^2 / (lam + lam')
-over the blocks' own frames, with the rank rule above and lam_max taken
-over all blocks, as the dense frame takes it.  It agrees with dense qfi to
-rounding (1.2e-14 relative over n <= 10 and 2 beta^2 from 1e-6 to 50).
-That rank rule, not rounding, sets its distance from the identity-noise
-value n e^{-2 beta^2}: 1.8e-10 relative at n = 10 and 2 beta^2 = 0.1, where
-pairs below 1e-10 lam_max still carry information.  The loss grows with n
-(at 2 beta^2 = 0.5: 3.9e-11 at n = 14, 8.0e-8 at n = 20, 6.1e-3 at
-n = 50), as ever more of the state's weight sits in blocks whose pairs
-fall under the one global cut.  So the CLI takes this path only for
+stays block diagonal, so each block feeds its own full frame with copies
+d_j, top spanning all blocks.  It agrees with dense qfi to rounding
+(1.2e-14 relative over n <= 10 and 2 beta^2 from 1e-6 to 50).  The rank
+rule, not rounding, sets its distance from the identity-noise value
+n e^{-2 beta^2}: 1.8e-10 relative at n = 10 and 2 beta^2 = 0.1.  The loss
+grows with n (at 2 beta^2 = 0.5: 3.9e-11 at n = 14, 8.0e-8 at n = 20,
+6.1e-3 at n = 50), as ever more of the state's weight sits in blocks whose
+pairs fall under the one global cut.  So the CLI takes this path only for
 n <= 10, the sizes the dense path also serves, and leaves product-plus
-f_rho_bar empty past them until a rank rule weighs the copies d_j.
+f_rho_bar empty past them until _kept_pairs weighs the copies d_j.
 """
 from __future__ import annotations
 
@@ -243,25 +242,23 @@ def _support_block(rho: DensityMatrix, gen: GeneratorSpec):
 
 
 def _eig_frame(block: np.ndarray, energy: np.ndarray):
-    """The frame of a support block: eigenpairs (lam, vec) of the block and
-    mixed = vec^dagger g vec, where drho = -i g with g_mn = (E_m - E_n)
-    rho_mn, so a real block stays real throughout."""
+    """(lam, vec, mixed) of a support block: its eigenpairs and mixed =
+    vec^dagger g vec, where drho = -i g with g_mn = (E_m - E_n) rho_mn, so a
+    real block stays real throughout."""
     lam, vec = np.linalg.eigh(block)
     g = np.multiply(block, np.subtract.outer(energy, energy))
     # g is released before the second product, which then holds only vec,
     # the half product and its result.
     mixed = vec.conj().T @ g
     del g
-    mixed = mixed @ vec
-    denom = lam[:, None] + lam[None, :]
-    keep = denom > RANK_TOL_FACTOR * lam[-1]
-    return vec, mixed, denom, keep
+    return lam, vec, mixed @ vec
 
 
-def _parity_halves(block: np.ndarray, energy: np.ndarray):
-    """The even block a + b, the odd block a - b and the cross block G of a
-    support block that equals its own reversal (see the module docstring),
-    or None when the block is not one.  Every test is exact."""
+def _parity_frame(block: np.ndarray, energy: np.ndarray):
+    """(lam_e, lam_o, V_e^dagger G V_o) between the even half a + b and the
+    odd half a - b of a support block that equals its own reversal (see the
+    module docstring), or None when the block is not one.  Every test is
+    exact."""
     size = block.shape[0]
     half = size // 2
     if size % 2 or half < 2:
@@ -271,14 +268,46 @@ def _parity_halves(block: np.ndarray, energy: np.ndarray):
         return None
     a = block[:half, :half]
     b = block[:half, ::-1][:, :half]
+    # Each half is freed once diagonalized, and G before the second product.
+    lam_e, vec_e = np.linalg.eigh(a + b)
+    lam_o, vec_o = np.linalg.eigh(a - b)
     upper = energy[:half]
     cross = np.subtract.outer(upper, upper) * a
     cross -= np.subtract.outer(upper, energy[::-1][:half]) * b
-    return a + b, a - b, cross
+    mixed = vec_e.conj().T @ cross
+    del cross
+    return lam_e, lam_o, mixed @ vec_o
 
 
-def _sld_block(vec, mixed, denom, keep) -> np.ndarray:
-    """The SLD on the support block of a frame, Hermitian-symmetrized."""
+def _kept_pairs(spectra):
+    """The rank rule: for each (lam, lam2) of `spectra`, both ascending, the
+    pair sums denom = lam_k + lam2_l and the mask of the kept pairs, denom >
+    RANK_TOL_FACTOR * top, top the largest eigenvalue over all of them."""
+    top = max(max(lam[-1], lam2[-1]) for lam, lam2 in spectra)
+    for lam, lam2 in spectra:
+        denom = lam[:, None] + lam2[None, :]
+        yield denom, denom > RANK_TOL_FACTOR * top
+
+
+def _frame_qfi(frames) -> float:
+    """2 sum over frames (copies, lam, lam2, mixed) of copies times sum
+    |mixed|^2 / denom over the kept pairs of _kept_pairs; each mixed is
+    squared and divided in place, so no further temporaries of its size are
+    held."""
+    total = 0.0
+    pairs = _kept_pairs([(lam, lam2) for _, lam, lam2, _ in frames])
+    for (copies, _, _, mixed), (denom, keep) in zip(frames, pairs):
+        terms = np.abs(mixed, out=mixed if mixed.dtype.kind == "f" else None)
+        np.square(terms, out=terms)
+        np.divide(terms, denom, out=terms, where=keep)
+        terms[~keep] = 0.0
+        total += copies * float(terms.sum())
+    return 2.0 * total
+
+
+def _sld_block(lam, vec, mixed) -> np.ndarray:
+    """The SLD on the support block of a full frame, Hermitian-symmetrized."""
+    ((denom, keep),) = _kept_pairs([(lam, lam)])
     safe = np.where(keep, denom, 1.0)
     frame = np.where(keep, mixed / safe, 0.0)
     block = -2j * (vec @ frame @ vec.conj().T)
@@ -299,37 +328,14 @@ def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     return _trusted(HermitianOperator, out)
 
 
-def _kept_sum(mixed, denom, keep) -> float:
-    """sum |mixed|^2 / denom over the kept pairs, squared and divided in
-    place so that no further temporaries of mixed's size are held."""
-    terms = np.abs(mixed, out=mixed if mixed.dtype.kind == "f" else None)
-    del mixed
-    np.square(terms, out=terms)
-    np.divide(terms, denom, out=terms, where=keep)
-    terms[~keep] = 0.0
-    return float(terms.sum())
-
-
 def qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
     """Quantum Fisher information of the encoded family at rho."""
     _, block, energy = _support_block(rho, gen)
-    halves = _parity_halves(block, energy)
-    if halves is None:
-        return 2.0 * _kept_sum(*_eig_frame(block, energy)[1:])
-    # Each half is released once diagonalized, and G before the second
-    # product, as in _eig_frame.
-    even, odd, cross = halves
-    del block, halves
-    lam_e, vec_e = np.linalg.eigh(even)
-    del even
-    lam_o, vec_o = np.linalg.eigh(odd)
-    del odd
-    mixed = vec_e.conj().T @ cross
-    del cross
-    mixed = mixed @ vec_o
-    denom = lam_e[:, None] + lam_o[None, :]
-    keep = denom > RANK_TOL_FACTOR * max(lam_e[-1], lam_o[-1])
-    return 4.0 * _kept_sum(mixed, denom, keep)
+    parity = _parity_frame(block, energy)
+    if parity is None:
+        lam, _, mixed = _eig_frame(block, energy)
+        return _frame_qfi([(1, lam, lam, mixed)])
+    return _frame_qfi([(2, *parity)])
 
 
 def _product_plus_qfi(n: int, collective: float, local: float) -> float:
@@ -354,19 +360,12 @@ def _product_plus_qfi(n: int, collective: float, local: float) -> float:
             block[:, col] = np.convolve(rise, fall)
         root = np.sqrt(binom)
         m = s / 2 - np.arange(s + 1)
-        diff = np.subtract.outer(m, m)
-        block *= weight * np.outer(1.0 / root, root) * np.exp(-0.5 * collective * diff**2)
-        lam, vec = np.linalg.eigh(block)
-        mixed = vec.T @ (diff * block) @ vec
+        noise = np.exp(-0.5 * collective * np.subtract.outer(m, m) ** 2)
+        block *= weight * np.outer(1.0 / root, root) * noise
+        lam, _, mixed = _eig_frame(block, m)
         copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        frames.append((copies, lam, mixed))
-    top = max(lam[-1] for _, lam, _ in frames)
-    total = 0.0
-    for copies, lam, mixed in frames:
-        denom = lam[:, None] + lam[None, :]
-        keep = denom > RANK_TOL_FACTOR * top
-        total += copies * float(np.sum(mixed[keep] ** 2 / denom[keep]))
-    return 2.0 * total
+        frames.append((copies, lam, lam, mixed))
+    return _frame_qfi(frames)
 
 
 def classical_fi(rho: DensityMatrix, gen: GeneratorSpec, povm: Povm) -> float:

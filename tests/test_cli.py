@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -43,6 +45,8 @@ PLUS_DENSE = ["--state", "product-plus", "--n", "3", "--family", "c2", "--alpha"
 HUGE_N_SWEEP = (
     f"state = ghz, product-plus\nfamily = identity\nn = {10**155}\nalpha = 0\ntwo_beta2 = 0.5\n"
 )
+# A one-point sweep grid.
+ONE_POINT_SWEEP = "state = ghz\nfamily = identity\nn = 2\nalpha = 0\ntwo_beta2 = 0.5\n"
 
 
 def load_repo_module(folder, name):
@@ -105,6 +109,15 @@ class TestExitCodes:
                       "1000000000"], "between 1 and 8947848", id="simulate-shots-limit-no-seed"),
         pytest.param(["simulate", "--n", "2", "--shots", "0"], "shots must be between 1",
                      id="simulate-zero-shots-no-seed"),
+        pytest.param(["simulate", "--n", "100000000000", "--shots", "10"],
+                     "error: dense states are limited to n <= 10\n",
+                     id="simulate-sites-before-shots"),
+        pytest.param(["dephase", "--n", "2", "--phi", "inf"], "error: phi must be finite\n",
+                     id="dephase-phi-inf"),
+        pytest.param(["simulate", "--n", "2", "--shots", "10", "--phi0", "nan"],
+                     "error: phi0 must be finite\n", id="simulate-phi0-nan-no-seed"),
+        pytest.param(["simulate", "--n", "2", "--shots", "10", "--seed", "1", "--delta-phi", "inf"],
+                     "error: delta_phi must be finite\n", id="simulate-delta-phi-inf"),
         pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
         pytest.param(["figure", "scaling", "--two-beta2", "800"], "two_beta2",
                      id="scaling-overflow"),
@@ -160,6 +173,35 @@ class TestExitCodes:
         assert run([command, "--state", state, "--n", "3", "--family", family, flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["bound", "--n", "2"],
+        ["qfi", "--n", "2"],
+        ["dephase", "--n", "2"],
+        ["sweep", "--config", "{config}"],
+        ["simulate", "--n", "2", "--shots", "4", "--seed", "1"],
+        ["figure", "scaling", "--n-max", "10"],
+    ], ids=lambda args: args[0])
+    def test_unwritable_out_is_usage_error(self, args, tmp_path, capsys):
+        # --out below a regular file: no file or directory can be made there
+        config = tmp_path / "grid.cfg"
+        config.write_text(ONE_POINT_SWEEP)
+        args = [a.format(config=config) for a in args]
+        assert run(args + ["--out", str(config / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_per_shot_refused_before_any_seed(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("sampled before the --per-shot file was opened")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--n", "2", "--shots", "4", "--out", str(out),
+                    "--per-shot", str(tmp_path / "missing" / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bound_violation_exit_two(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "qfi", lambda rho, gen: 1e9)
@@ -602,7 +644,8 @@ class TestSimulate:
             predicted_mse=1.0,
         )
         path = tmp_path / "shots.csv"
-        cli._write_per_shot(result, 2, str(path))
+        with open(path, "w") as out:
+            cli._write_per_shot(result, 2, out)
         header = ("shot", "phi_1", "phi_2", "outcome", "estimate")
         assert path.read_text() == cli._csv_text([header, *result.per_shot_rows()])
 
@@ -611,6 +654,27 @@ class TestSimulate:
             limit = cli._shot_limit(n)
             assert limit >= 2**20
             assert 8 * (n + 5) * limit <= cli.SIMULATE_RESULT_BYTES
+
+
+class TestEntryPoint:
+    """`python -m dephimetry` in a fresh interpreter."""
+
+    def run_module(self, *args):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "dephimetry", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_bound_exits_zero(self):
+        done = self.run_module("bound", "--n", "2")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["n"] == 2
+
+    def test_unwritable_out_exits_one_without_traceback(self, tmp_path):
+        done = self.run_module("bound", "--n", "2", "--out", str(tmp_path / "missing" / "x"))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
 
 class TestSweepConfig:

@@ -494,6 +494,40 @@ class TestProductPlusBlocks:
         assert max(call.args[0].shape[0] for call in eigh.call_args_list) == 11
 
 
+def rank_rule_routes():
+    """Each route to a kept-pair sum, with the number of frames it feeds the
+    rank rule: qfi on a full frame and on a parity frame, the Schur-Weyl
+    blocks (spins 2, 1, 0 at n = 4) and the SLD."""
+    gen = GeneratorSpec.qubits(4)
+    plus = dephase(product_plus_state(4), gen, build_c2(4, 0.5, 0.5))
+    rotated = encode_phase(plus, gen, 0.3)
+    assert frame_calls(plus, gen)[1] == 0 and frame_calls(rotated, gen)[1] == 1
+    return {
+        "qfi-full": (lambda: qfi(rotated, gen), 1),
+        "qfi-parity": (lambda: qfi(plus, gen), 1),
+        "product-plus-blocks": (lambda: dephimetry.fisher._product_plus_qfi(4, 0.25, 0.25), 3),
+        "sld": (lambda: sld(rotated, gen).entries, 1),
+    }
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("route", ["qfi-full", "qfi-parity", "product-plus-blocks", "sld"])
+    def test_every_route_takes_its_pairs_from_one_rule(self, route):
+        value, frames = rank_rule_routes()[route]
+        rule = dephimetry.fisher._kept_pairs
+        with mock.patch.object(dephimetry.fisher, "_kept_pairs", wraps=rule) as spy:
+            assert np.any(value() != 0)
+        assert spy.call_count == 1
+        assert len(spy.call_args.args[0]) == frames
+
+        def keep_nothing(spectra):
+            for denom, keep in rule(spectra):
+                yield denom, np.zeros_like(keep)
+
+        with mock.patch.object(dephimetry.fisher, "_kept_pairs", keep_nothing):
+            assert not np.any(value())
+
+
 class TestClassicalFi:
     @given(seed=st.integers(0, 60))
     def test_never_exceeds_qfi(self, seed):
