@@ -28,17 +28,22 @@ into the measurement once per call (_fold), and a batch of b shots is one
 (r m, s) x (s, b) product.  The folded matrix is not batched: it holds
 r m s complex entries, 16 MiB per rank component at n = 10 (s = m = 1024),
 so a full-rank library probe there would need 16 GiB.  Both named probes
-are pure (r = 1).  The weights exp(-i phi . h) are cos and sin of
-the phase products, written into one complex buffer (dephasing's
-_phase_weights); the CDF is summed down the outcome axis in place and
-inverted with one vector compare per outcome, the same comparisons a
-shots-first kernel makes.  Each chunk draws its normals, then its
-uniforms, into buffers of the chunk's size, so the streams are those of
-standard_normal((size, n)) and random(size).  Every work buffer is
-allocated once per call, sized by dephasing.BATCH_ELEMENTS: a chunk whose
-widest buffer, max(s, r m) rows, would pass that many elements runs in
-batches of fewer shots.  Batches draw nothing, so the seeded streams do
-not depend on the batch size.
+are pure (r = 1).  The shot weights take one of two routes, both
+written into one complex buffer.  On a full support (product-plus, a
+random mixed state) they are exp(-i phi . (h(m) - h(0))), a Kronecker
+product of per-site factors built from sum_j (d_j - 1) tangents per shot,
+n for qubits (dephasing's _product_weights); the unit factor
+exp(i phi . h(0)) they drop cancels in every probability.  On a partial
+support (GHZ, s = 2) they are cos and sin of the phase products phi . h(m),
+2 s calls per shot (dephasing's _phase_weights).  The CDF is summed down
+the outcome axis in place and inverted with one vector compare per
+outcome, the same comparisons a shots-first kernel makes.  Each chunk
+draws its normals, then its uniforms, into buffers of the chunk's size,
+so the streams are those of standard_normal((size, n)) and random(size).
+Every work buffer is allocated once per call, sized by
+dephasing.BATCH_ELEMENTS: a chunk whose widest buffer, max(s, r m) rows,
+would pass that many elements runs in batches of fewer shots.  Batches
+draw nothing, so the seeded streams do not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -54,7 +59,9 @@ from .covariance import CovarianceMatrix, delta2_c, weights
 from .dephasing import (
     _batch_shots,
     _phase_weights,
+    _product_weights,
     _shaped,
+    _site_steps,
     chunk_rngs,
     covariance_sqrt,
     dephase,
@@ -313,7 +320,6 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
     # Sample on the support of the probe: the other rows of every encoded
     # state are zero, and only the outcomes `reached` there can fire.
     live, block, _ = _support_block(cfg.rho, cfg.gen)
-    energy_table = cfg.gen.site_energy_table[:, live]
     factor = _state_factor(block)
     del block
     povm, reached = cfg.povm.restrict(live)
@@ -328,8 +334,26 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
     batch = min(chunk, _batch_shots(max(support, terms)))
     z = np.empty((chunk, nsites))
     draws = np.empty(chunk)
-    arg = np.empty(support * batch)
     w = np.empty(support * batch, dtype=np.complex128)
+    # Each route allocates only its own buffers.
+    if isinstance(live, slice):
+        dims, steps = cfg.gen.dims, _site_steps(cfg.gen)
+        levels = steps.shape[0]
+        scratch = np.empty(2 * levels * batch)
+
+        def weigh(drawn, b):
+            return _product_weights(
+                dims, steps, drawn, _shaped(scratch, 2 * levels, b), _shaped(w, support, b)
+            )
+    else:
+        energy_table = cfg.gen.site_energy_table[:, live]
+        arg = np.empty(support * batch)
+
+        def weigh(drawn, b):
+            return _phase_weights(
+                energy_table, drawn, _shaped(arg, b, support), _shaped(w, support, b)
+            )
+
     amplitudes = np.empty(terms * batch, dtype=np.complex128)
     squares = np.empty(columns * batch)
     total = np.empty(batch)
@@ -344,12 +368,8 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
         rng.random(out=draws[:size])
         for lo in range(0, size, batch):
             b = min(batch, size - lo)
-            weights = _phase_weights(
-                energy_table, phases[start + lo : start + lo + b],
-                _shaped(arg, b, support), _shaped(w, support, b),
-            )
             probs = _shot_probabilities(
-                povm, folded, weights,
+                povm, folded, weigh(phases[start + lo : start + lo + b], b),
                 _shaped(amplitudes, terms, b), _shaped(squares, columns, b),
             )
             worst = probs.min()

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -97,11 +97,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(text: str, out: Optional[str | Path]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+@contextlib.contextmanager
+def _output(path: Optional[str | Path], default: Optional[TextIO] = None):
+    """The text file at `path`, opened for writing before the work that
+    fills it, so that a path that cannot be written costs no work; `default`
+    when path is None.  If anything fails once the file is open, the file is
+    closed and removed (a regular file only, never a link or a device), so
+    a failed command leaves no partial output behind."""
+    if path is None:
+        yield default
+        return
+    out = open(path, "w")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        path = Path(path)
+        if path.is_file() and not path.is_symlink():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
+def _write_text(text: str, out: TextIO) -> None:
+    """Every output but --per-shot goes through this one module-level name,
+    so that a profiler can time the output layer."""
+    out.write(text)
 
 
 def _json_text(obj) -> str:
@@ -220,15 +241,16 @@ def grid_report(
     )
 
 
-def _emit_record(record: dict, fmt: str, out: Optional[str]) -> None:
+def _emit_record(record: dict, fmt: str, out: TextIO) -> None:
     """One record as JSON, or as a CSV header and row."""
     text = _csv_text([record.keys(), record.values()]) if fmt == "csv" else _json_text(record)
     _write_text(text, out)
 
 
 def cmd_bound(args) -> int:
-    report = grid_report(args.state, args.family, args.n, args.alpha, args.two_beta2)
-    _emit_record(report.to_dict(), args.format, args.out)
+    with _output(args.out, sys.stdout) as out:
+        report = grid_report(args.state, args.family, args.n, args.alpha, args.two_beta2)
+        _emit_record(report.to_dict(), args.format, out)
     return EXIT_OK
 
 
@@ -237,36 +259,40 @@ def cmd_qfi(args) -> int:
     noise = (args.alpha, args.two_beta2) if args.family else (0.0, 0.0)
     _, mass, split = _family_point(args.family or "identity", args.n, *noise)
     payload = {"state": args.state, "n": args.n, "f_rho": PROBES[args.state][1](args.n)}
-    if args.family is not None:
-        payload.update(
-            family=args.family,
-            alpha=args.alpha,
-            two_beta2=args.two_beta2,
-            f_rho_bar=_dephased_qfi(args.state, args.family, args.n, *noise, mass, split),
-        )
-    _emit_record(payload, args.format, args.out)
+    with _output(args.out, sys.stdout) as out:
+        if args.family is not None:
+            payload.update(
+                family=args.family,
+                alpha=args.alpha,
+                two_beta2=args.two_beta2,
+                f_rho_bar=_dephased_qfi(args.state, args.family, args.n, *noise, mass, split),
+            )
+        _emit_record(payload, args.format, out)
     return EXIT_OK
 
 
 def cmd_dephase(args) -> int:
     _dense_gate(args.n, args.alpha, args.two_beta2, phi=args.phi)
-    gen, state, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
-    state = dephase(state, gen, cov)
-    if args.phi != 0.0:
-        state = encode_phase(state, gen, args.phi)
-    a = state.entries
-    if args.format == "csv":
-        cells = (
-            (i, j, z.real, z.imag) for i, row in enumerate(a) for j, z in enumerate(row.tolist())
-        )
-        _write_text(_csv_text(itertools.chain([("row", "col", "real", "imag")], cells)), args.out)
-    else:
-        payload = {
-            "dim": state.dim,
-            "real": a.real.tolist(),
-            "imag": a.imag.tolist(),
-        }
-        _write_text(_json_text(payload), args.out)
+    with _output(args.out, sys.stdout) as out:
+        gen, state, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
+        state = dephase(state, gen, cov)
+        if args.phi != 0.0:
+            state = encode_phase(state, gen, args.phi)
+        a = state.entries
+        if args.format == "csv":
+            cells = (
+                (i, j, z.real, z.imag)
+                for i, row in enumerate(a)
+                for j, z in enumerate(row.tolist())
+            )
+            _write_text(_csv_text(itertools.chain([("row", "col", "real", "imag")], cells)), out)
+        else:
+            payload = {
+                "dim": state.dim,
+                "real": a.real.tolist(),
+                "imag": a.imag.tolist(),
+            }
+            _write_text(_json_text(payload), out)
     return EXIT_OK
 
 
@@ -281,9 +307,8 @@ def cmd_simulate(args) -> int:
             f"shots must be between 1 and {limit} at n = {args.n} "
             f"({SIMULATE_RESULT_BYTES} bytes of per-shot results)"
         )
-    # Opened before any seed is drawn, so an unwritable path costs no work.
-    per_shot = contextlib.nullcontext() if args.per_shot is None else open(args.per_shot, "w")
-    with per_shot:
+    # Both outputs are opened before any seed is drawn.
+    with _output(args.out, sys.stdout) as out, _output(args.per_shot) as per_shot:
         gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
         seed = args.seed
         if seed is None:
@@ -319,8 +344,8 @@ def cmd_simulate(args) -> int:
             z_score=z_score,
             undefined_variance=undefined,
         )
-        _write_text(_json_text(payload), args.out)
-        if args.per_shot is not None:
+        _write_text(_json_text(payload), out)
+        if per_shot is not None:
             _write_per_shot(result, args.n, per_shot)
     return EXIT_OK
 
@@ -395,8 +420,9 @@ def cmd_sweep(args) -> int:
     for _, family, n, alpha, two_beta2 in points:
         _family_point(family, n, alpha, two_beta2)
         bounds.reference_bound_g(n, two_beta2)
-    rows = (grid_report(*pt).to_dict().values() for pt in points)
-    _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), args.out)
+    with _output(args.out, sys.stdout) as out:
+        rows = (grid_report(*pt).to_dict().values() for pt in points)
+        _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), out)
     return EXIT_OK
 
 
@@ -428,13 +454,18 @@ def cmd_figure(args) -> int:
                 raise ValueError(f"{flag}: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+
+    def save(name: str, rows: Iterable[Iterable]) -> None:
+        with _output(outdir / name) as out:
+            _write_text(_csv_text(rows), out)
+
     ns = [int(n) for n in _log_int_grid(args.n_max, args.n_points)]
     if args.panel == "scaling":
         rows = [("n", "independent", "collective", "c1", "c2")]
         for n in ns:
             curves = [_family_point(f, n, a, args.two_beta2)[0] for f, a in SCALING_CURVES]
             rows.append((n, *(bounds.error_bound(d2, float(n) ** 2) for d2 in curves)))
-        _write_text(_csv_text(rows), outdir / "scaling-panel.csv")
+        save("scaling-panel.csv", rows)
         return EXIT_OK
 
     b2s = np.logspace(math.log10(args.b2_min), math.log10(args.b2_max), args.b2_points)
@@ -446,12 +477,10 @@ def cmd_figure(args) -> int:
         for j, b2 in enumerate(report.two_beta2_values)
     )
     header = ("n", "two_beta2", "independent_error_bound", "reference_g", "independent_tighter")
-    _write_text(_csv_text(itertools.chain([header], grid)), outdir / "comparison-panel-grid.csv")
+    save("comparison-panel-grid.csv", itertools.chain([header], grid))
     boundary = zip(report.n_values.tolist(), report.boundary, report.approx_boundary)
-    _write_text(
-        _csv_text(itertools.chain([("n", "boundary_two_beta2", "approx_two_beta2")], boundary)),
-        outdir / "comparison-panel-boundary.csv",
-    )
+    save("comparison-panel-boundary.csv",
+         itertools.chain([("n", "boundary_two_beta2", "approx_two_beta2")], boundary))
     return EXIT_OK
 
 

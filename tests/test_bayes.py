@@ -530,6 +530,56 @@ class TestSimulate:
             res.estimates_best, np.where(res.outcomes == 0, -estimate, estimate)
         )
 
+    @pytest.mark.parametrize("case", ["plus-3", "plus-6", "mixed-3"])
+    def test_product_route_draws_the_direct_outcomes(self, case, monkeypatch):
+        # A full support takes dephasing._product_weights.  Handing the
+        # sampler that support as an index array forces the direct route
+        # instead; the weights then differ by a unit factor per shot and by
+        # rounding, and 2^17 seeded shots must land on the same outcomes.
+        n = int(case[-1])
+        if case.startswith("mixed"):
+            cfg = make_cfg(21, n=n)
+            assert _state_factor(_support_block(cfg.rho, cfg.gen)[1]).shape[1] > 1
+        else:
+            gen, cov = GeneratorSpec.qubits(n), build_c2(n, 0.5, 0.5)
+            rb = encode_phase(dephase(product_plus_state(n), gen, cov), gen, 0.0)
+            cfg = ExperimentConfig(rho=product_plus_state(n), gen=gen, cov=cov,
+                                   povm=optimal_povm(rb, gen), rho_bar=rb)
+        shots, calls = 1 << 17, []
+        product = dephimetry.bayes._product_weights
+        monkeypatch.setattr(dephimetry.bayes, "_product_weights",
+                            lambda *args: calls.append(1) or product(*args))
+        fast = simulate(cfg, shots, 4)
+        assert len(calls) == shots // CHUNK_SHOTS
+
+        def indexed(rho, gen):
+            live, block, energy = _support_block(rho, gen)
+            assert isinstance(live, slice)
+            return np.arange(rho.dim), block, energy
+
+        monkeypatch.setattr(dephimetry.bayes, "_support_block", indexed)
+        direct = simulate(cfg, shots, 4)
+        assert len(calls) == shots // CHUNK_SHOTS
+        assert np.unique(fast.outcomes).size > 1
+        np.testing.assert_array_equal(fast.outcomes, direct.outcomes)
+        np.testing.assert_array_equal(fast.phases, direct.phases)
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_sparse_support_never_takes_the_product_route(self, n, monkeypatch):
+        def never(*args):
+            raise AssertionError("a partial support took the product route")
+
+        monkeypatch.setattr(dephimetry.bayes, "_product_weights", never)
+        if n in self.GHZ_PINS:
+            self.test_seeded_ghz_pinned(n)
+            return
+        gen, cov = GeneratorSpec.qubits(n), build_c2(n, 0.5, 0.5)
+        rb = encode_phase(dephase(ghz_state(n), gen, cov), gen, 0.0)
+        cfg = ExperimentConfig(rho=ghz_state(n), gen=gen, cov=cov,
+                               povm=optimal_povm(rb, gen), rho_bar=rb)
+        outcomes = simulate(cfg, 3000, 100001).outcomes
+        assert set(np.unique(outcomes)) == {0, 2**n - 1}
+
     def test_memory_budget_ghz_n10(self):
         # one full chunk on the 2-row support of GHZ; sampling over all
         # 1024 outcomes peaked at 513 MiB

@@ -174,16 +174,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
+    # The work of each command, which an unwritable --out must stop first.
+    WORK = {"bound": "grid_report", "qfi": "_dephased_qfi", "dephase": "dephase",
+            "sweep": "grid_report", "simulate": "simulate", "figure": "_family_point"}
+
     @pytest.mark.parametrize("args", [
         ["bound", "--n", "2"],
-        ["qfi", "--n", "2"],
+        ["qfi", *PLUS_DENSE],
         ["dephase", "--n", "2"],
         ["sweep", "--config", "{config}"],
         ["simulate", "--n", "2", "--shots", "4", "--seed", "1"],
         ["figure", "scaling", "--n-max", "10"],
     ], ids=lambda args: args[0])
-    def test_unwritable_out_is_usage_error(self, args, tmp_path, capsys):
-        # --out below a regular file: no file or directory can be made there
+    def test_unwritable_out_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
+        # --out below a regular file: no file or directory can be made there,
+        # and the command finds that out before its work
+        def never(*args):
+            raise AssertionError("the work ran before --out was checked")
+
+        monkeypatch.setattr(cli, self.WORK[args[0]], never)
         config = tmp_path / "grid.cfg"
         config.write_text(ONE_POINT_SWEEP)
         args = [a.format(config=config) for a in args]
@@ -202,6 +211,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_unwritable_out_leaves_no_per_shot_file(self, tmp_path, capsys):
+        per_shot = tmp_path / "ok.csv"
+        assert run(["simulate", "--n", "2", "--shots", "4", "--seed", "1", "--per-shot",
+                    str(per_shot), "--out", str(tmp_path / "missing" / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_simulate_removes_both_outputs(self, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise NumericalConsistencyError("sampler failed")
+
+        monkeypatch.setattr(cli, "simulate", failing)
+        assert run(["simulate", "--n", "2", "--shots", "4", "--seed", "1", "--per-shot",
+                    str(tmp_path / "ok.csv"), "--out", str(tmp_path / "sim.json")]) == 3
+        assert capsys.readouterr().err == "numerical failure: sampler failed\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_removes_the_partial_file(self, tmp_path, monkeypatch, capsys):
+        # the failure comes after part of the --per-shot text is written
+        def half_written(result, n, out):
+            out.write("shot,phi_1,phi_2,outcome,estimate\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_per_shot", half_written)
+        out, per_shot = tmp_path / "sim.json", tmp_path / "ok.csv"
+        assert run(["simulate", "--n", "2", "--shots", "4", "--seed", "1", "--per-shot",
+                    str(per_shot), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not out.exists() and not per_shot.exists()
+
+    def test_failed_bound_removes_out_but_spares_a_link(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise NumericalConsistencyError("no report")
+
+        monkeypatch.setattr(cli, "grid_report", failing)
+        out = tmp_path / "bound.json"
+        assert run(["bound", "--n", "2", "--out", str(out)]) == 3
+        assert not out.exists()
+        # a link is truncated through, as any write would, but not removed
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert run(["bound", "--n", "2", "--out", str(link)]) == 3
+        assert link.is_symlink() and target.read_text() == ""
 
     def test_bound_violation_exit_two(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "qfi", lambda rho, gen: 1e9)

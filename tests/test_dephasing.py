@@ -26,6 +26,8 @@ from dephimetry.dephasing import (
     CHUNK_SHOTS,
     _pair_quadratic,
     _phase_weights,
+    _product_weights,
+    _site_steps,
     chunk_rngs,
     covariance_sqrt,
 )
@@ -232,6 +234,60 @@ class TestPhaseWeights:
         weights = _phase_weights(table, phases, arg, out)
         assert weights is out
         np.testing.assert_array_equal(weights, np.exp(-1j * (phases @ table)).T)
+
+
+MIXED_SITES = ((0.3, -1.2, 2.0), (0.5, -0.5), (1.0, 0.0, -1.0, 2.5))
+
+
+class TestProductWeights:
+    @staticmethod
+    def weights(gen, phases):
+        steps = _site_steps(gen)
+        levels, shots = steps.shape[0], phases.shape[0]
+        scratch = np.empty((2 * levels, shots))
+        out = np.empty((gen.dim, shots), dtype=np.complex128)
+        assert _product_weights(gen.dims, steps, phases, scratch, out) is out
+        return out
+
+    @pytest.mark.parametrize("scale", [0.7, 3.0, 30.0])
+    @pytest.mark.parametrize("sites", [((0.5, -0.5),) * n for n in range(1, 11)] + [MIXED_SITES],
+                             ids=lambda sites: f"{len(sites)}x{len(sites[0])}")
+    def test_matches_complex_exp_relative_to_the_ground_row(self, sites, scale):
+        gen = GeneratorSpec(sites)
+        table = gen.site_energy_table
+        phases = rng(len(sites)).normal(scale=scale, size=(257, gen.nsites))
+        steps = table - table[:, :1]
+        expected = np.exp(-1j * (phases @ steps)).T
+        # The reference rounds its angle phi . (h(m) - h(0)) once per site
+        # term; each tangent factor and row product adds a few ulp.
+        eps = np.finfo(float).eps
+        tol = 4 * eps * (gen.nsites + np.abs(phases) @ np.abs(steps).max(axis=1))
+        err = np.abs(self.weights(gen, phases) - expected).max(axis=0)
+        assert np.all(err <= tol)
+
+    def test_ground_row_is_one_and_rows_are_unit(self):
+        gen = GeneratorSpec(MIXED_SITES)
+        w = self.weights(gen, rng(5).normal(scale=2.0, size=(64, 3)))
+        np.testing.assert_array_equal(w[0], 1.0)
+        np.testing.assert_allclose(np.abs(w), 1.0, rtol=0, atol=1e-15)
+
+    def test_differs_from_phase_weights_by_one_unit_factor_per_shot(self):
+        # the factor exp(i phi . h(0)) cancels in every |folded @ w|^2
+        gen = GeneratorSpec(MIXED_SITES)
+        table = gen.site_energy_table
+        phases = rng(6).normal(size=(33, 3))
+        direct = _phase_weights(table, phases, np.empty((33, gen.dim)),
+                                np.empty((gen.dim, 33), dtype=np.complex128))
+        unit = np.exp(1j * (phases @ table[:, 0]))
+        np.testing.assert_allclose(self.weights(gen, phases), direct * unit, rtol=0, atol=1e-14)
+
+    def test_site_steps(self):
+        steps = _site_steps(GeneratorSpec(MIXED_SITES))
+        expected = np.zeros((6, 3))
+        expected[[0, 1], 0] = [0.75, -0.85]
+        expected[2, 1] = 0.5
+        expected[[3, 4, 5], 2] = [0.5, 1.0, -0.75]
+        np.testing.assert_array_equal(steps, expected)
 
 
 class TestChunkRngs:
