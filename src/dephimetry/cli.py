@@ -119,6 +119,17 @@ def _output(path: Optional[str | Path], default: Optional[TextIO] = None):
         raise
 
 
+def _same_file(a: Optional[str], b: Optional[str]) -> bool:
+    """Whether two output paths name one file: samefile when both exist,
+    else the same resolved path; never when either is None."""
+    if a is None or b is None:
+        return False
+    a, b = Path(a), Path(b)
+    if a.exists() and b.exists():
+        return a.samefile(b)
+    return a.resolve() == b.resolve()
+
+
 def _write_text(text: str, out: TextIO) -> None:
     """Every output but --per-shot goes through this one module-level name,
     so that a profiler can time the output layer."""
@@ -228,6 +239,13 @@ def _dephased_qfi(
     return qfi(rho, gen)
 
 
+def _check_point(family: str, n: int, alpha: float, two_beta2: float) -> None:
+    """grid_report's own closed-form checks, run before any output is opened
+    so that a refused point leaves an earlier file alone."""
+    _family_point(family, n, alpha, two_beta2)
+    bounds.reference_bound_g(n, two_beta2)
+
+
 def grid_report(
     state: str, family: str, n: int, alpha: float, two_beta2: float
 ) -> bounds.BoundReport:
@@ -248,6 +266,7 @@ def _emit_record(record: dict, fmt: str, out: TextIO) -> None:
 
 
 def cmd_bound(args) -> int:
+    _check_point(args.family, args.n, args.alpha, args.two_beta2)
     with _output(args.out, sys.stdout) as out:
         report = grid_report(args.state, args.family, args.n, args.alpha, args.two_beta2)
         _emit_record(report.to_dict(), args.format, out)
@@ -307,6 +326,8 @@ def cmd_simulate(args) -> int:
             f"shots must be between 1 and {limit} at n = {args.n} "
             f"({SIMULATE_RESULT_BYTES} bytes of per-shot results)"
         )
+    if _same_file(args.out, args.per_shot):
+        raise ValueError(f"--out and --per-shot name one file: {args.per_shot}")
     # Both outputs are opened before any seed is drawn.
     with _output(args.out, sys.stdout) as out, _output(args.per_shot) as per_shot:
         gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
@@ -416,10 +437,8 @@ def cmd_sweep(args) -> int:
     grids = parse_sweep_config(text)
     # state outermost, two_beta2 innermost
     points = list(itertools.product(*(grids[key] for key in _SWEEP_KEYS)))
-    # grid_report's own closed-form checks, on every point before any row
     for _, family, n, alpha, two_beta2 in points:
-        _family_point(family, n, alpha, two_beta2)
-        bounds.reference_bound_g(n, two_beta2)
+        _check_point(family, n, alpha, two_beta2)
     with _output(args.out, sys.stdout) as out:
         rows = (grid_report(*pt).to_dict().values() for pt in points)
         _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), out)

@@ -192,6 +192,8 @@ def product_plus_state(n: int) -> DensityMatrix:
 def encode_phase(rho: DensityMatrix, gen: GeneratorSpec, phi: float) -> DensityMatrix:
     """Unitary phase encoding exp(-i phi H) rho exp(+i phi H), entrywise."""
     _check_pairing(rho, gen)
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
     energy = gen.energies
     w = np.exp(-1j * phi * (energy[:, None] - energy[None, :]))
     out = rho.entries * w

@@ -47,8 +47,8 @@ H maps the live subspace to itself.  Dephasing and phase encoding act
 entrywise, so the support of rho is the support of every state derived
 from it, and a measurement column that is zero on the support has
 probability 0 at every phase.  Probabilities, the classical Fisher
-information, the estimator table and sampling are taken over the columns
-that touch the support only (Povm.restrict).
+information and the estimator table (each one Povm.statistics pass), and
+sampling too, use only the columns that touch the support (Povm.restrict).
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -92,7 +93,6 @@ from .core import (
     _support,
     _trusted,
 )
-from .dephasing import _derivative_block
 
 RANK_TOL_FACTOR = 1e-10
 PROB_FLOOR = 1e-12
@@ -193,11 +193,6 @@ class Povm:
             return terms
         return terms @ self._membership
 
-    def traces(self, a: np.ndarray) -> np.ndarray:
-        """Re Tr(A Pi_x) per outcome for a (dim, dim) matrix A."""
-        v = self.vectors
-        return self.collect((v.conj() * (a @ v)).sum(axis=0).real)
-
     def restrict(self, live) -> tuple["Povm", "np.ndarray | slice"]:
         """The measurement seen by states supported on the rows `live` (see
         core._support): the rows `live` of the columns that are not zero
@@ -212,21 +207,34 @@ class Povm:
         reached, labels = np.unique(self.labels[touched], return_inverse=True)
         return Povm._from_columns(rows[:, touched], labels, reached.size), reached
 
-    def spread(self, values: np.ndarray, reached) -> np.ndarray:
-        """Per-outcome values over the outcomes `reached` by a restriction
-        (last axis), placed among all outcomes with 0 elsewhere."""
-        if isinstance(reached, slice):
-            return values
-        out = np.zeros(values.shape[:-1] + (self.outcomes,))
-        out[..., reached] = values
-        return out
-
-    def probabilities(self, rho: DensityMatrix) -> np.ndarray:
+    def statistics(self, rho: DensityMatrix, h: Optional[np.ndarray] = None):
+        """(p, dp) per outcome from one product on the support of rho, terms
+        = conj(v) * (rho v) over its rows and the columns v that reach it
+        (restrict).  p(x) = Tr(rho Pi_x) sums terms over both, for the
+        columns of x.  For rows h over the basis, (dim,) or (k, dim), dp(x)
+        = 2 Im(h @ terms) summed over the columns of x, which is Tr(-i
+        [diag(h), rho] Pi_x) per row.  Outcomes the support does not reach
+        get 0; dp is None without h."""
         if rho.dim != self.dim:
             raise ValueError("POVM and state dimensions differ")
         live = _support(rho.entries)
         sub, reached = self.restrict(live)
-        return self.spread(sub.traces(rho.entries[_grid(live)]), reached)
+        v = sub.vectors
+        terms = v.conj() * (rho.entries[_grid(live)] @ v)
+
+        def spread(values):
+            values = sub.collect(values)
+            if isinstance(reached, slice):
+                return values
+            out = np.zeros(values.shape[:-1] + (self.outcomes,))
+            out[..., reached] = values
+            return out
+
+        p = spread(terms.sum(axis=0).real)
+        return p, None if h is None else spread(2.0 * (h[..., live] @ terms).imag)
+
+    def probabilities(self, rho: DensityMatrix) -> np.ndarray:
+        return self.statistics(rho)[0]
 
 
 def _support_block(rho: DensityMatrix, gen: GeneratorSpec):
@@ -370,15 +378,11 @@ def _product_plus_qfi(n: int, collective: float, local: float) -> float:
 
 def classical_fi(rho: DensityMatrix, gen: GeneratorSpec, povm: Povm) -> float:
     """Fisher information of the outcome distribution of `povm` on the
-    encoded family at rho; outcomes at or below PROB_FLOOR are skipped."""
-    if povm.dim != rho.dim:
-        raise ValueError("POVM and state dimensions differ")
+    encoded family at rho, sum dp^2 / p with dp = Tr(-i [H, rho] Pi_x) from
+    Povm.statistics over the total energies; outcomes at or below
+    PROB_FLOOR are skipped."""
     _check_pairing(rho, gen)
-    live = _support(rho.entries)
-    sub, _ = povm.restrict(live)
-    block = rho.entries[_grid(live)]
-    p = sub.traces(block)
-    dp = sub.traces(_derivative_block(block, gen.energies[live]))
+    p, dp = povm.statistics(rho, gen.energies)
     fired = p > PROB_FLOOR
     return float(np.sum(dp[fired] ** 2 / p[fired]))
 

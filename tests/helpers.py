@@ -19,7 +19,8 @@ from dephimetry import (
     qfi,
     weights,
 )
-from dephimetry.dephasing import chunk_rngs, covariance_sqrt, derivative_state
+from dephimetry.bayes import chunk_rngs, covariance_sqrt
+from dephimetry.dephasing import derivative_state
 from dephimetry.fisher import RANK_TOL_FACTOR
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)

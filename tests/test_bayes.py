@@ -39,9 +39,8 @@ from dephimetry import (
     weights,
 )
 import dephimetry.bayes
-import dephimetry.dephasing
-from dephimetry.bayes import _fold, _shot_probabilities, _state_factor, map_ordered
-from dephimetry.dephasing import CHUNK_SHOTS, derivative_state
+from dephimetry.bayes import CHUNK_SHOTS, _fold, _shot_probabilities, _state_factor, map_ordered
+from dephimetry.dephasing import derivative_state
 from dephimetry.fisher import _support_block
 
 from helpers import (
@@ -92,6 +91,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="covariance"):
             ExperimentConfig(rho=ghz_state(2), gen=gen, cov=build_c1(3, 0.5, 0.0),
                              povm=povm)
+
+    @pytest.mark.parametrize("name", ["phi0", "delta_phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phases(self, name, value):
+        gen = GeneratorSpec.qubits(2)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentConfig(rho=ghz_state(2), gen=gen, cov=build_c1(2, 0.5, 0.0),
+                             povm=Povm.projective(np.eye(4)), **{name: value})
 
     def test_rho_bar_kept_not_rebuilt(self, monkeypatch):
         gen = GeneratorSpec.qubits(2)
@@ -445,8 +452,8 @@ class TestSimulate:
         # a chunk whose buffers would pass BATCH_ELEMENTS runs in batches;
         # batches draw no random numbers, so 1000-shot batches of the
         # rank-4, 4-column kernel keep every golden value
-        monkeypatch.setattr(dephimetry.dephasing, "BATCH_ELEMENTS", 16 * 1000)
-        assert dephimetry.dephasing._batch_shots(16) == 1000
+        monkeypatch.setattr(dephimetry.bayes, "BATCH_ELEMENTS", 16 * 1000)
+        assert dephimetry.bayes._batch_shots(16) == 1000
         cfg = make_cfg(18, n=2)
         assert _state_factor(_support_block(cfg.rho, cfg.gen)[1]).shape == (4, 4)
         self.test_four_chunk_stream_pinned()
@@ -480,11 +487,14 @@ class TestSimulate:
         sub, reached = povm.restrict(live)
         phases = rng(n).normal(size=(64, n + 1))
         w = np.exp(-1j * (phases @ GeneratorSpec.qubits(n + 1).site_energy_table))
+        # the kernel gives the outcomes reached on the support; the dense
+        # probabilities of every other outcome are 0
+        dense = dense_shot_probabilities(w, rho.entries, effects)
         np.testing.assert_allclose(
-            povm.spread(shot_probabilities(sub, factor, w[:, live]), reached),
-            dense_shot_probabilities(w, rho.entries, effects),
-            rtol=0, atol=1e-13,
+            shot_probabilities(sub, factor, w[:, live]), dense[:, reached], rtol=0, atol=1e-13
         )
+        unreached = np.setdiff1d(np.arange(povm.outcomes), reached)
+        np.testing.assert_allclose(dense[:, unreached], 0.0, rtol=0, atol=1e-13)
 
     # Seeded GHZ runs at c2(0.5, 0.5), pinned from the dense sampler: the
     # support sampler must draw the same outcomes under the same labels.
@@ -532,7 +542,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("case", ["plus-3", "plus-6", "mixed-3"])
     def test_product_route_draws_the_direct_outcomes(self, case, monkeypatch):
-        # A full support takes dephasing._product_weights.  Handing the
+        # A full support takes bayes._product_weights.  Handing the
         # sampler that support as an index array forces the direct route
         # instead; the weights then differ by a unit factor per shot and by
         # rounding, and 2^17 seeded shots must land on the same outcomes.

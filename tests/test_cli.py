@@ -23,7 +23,7 @@ from dephimetry import (
     simulate,
 )
 from dephimetry.bounds import _fmt
-from dephimetry.dephasing import CHUNK_SHOTS
+from dephimetry.bayes import CHUNK_SHOTS
 from dephimetry.errors import NumericalConsistencyError
 from dephimetry.fisher import _product_plus_qfi
 
@@ -211,6 +211,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("alias", ["dot-path", "symlink", "hardlink"])
+    def test_out_and_per_shot_naming_one_file_refused(self, alias, tmp_path, monkeypatch,
+                                                      capsys):
+        # both outputs into one file left the JSON followed by the CSV's tail;
+        # the pair is refused before either file is opened
+        def never(*args):
+            raise AssertionError("sampled into two outputs that name one file")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        monkeypatch.chdir(tmp_path)
+        same = Path("same.txt")
+        per_shot = "./same.txt"
+        if alias != "dot-path":
+            same.write_text("earlier\n")
+            per_shot = "alias.txt"
+            (os.symlink if alias == "symlink" else os.link)(same, per_shot)
+        assert run(["simulate", "--n", "2", "--shots", "50", "--seed", "1",
+                    "--out", str(same), "--per-shot", per_shot]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out and --per-shot name one file: {per_shot}\n"
+        if alias == "dot-path":
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert same.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("args", [
+        ["bound", "--n", "3", "--alpha", "nan"],
+        ["qfi", "--n", "3", "--family", "c1", "--alpha", "nan"],
+        ["dephase", "--n", "2", "--phi", "nan"],
+        ["sweep", "--config", "{config}"],
+        ["simulate", "--n", "2", "--shots", "4", "--seed", "1", "--alpha", "nan"],
+    ], ids=lambda args: args[0])
+    def test_refused_argument_keeps_earlier_out(self, args, tmp_path, capsys):
+        # the refusal comes before --out is opened, so an earlier file stays
+        config = tmp_path / "grid.cfg"
+        config.write_text(ONE_POINT_SWEEP.replace("alpha = 0", "alpha = nan"))
+        out = tmp_path / "prev.txt"
+        out.write_text("earlier\n")
+        args = [a.format(config=config) for a in args]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == "earlier\n"
 
     def test_unwritable_out_leaves_no_per_shot_file(self, tmp_path, capsys):
         per_shot = tmp_path / "ok.csv"

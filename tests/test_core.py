@@ -170,6 +170,11 @@ class TestEncodePhase:
         assert abs(out[0, 1] - 0.5 * np.exp(-1j * 0.7)) < 1e-15
         assert abs(out[1, 0] - 0.5 * np.exp(+1j * 0.7)) < 1e-15
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phi(self, phi):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            encode_phase(ghz_state(2), GeneratorSpec.qubits(2), phi)
+
     def test_diagonal_invariant(self):
         r = rng(1)
         rho = random_density(r, 8)

@@ -22,15 +22,15 @@ from dephimetry import (
     product_plus_state,
     weights,
 )
-from dephimetry.dephasing import (
+from dephimetry.bayes import (
     CHUNK_SHOTS,
-    _pair_quadratic,
     _phase_weights,
     _product_weights,
     _site_steps,
     chunk_rngs,
     covariance_sqrt,
 )
+from dephimetry.dephasing import _pair_quadratic
 
 from helpers import (
     dephase_factor_loops,

@@ -131,10 +131,16 @@ class TestPovm:
         np.testing.assert_allclose(
             povm.probabilities(rho), dense_traces(rho.entries, effects), rtol=0, atol=1e-13
         )
+        # one statistics pass: the total energies give Tr(-i [H, rho] Pi_x),
+        # each row of the site table Tr(-i [S_j, rho] Pi_x)
+        _, dp = povm.statistics(rho, gen.energies)
         drho = derivative_state(rho, gen).entries
-        np.testing.assert_allclose(
-            povm.traces(drho), dense_traces(drho, effects), rtol=0, atol=1e-13
-        )
+        np.testing.assert_allclose(dp, dense_traces(drho, effects), rtol=0, atol=1e-13)
+        table = gen.site_energy_table
+        _, site = povm.statistics(rho, table)
+        for h, traces in zip(table, site):
+            drho_j = -1j * np.subtract.outer(h, h) * rho.entries
+            np.testing.assert_allclose(traces, dense_traces(drho_j, effects), rtol=0, atol=1e-13)
         for built, given_effect in zip(dense_effects(povm), effects):
             np.testing.assert_allclose(built, given_effect, rtol=0, atol=1e-13)
 

@@ -1,4 +1,15 @@
+import ast
+from pathlib import Path
+
 import dephimetry
+
+PACKAGE = Path(dephimetry.__file__).parent
+
+# The seeded sampler's pieces, which live in bayes next to simulate.
+SAMPLER_NAMES = {
+    "CHUNK_SHOTS", "BATCH_ELEMENTS", "_batch_shots", "_shaped", "_phase_weights",
+    "_site_steps", "_product_weights", "chunk_rngs", "covariance_sqrt",
+}
 
 
 def test_star_import_exports_all():
@@ -8,3 +19,44 @@ def test_star_import_exports_all():
     for name in dephimetry.__all__:
         assert hasattr(dephimetry, name), name
         assert namespace[name] is getattr(dephimetry, name)
+
+
+def module_tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def names_imported_from(tree: ast.Module, source: str) -> set[str]:
+    """Names a module takes from the package module `source`, by any import
+    form; the module itself counts as the name `source`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == source:
+                names.update(alias.name for alias in node.names)
+            elif module in ("", "dephimetry"):
+                names.update(a.name for a in node.names if a.name == source)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[-1] == source)
+    return names
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_module_boundaries():
+    # fisher needs nothing of the channel; bayes takes only the channel from
+    # dephasing and owns its sampler; dephasing keeps none of the sampler
+    assert names_imported_from(module_tree("fisher"), "dephasing") == set()
+    assert names_imported_from(module_tree("bayes"), "dephasing") == {"dephase"}
+    assert top_level_names(module_tree("dephasing")) & SAMPLER_NAMES == set()
+    assert top_level_names(module_tree("bayes")) >= SAMPLER_NAMES
+    assert not hasattr(dephimetry.Povm, "traces")
