@@ -66,7 +66,7 @@ from .errors import (
     NumericalConsistencyError,
     UninformativeMeasurementError,
 )
-from .fisher import PROB_FLOOR, RANK_TOL_FACTOR, Povm, _support_block, qfi
+from .fisher import PROB_FLOOR, Povm, _rounding_floor, _support_block, qfi
 
 _PROB_SUM_TOL = 1e-10
 _NEGATIVE_PROB_TOL = -1e-12
@@ -196,11 +196,11 @@ class SimulationResult:
 def _state_factor(block: np.ndarray) -> np.ndarray:
     """(s, r) factor A with block = A A^dagger, for the block of rho on its
     support (fisher._support_block: real when rho is, and every other row of
-    rho is zero), keeping the eigenvalues lam > RANK_TOL_FACTOR * lam_max.
-    This cut is on single eigenvalues; the SLD's rank rule
-    (fisher._kept_pairs) keeps pairs with lam_k + lam_l above that level."""
+    rho is zero), keeping the eigenvalues above the rounding floor
+    fisher._rounding_floor(s, lam_max).  The SLD's rank rule
+    (fisher._kept_pairs) applies the same floor to pairs lam_k + lam_l."""
     lam, vec = np.linalg.eigh(block)
-    keep = lam > RANK_TOL_FACTOR * lam[-1]
+    keep = lam > _rounding_floor(lam.size, lam[-1])
     return vec[:, keep] * np.sqrt(lam[keep])
 
 

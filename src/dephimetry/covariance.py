@@ -8,7 +8,10 @@ off-diagonal correlation (build_c1) and exponentially decaying correlation
 (build_c2).  The fully correlated limit C = c * ones is singular and is
 handled as a declared special case (delta2_c = c, uniform weights) rather
 than through a pseudo-inverse.  A covariance counts as singular when its
-smallest eigenvalue is at most SINGULAR_TOL times its largest.
+smallest eigenvalue is at most SINGULAR_TOL times its largest.  A
+covariance whose absolute entries sum past the float range is refused: that
+sum bounds 1^T C 1 and delta^T C delta for every |delta_j| <= 1, so no
+qubit channel or mass derived from an accepted one overflows.
 """
 from __future__ import annotations
 
@@ -39,10 +42,14 @@ class CovarianceMatrix:
             raise ValueError("covariance must be a square matrix")
         if not np.isfinite(a).all():
             raise ValueError("covariance has non-finite entries")
-        dev = np.abs(a - a.T).max() if a.size else 0.0
-        if dev > SYMMETRY_TOL:
-            raise ValueError(f"covariance deviates from symmetry by {dev:.3e}")
-        a = (a + a.T) / 2
+        with np.errstate(over="ignore"):
+            dev = np.abs(a - a.T).max() if a.size else 0.0
+            if dev > SYMMETRY_TOL:
+                raise ValueError(f"covariance deviates from symmetry by {dev:.3e}")
+            a = a / 2 + a.T / 2  # (a + a.T) / 2 without overflow
+            reach = np.abs(a).sum()
+        if not np.isfinite(reach):
+            raise ValueError("covariance entries sum past the float range")
         lam = np.linalg.eigvalsh(a)
         if lam[0] < PSD_TOL:
             raise ValueError("covariance has a negative eigenvalue beyond tolerance")
@@ -63,6 +70,25 @@ class CovarianceMatrix:
         """True when C = c * ones, the fully correlated (rank-one) form."""
         c = self.entries[0, 0]
         return bool(np.allclose(self.entries, c, rtol=0.0, atol=1e-12 * max(1.0, abs(c))))
+
+    @cached_property
+    def _averaging(self) -> tuple[float, WeightVector]:
+        """(delta2_c, weights) from one Cholesky solve x = C^{-1} 1: 1 / sum x
+        and x / sum x; c and uniform weights for the collective form c * ones.
+        Any other singular covariance, or a nonpositive sum, is refused."""
+        if self.is_singular:
+            if self.is_collective:
+                return float(self.entries[0, 0]), WeightVector(np.full(self.n, 1.0 / self.n))
+            raise SingularCovarianceError(
+                "covariance is singular and not of the collective form"
+            )
+        # SPD Cholesky solve; singularity is gated on the eigenvalue ratio first.
+        chol = np.linalg.cholesky(self.entries)
+        x = np.linalg.solve(chol.T, np.linalg.solve(chol, np.ones(self.n)))
+        total = float(x.sum())
+        if total <= 0.0:
+            raise SingularCovarianceError("covariance inverse has nonpositive mass")
+        return 1.0 / total, WeightVector(x / total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,38 +139,15 @@ def _check_family_args(n: int, two_beta2: float, alpha: float) -> None:
         raise ValueError("alpha must lie in [0, 1]")
 
 
-def _inverse_times_ones(cov: CovarianceMatrix) -> np.ndarray:
-    # SPD Cholesky solve; singularity is gated on the eigenvalue ratio first.
-    chol = np.linalg.cholesky(cov.entries)
-    ones = np.ones(cov.n)
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, ones))
-
-
 def delta2_c(cov: CovarianceMatrix) -> float:
     """(1^T C^{-1} 1)^{-1}; for the singular collective form returns its
     limit value, the common entry c."""
-    if cov.is_singular:
-        if cov.is_collective:
-            return float(cov.entries[0, 0])
-        raise SingularCovarianceError(
-            "covariance is singular and not of the collective form"
-        )
-    total = float(_inverse_times_ones(cov).sum())
-    if total <= 0.0:
-        raise SingularCovarianceError("covariance inverse has nonpositive mass")
-    return 1.0 / total
+    return cov._averaging[0]
 
 
 def weights(cov: CovarianceMatrix) -> WeightVector:
     """Variance-minimizing averaging weights gamma = delta2_c * C^{-1} 1."""
-    if cov.is_singular:
-        if cov.is_collective:
-            return WeightVector(np.full(cov.n, 1.0 / cov.n))
-        raise SingularCovarianceError(
-            "covariance is singular and not of the collective form"
-        )
-    x = _inverse_times_ones(cov)
-    return WeightVector(x / x.sum())
+    return cov._averaging[1]
 
 
 def delta2_c1_closed(n: int, two_beta2: float, alpha: float) -> float:

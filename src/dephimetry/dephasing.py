@@ -34,11 +34,17 @@ from .errors import NumericalConsistencyError
 
 def _pair_quadratic(table: np.ndarray, cov: CovarianceMatrix) -> np.ndarray:
     """Matrix of delta^T C delta over pairs of the basis states whose
-    columns of the site energy table are given."""
-    gram = table.T @ (cov.entries @ table)
-    gram = (gram + gram.T) / 2
-    diag = np.diag(gram)
-    quad = diag[:, None] + diag[None, :] - 2.0 * gram
+    columns of the site energy table are given.  A covariance and energies
+    so large together that a term overflows are refused (ValueError); no
+    accepted covariance overflows with energy gaps of at most 1, as qubits
+    have (see covariance)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = table.T @ (cov.entries @ table)
+        gram = (gram + gram.T) / 2
+        diag = np.diag(gram)
+        quad = diag[:, None] + diag[None, :] - 2.0 * gram
+    if not np.isfinite(quad).all():
+        raise ValueError("delta^T C delta overflows for this covariance and generator")
     np.fill_diagonal(quad, 0.0)
     return quad
 

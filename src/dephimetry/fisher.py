@@ -4,8 +4,16 @@ Conventions: the symmetric logarithmic derivative L solves
 L rho + rho L = -2i [H, rho], so for a pure state L = 2 drho.  Every QFI is
 one kept-pair sum over frames (copies, lam, lam', M), F = 2 sum over frames
 of copies * sum |M_kl|^2 / (lam_k + lam'_l).  The rank rule lives in
-_kept_pairs alone: a pair is kept when lam_k + lam'_l > RANK_TOL_FACTOR *
-top, top the largest eigenvalue over all frames of the state.
+_kept_pairs alone: a pair is kept when lam_k + lam'_l exceeds the rounding
+floor _rounding_floor(size, top) = size * eps * top, with top the largest
+eigenvalue over all frames of the state and size = sum of copies * len(lam),
+the rows of the support the frames tile (s for the full frame, 2h for the
+parity frame, 2^n for the Schur-Weyl blocks).  An eigensolver on such a
+support resolves eigenvalues to about that level, so the floor drops only
+pairs it cannot tell from zero.  A dropped pair costs at most 2 (lam_k +
+lam'_l) |H~_kl|^2 with H~ = V^dagger H V, since M_kl = (lam'_l - lam_k)
+H~_kl.  The same floor sets the rank of the probe factor
+(bayes._state_factor) and of each effect of a Povm.
 
 The full frame is (1, lam, lam, V^dagger g V), with rho = V diag(lam)
 V^dagger and drho = -i g.  It also gives the SLD, L_kl = 2 (V^dagger drho
@@ -66,14 +74,14 @@ keeps full relative precision at any noise strength.  The collective part
 acts inside each block as the factor exp(-a (m - m')^2 / 2), and -i[H, rho]
 stays block diagonal, so each block feeds its own full frame with copies
 d_j, top spanning all blocks.  It agrees with dense qfi to rounding
-(1.2e-14 relative over n <= 10 and 2 beta^2 from 1e-6 to 50).  The rank
-rule, not rounding, sets its distance from the identity-noise value
-n e^{-2 beta^2}: 1.8e-10 relative at n = 10 and 2 beta^2 = 0.1.  The loss
-grows with n (at 2 beta^2 = 0.5: 3.9e-11 at n = 14, 8.0e-8 at n = 20,
-6.1e-3 at n = 50), as ever more of the state's weight sits in blocks whose
-pairs fall under the one global cut.  So the CLI takes this path only for
-n <= 10, the sizes the dense path also serves, and leaves product-plus
-f_rho_bar empty past them until _kept_pairs weighs the copies d_j.
+(1.2e-14 relative over n <= 10 and 2 beta^2 from 1e-6 to 50), and the
+identity-noise value n e^{-2 beta^2} to 1.1e-12 at n = 10 and 2 beta^2 =
+0.1.  The floor is global and grows like 2^n eps, while ever more of the
+state's weight sits in small blocks whose pairs fall under it: at 2 beta^2
+= 0.5 the loss is 3.7e-13 at n = 14, 9.8e-7 at n = 20 and 1.1e-2 at n =
+30.  So the CLI takes this path only for n <= 10, the sizes the dense path
+also serves, and leaves product-plus f_rho_bar empty past them until the
+rule is taken per sector.
 """
 from __future__ import annotations
 
@@ -94,7 +102,6 @@ from .core import (
     _trusted,
 )
 
-RANK_TOL_FACTOR = 1e-10
 PROB_FLOOR = 1e-12
 
 _EFFECT_PSD_TOL = -1e-10
@@ -142,7 +149,7 @@ class Povm:
             lam, vec = np.linalg.eigh(a)
             if lam[0] < _EFFECT_PSD_TOL:
                 raise ValueError(f"effect {k} has a negative eigenvalue beyond tolerance")
-            keep = lam > dim * np.finfo(float).eps * lam[-1]
+            keep = lam > _rounding_floor(dim, lam[-1])
             columns.append(vec[:, keep] * np.sqrt(lam[keep]))
             labels.extend([k] * int(keep.sum()))
             cleaned.append(a)
@@ -287,14 +294,23 @@ def _parity_frame(block: np.ndarray, energy: np.ndarray):
     return lam_e, lam_o, mixed @ vec_o
 
 
+def _rounding_floor(size: int, top: float) -> float:
+    """size * eps * top: the level below which an eigenvalue (or a sum of
+    two) of a size-row Hermitian matrix with largest eigenvalue top is
+    rounding, the only eigenvalue floor of fisher and bayes."""
+    return size * np.finfo(float).eps * top
+
+
 def _kept_pairs(spectra):
-    """The rank rule: for each (lam, lam2) of `spectra`, both ascending, the
-    pair sums denom = lam_k + lam2_l and the mask of the kept pairs, denom >
-    RANK_TOL_FACTOR * top, top the largest eigenvalue over all of them."""
-    top = max(max(lam[-1], lam2[-1]) for lam, lam2 in spectra)
-    for lam, lam2 in spectra:
+    """The rank rule: for each (copies, lam, lam2) of `spectra`, both
+    spectra ascending, the pair sums denom = lam_k + lam2_l and the mask of
+    the kept pairs, denom > _rounding_floor(size, top), with size = sum of
+    copies * len(lam) and top the largest eigenvalue over all of them."""
+    top = max(max(lam[-1], lam2[-1]) for _, lam, lam2 in spectra)
+    floor = _rounding_floor(sum(copies * lam.size for copies, lam, _ in spectra), top)
+    for _, lam, lam2 in spectra:
         denom = lam[:, None] + lam2[None, :]
-        yield denom, denom > RANK_TOL_FACTOR * top
+        yield denom, denom > floor
 
 
 def _frame_qfi(frames) -> float:
@@ -303,7 +319,7 @@ def _frame_qfi(frames) -> float:
     squared and divided in place, so no further temporaries of its size are
     held."""
     total = 0.0
-    pairs = _kept_pairs([(lam, lam2) for _, lam, lam2, _ in frames])
+    pairs = _kept_pairs([(copies, lam, lam2) for copies, lam, lam2, _ in frames])
     for (copies, _, _, mixed), (denom, keep) in zip(frames, pairs):
         terms = np.abs(mixed, out=mixed if mixed.dtype.kind == "f" else None)
         np.square(terms, out=terms)
@@ -315,7 +331,7 @@ def _frame_qfi(frames) -> float:
 
 def _sld_block(lam, vec, mixed) -> np.ndarray:
     """The SLD on the support block of a full frame, Hermitian-symmetrized."""
-    ((denom, keep),) = _kept_pairs([(lam, lam)])
+    ((denom, keep),) = _kept_pairs([(1, lam, lam)])
     safe = np.where(keep, denom, 1.0)
     frame = np.where(keep, mixed / safe, 0.0)
     block = -2j * (vec @ frame @ vec.conj().T)

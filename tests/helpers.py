@@ -21,7 +21,7 @@ from dephimetry import (
 )
 from dephimetry.bayes import chunk_rngs, covariance_sqrt
 from dephimetry.dephasing import derivative_state
-from dephimetry.fisher import RANK_TOL_FACTOR
+from dephimetry.fisher import _rounding_floor
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -293,7 +293,7 @@ def _dense_frame(rho: DensityMatrix, gen: GeneratorSpec):
     drho = derivative_state(rho, gen).entries
     mixed = vec.conj().T @ drho @ vec
     denom = lam[:, None] + lam[None, :]
-    keep = denom > RANK_TOL_FACTOR * lam[-1]
+    keep = denom > _rounding_floor(lam.size, lam[-1])
     return vec, mixed, denom, keep
 
 

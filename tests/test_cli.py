@@ -47,6 +47,8 @@ HUGE_N_SWEEP = (
 )
 # A one-point sweep grid.
 ONE_POINT_SWEEP = "state = ghz\nfamily = identity\nn = 2\nalpha = 0\ntwo_beta2 = 0.5\n"
+# The refusal of a covariance whose entries sum past the float range.
+FLOAT_RANGE = "error: covariance entries sum past the float range\n"
 
 
 def load_repo_module(folder, name):
@@ -118,6 +120,20 @@ class TestExitCodes:
                      "error: phi0 must be finite\n", id="simulate-phi0-nan-no-seed"),
         pytest.param(["simulate", "--n", "2", "--shots", "10", "--seed", "1", "--delta-phi", "inf"],
                      "error: delta_phi must be finite\n", id="simulate-delta-phi-inf"),
+        # a covariance whose entries sum past the float range: no nan cells,
+        # no eigensolver failure and no RuntimeWarning
+        pytest.param(["dephase", "--state", "product-plus", "--n", "2", "--family", "c1",
+                      "--alpha", "0.5", "--two-beta2", "1e308", "--format", "csv"],
+                     FLOAT_RANGE, id="dephase-covariance-overflow"),
+        pytest.param(["dephase", "--state", "product-plus", "--n", "10", "--family", "c1",
+                      "--alpha", "0.5", "--two-beta2", "1e307", "--format", "csv"],
+                     FLOAT_RANGE, id="dephase-n10-covariance-overflow"),
+        pytest.param(["qfi", "--state", "product-plus", "--n", "3", "--family", "c2",
+                      "--alpha", "0.4", "--two-beta2", "1e308"],
+                     FLOAT_RANGE, id="qfi-covariance-overflow"),
+        pytest.param(["simulate", "--n", "2", "--family", "identity", "--two-beta2", "1e308",
+                      "--shots", "10", "--seed", "1"],
+                     FLOAT_RANGE, id="simulate-covariance-overflow"),
         pytest.param(["figure", "scaling", "--n-max", "0"], "--n-max", id="n-max-zero"),
         pytest.param(["figure", "scaling", "--two-beta2", "800"], "two_beta2",
                      id="scaling-overflow"),

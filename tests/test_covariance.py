@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ class TestCovarianceMatrix:
         a[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             CovarianceMatrix(a)
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param(np.full((2, 2), 1e308), id="symmetric-part-overflows"),
+        pytest.param(1e308 * np.eye(2), id="diagonal"),
+        pytest.param(np.where(np.eye(10) > 0, 1e307, 5e306), id="c1-n10-1e307"),
+    ])
+    def test_rejects_entries_summing_past_float_range(self, entries):
+        # their sum bounds 1^T C 1 and every qubit delta^T C delta
+        with pytest.raises(ValueError, match="covariance entries sum past the float range"):
+            CovarianceMatrix(entries)
+
+    def test_keeps_largest_finite_entry(self):
+        # symmetrizing must not overflow where the entries themselves do not
+        assert CovarianceMatrix(np.array([[1e308]])).entries[0, 0] == 1e308
 
     def test_zero_matrix_is_singular_and_collective(self):
         cov = CovarianceMatrix(np.zeros((3, 3)))
@@ -176,6 +191,17 @@ class TestWeights:
     def test_collective_uniform(self):
         w = weights(CovarianceMatrix(0.3 * np.ones((4, 4))))
         np.testing.assert_array_equal(w.gamma, 0.25)
+
+    def test_one_solve_feeds_delta2_and_weights(self):
+        # 1 / sum x and x / sum x of the same x = C^{-1} 1, bit for bit
+        cov = build_c2(5, 0.5, 0.3)
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+            d2, gamma = delta2_c(cov), weights(cov).gamma
+        assert spy.call_count == 1
+        chol = np.linalg.cholesky(cov.entries)
+        x = np.linalg.solve(chol.T, np.linalg.solve(chol, np.ones(5)))
+        assert d2 == 1.0 / x.sum()
+        np.testing.assert_array_equal(gamma, x / x.sum())
 
     @given(seed=st.integers(0, 100))
     def test_weighted_variance_equals_delta2(self, seed):

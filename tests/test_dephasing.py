@@ -59,6 +59,14 @@ class TestDephase:
         out = dephase(product_plus_state(1), GeneratorSpec.qubits(1), cov)
         assert math.isclose(out.entries[0, 1].real, 0.5 * 0.7788007830714049, rel_tol=1e-14)
 
+    def test_refuses_overflowing_quadratic(self):
+        # a unit covariance with an energy gap of 1e160: delta^T C delta
+        # overflows, which no qubit generator can make it do
+        gen = GeneratorSpec(((0.0, 1e160),) * 2)
+        rho = DensityMatrix(np.full((4, 4), 0.25))
+        with pytest.raises(ValueError, match="delta\\^T C delta overflows"):
+            dephase(rho, gen, CovarianceMatrix(np.eye(2)))
+
     def test_ghz_coherence_uses_total_mass(self):
         # extreme entries differ by delta = (1,...,1): factor exp(-1^T C 1 / 2)
         cov = build_c1(3, 0.5, 0.4)

@@ -376,22 +376,33 @@ class TestParitySplit:
 
     @pytest.mark.parametrize("heavy", ["odd", "even"])
     def test_rank_rule_spans_both_halves(self, heavy):
-        # nearly all weight on one vector of one half and 3e-11 on a vector
+        # nearly all weight on one vector of one half and 1e-15 on a vector
         # of the other: the pairs of the light vector with the empty modes
-        # of the heavy half sum to 3e-11, below 1e-10 times the largest
-        # eigenvalue, so they are dropped as in the full frame; they would
-        # add about 1e-10 if the light half's own maximum set the rule
+        # of the heavy half sum to 1e-15, below the floor 8 eps of the
+        # largest eigenvalue, so they are dropped as in the full frame and
+        # only the 4 pairs of the heavy vector stay; a floor set by the
+        # light half's own top would keep them too
         gen = GeneratorSpec.qubits(3)
         r = rng(13)
         x, y = ginibre(r, 8, 1)[:, 0], ginibre(r, 8, 1)[:, 0]
         odd, even = x - x[::-1], y + y[::-1]
         big, small = (odd, even) if heavy == "odd" else (even, odd)
-        eps = 3e-11
+        eps = 1e-15
         entries = (1 - eps) * np.outer(big, big.conj()) / np.vdot(big, big).real
         entries += eps * np.outer(small, small.conj()) / np.vdot(small, small).real
         rho = DensityMatrix(entries)
-        value, calls = frame_calls(rho, gen)
+        rule = dephimetry.fisher._kept_pairs
+        masks = []
+
+        def spy(spectra):
+            for denom, keep in rule(spectra):
+                masks.append(keep)
+                yield denom, keep
+
+        with mock.patch.object(dephimetry.fisher, "_kept_pairs", spy):
+            value, calls = frame_calls(rho, gen)
         assert calls == 0
+        assert len(masks) == 1 and masks[0].sum() == 4
         assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-13)
 
     def fallback(self, rho, gen):
@@ -469,19 +480,20 @@ class TestProductPlusBlocks:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_identity_oracle(self, n):
-        # n e^{-2 beta^2}; at 2 beta^2 <= 0.1 and n >= 8 the rank rule drops
-        # pairs that carry more than 1e-12 of it (see the next test)
-        for two_beta2 in BLOCK_NOISE if n <= 7 else BLOCK_NOISE[2:]:
+        # n e^{-2 beta^2}; at 2 beta^2 <= 0.1 and n >= 9 the rounding floor
+        # drops pairs that carry 1e-12 to 2.2e-12 of it (see the next tests)
+        for two_beta2 in BLOCK_NOISE if n <= 8 else BLOCK_NOISE[2:]:
             cov = CovarianceMatrix(two_beta2 * np.eye(n))
             assert math.isclose(block_plus_qfi(cov), n * math.exp(-two_beta2), rel_tol=1e-12)
 
     def test_rank_rule_loss_is_the_dense_one(self):
-        # n = 10, 2 beta^2 = 0.1: pairs below 1e-10 lam_max hold 1.8e-10 of
-        # the information; both paths drop the same pairs
+        # n = 10, 2 beta^2 = 0.1: pairs under the rounding floor 2^n eps
+        # lam_max hold 1.1e-12 of the information; both paths drop the same
+        # pairs
         cov = CovarianceMatrix(0.1 * np.eye(10))
         oracle = 10 * math.exp(-0.1)
         block = block_plus_qfi(cov)
-        assert 1e-10 < (oracle - block) / oracle < 3e-10
+        assert 0 < (oracle - block) / oracle < 2e-12
         assert math.isclose(block, dense_plus_qfi(cov), rel_tol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 5])
@@ -498,6 +510,64 @@ class TestProductPlusBlocks:
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             dephimetry.fisher._product_plus_qfi(10, 0.25, 0.25)
         assert max(call.args[0].shape[0] for call in eigh.call_args_list) == 11
+
+
+def cut_free(fn):
+    """fn() with the rounding floor at 0: every pair with a positive sum kept."""
+    with mock.patch.object(dephimetry.fisher, "_rounding_floor", lambda size, top: 0.0):
+        return fn()
+
+
+def dropped_bound(frames, size):
+    """2 sum over frames (copies, lam, H~) of copies times sum (lam_k + lam_l)
+    |H~_kl|^2 over the positive pairs under the rounding floor of `size`
+    rows: what the floor can cost, as M_kl = (lam_l - lam_k) H~_kl."""
+    top = max(lam[-1] for _, lam, _ in frames)
+    floor = dephimetry.fisher._rounding_floor(size, top)
+    total = 0.0
+    for copies, lam, tilde in frames:
+        denom = lam[:, None] + lam[None, :]
+        dropped = (denom > 0) & ~(denom > floor)
+        total += copies * np.sum(denom[dropped] * np.abs(tilde[dropped]) ** 2)
+    return 2.0 * total
+
+
+class TestRoundingFloorLoss:
+    @pytest.mark.parametrize("collective, local, tol", [(0.0, 0.1, 2e-12), (0.09, 0.01, 1e-12)],
+                             ids=["identity", "c1-0.9"])
+    def test_blocks(self, collective, local, tol):
+        # product-plus n = 10 at 2 beta^2 = 0.1: the Schur-Weyl blocks, each
+        # with H~ = V^dagger J_z V in its Dicke basis; identity noise loses
+        # 1.1e-12, c1 at alpha = 0.9 nothing
+        n, frames = 10, []
+        frame = dephimetry.fisher._eig_frame
+
+        def spy(block, energy):
+            lam, vec, mixed = frame(block, energy)
+            frames.append((lam, vec.conj().T @ (energy[:, None] * vec)))
+            return lam, vec, mixed
+
+        with mock.patch.object(dephimetry.fisher, "_eig_frame", spy):
+            value = dephimetry.fisher._product_plus_qfi(n, collective, local)
+        free = cut_free(lambda: dephimetry.fisher._product_plus_qfi(n, collective, local))
+        copies = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
+        bound = dropped_bound([(c, lam, t) for c, (lam, t) in zip(copies, frames)], 2**n)
+        assert 0 <= free - value <= bound
+        assert math.isclose(value, free, rel_tol=tol)
+        if not collective:
+            assert math.isclose(free, n * math.exp(-local), rel_tol=1e-14)
+
+    def test_dense(self):
+        # product-plus n = 10 under c2 (2 beta^2 = 0.1, alpha = 0.5), the
+        # CLI's dense route; the bound from the full frame of the state
+        gen = GeneratorSpec.qubits(10)
+        rho = dephase(product_plus_state(10), gen, build_c2(10, 0.1, 0.5))
+        value = qfi(rho, gen)
+        free = cut_free(lambda: qfi(rho, gen))
+        lam, vec = np.linalg.eigh(rho.entries)
+        tilde = vec.conj().T @ (gen.energies[:, None] * vec)
+        assert 0 < free - value <= dropped_bound([(1, lam, tilde)], gen.dim)
+        assert math.isclose(value, free, rel_tol=1e-12)
 
 
 def rank_rule_routes():

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import dephimetry
 
 PACKAGE = Path(dephimetry.__file__).parent
@@ -60,3 +62,9 @@ def test_module_boundaries():
     assert top_level_names(module_tree("dephasing")) & SAMPLER_NAMES == set()
     assert top_level_names(module_tree("bayes")) >= SAMPLER_NAMES
     assert not hasattr(dephimetry.Povm, "traces")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
