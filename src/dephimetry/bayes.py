@@ -266,23 +266,32 @@ def bayes_estimators(cfg: ExperimentConfig) -> EstimatorTable:
     )
 
 
+def _scaled_local_error(table: EstimatorTable) -> tuple[float, float]:
+    """(s, local error times s^2), s = 2^-e for delta2 = f 2^e (frexp):
+    est - phi0 = delta2 * score, so the scaled squares keep their digits at
+    tiny noise, and scaling by a power of two is exact."""
+    s = math.ldexp(1.0, min(-math.frexp(table.delta2)[1], np.finfo(float).maxexp - 1))
+    dev = (table.estimates - table.phi0) * s
+    return s, float(np.sum(table.probs * dev * dev))
+
+
 def local_error(cfg: ExperimentConfig, table: Optional[EstimatorTable] = None) -> float:
     """Second moment of the combined estimator around phi0 under the
     averaged distribution; equals delta2^2 times the classical Fisher
     information of the measurement."""
     if table is None:
         table = bayes_estimators(cfg)
-    dev = table.estimates - table.phi0
-    return float(np.sum(table.probs * dev * dev))
+    s, scaled = _scaled_local_error(table)
+    return scaled / s / s
 
 
 def best_estimator(cfg: ExperimentConfig) -> EstimatorTable:
     """Locally unbiased rescaling; its local error is 1/classical_fi."""
     table = bayes_estimators(cfg)
-    le = local_error(cfg, table)
-    if le <= 0.0:
+    s, scaled = _scaled_local_error(table)
+    if scaled <= 0.0:
         raise UninformativeMeasurementError("measurement has zero local information")
-    best = table.phi0 + (table.estimates - table.phi0) * (table.delta2 / le)
+    best = table.phi0 + (table.estimates - table.phi0) * (table.delta2 * s * s / scaled)
     return dataclasses.replace(table, best=best)
 
 
@@ -524,6 +533,10 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         mse_stderr = None
         mean_stderr = None
     del squares
+    s, scaled = _scaled_local_error(table)
+    square, le = table.delta2**2, scaled / s / s
+    # Out of the normal range the plain quotient loses its digits.
+    normal = min(square, le) >= np.finfo(float).tiny
     return SimulationResult(
         shots=shots,
         seed=seed,
@@ -538,5 +551,5 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         outcomes=outcomes,
         estimates=table.estimates[outcomes],
         estimates_best=estimates_best,
-        predicted_mse=table.delta2**2 / local_error(cfg, table),
+        predicted_mse=square / le if normal else (table.delta2 * s) ** 2 / scaled,
     )

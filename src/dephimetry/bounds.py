@@ -156,11 +156,8 @@ def crossover(n_values: Sequence[int], two_beta2_values: Sequence[float]) -> Cro
     """Map out where the independent floor beats the comparison floor."""
     ns = np.array([int(v) for v in n_values])
     b2s = np.array([float(v) for v in two_beta2_values])
-    tighter = np.empty((ns.size, b2s.size), dtype=bool)
-    for i, n in enumerate(ns):
-        ours = (b2s + 1.0 / n) / n
-        theirs = np.expm1(b2s) / n
-        tighter[i] = ours > theirs
+    col = ns[:, None]
+    tighter = (b2s + 1 / col) / col > np.expm1(b2s) / col
     boundary = np.array([crossover_boundary(int(n)) for n in ns])
     return CrossoverReport(
         n_values=ns,

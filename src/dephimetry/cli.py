@@ -39,11 +39,7 @@ from .covariance import (
 )
 from .dephasing import dephase
 from .errors import BoundViolationError, NumericalConsistencyError
-from .fisher import _product_plus_qfi, optimal_povm, qfi
-
-# Not called here since simulate reports its own predicted_mse; the name
-# stays because bench/tracing.py rebinds it for a per-layer metric.
-from .fisher import classical_fi  # noqa: F401
+from .fisher import _product_plus_qfi, classical_fi, optimal_povm, qfi  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,44 +195,46 @@ def _shot_limit(n: int) -> int:
     return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
 
 
-def _dense_gate(n: int, alpha: float, two_beta2: float, **phases: float) -> None:
-    """The gate of the commands that build a dense state, run before any work
-    and building nothing: the CLI's one refusal of sizes past
-    NUMERIC_SITE_LIMIT, the noise gate, and finite phases."""
+def _dense_gate(n: int, family: str, alpha: float, two_beta2: float, **phases: float):
+    """The gate of the commands that build a dense state, run before any
+    output opens: the CLI's one refusal of sizes past NUMERIC_SITE_LIMIT,
+    the noise gate, finite phases, then the covariance, built with its own
+    checks and returned."""
     if n > NUMERIC_SITE_LIMIT:
         raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
     _check_noise_args(n, alpha, two_beta2)
     for name, value in phases.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+    return _family_matrix(family, n, alpha, two_beta2)
 
 
-def _dense_setup(state: str, n: int, family: str, alpha: float, two_beta2: float):
-    """(generator, dense probe, covariance) of a point past _dense_gate."""
-    cov = _family_matrix(family, n, alpha, two_beta2)
-    return GeneratorSpec.qubits(n), PROBES[state][0](n), cov
+def _dense_covariance(state: str, family: str, n: int, alpha: float, two_beta2: float, split):
+    """The covariance of a gated family point whose f_rho_bar takes the
+    dense path: product-plus at positive noise, n <= NUMERIC_SITE_LIMIT and
+    no split.  Built with its own checks; None on every other route."""
+    if state == "ghz" or two_beta2 == 0 or n > NUMERIC_SITE_LIMIT or split is not None:
+        return None
+    return _family_matrix(family, n, alpha, two_beta2)
 
 
-def _dephased_qfi(
-    state: str, family: str, n: int, alpha: float, two_beta2: float, mass: float, split
-):
-    """f_rho_bar of a named probe at a gated family point with mass 1^T C 1
-    and split (a, b) or None, the one place that picks its route: f_rho at
-    zero noise, N^2 e^{-1^T C 1} for GHZ, None past the dense sizes,
-    Schur-Weyl blocks under C = a 11^T + b I, else the dense path."""
+def _dephased_qfi(state: str, n: int, two_beta2: float, mass: float, split, cov):
+    """f_rho_bar of a named probe at a gated family point with mass 1^T C 1,
+    split (a, b) or None, and cov from _dense_covariance: the dense path on
+    cov when given, else f_rho at zero noise, N^2 e^{-1^T C 1} for GHZ, None
+    past the dense sizes, and Schur-Weyl blocks under C = a 11^T + b I."""
     f_rho = PROBES[state][1](n)
+    if cov is not None:
+        gen = GeneratorSpec.qubits(n)
+        rho = dephase(PROBES[state][0](n), gen, cov)  # the probe is freed before qfi's peak
+        return qfi(rho, gen)
     if two_beta2 == 0:
         return f_rho
     if state == "ghz":
         return f_rho * math.exp(-mass)
     if n > NUMERIC_SITE_LIMIT:
         return None
-    if split is not None:  # product-plus, since GHZ has returned
-        return _product_plus_qfi(n, *split)
-    gen = GeneratorSpec.qubits(n)
-    cov = _family_matrix(family, n, alpha, two_beta2)
-    rho = dephase(PROBES[state][0](n), gen, cov)  # the probe is freed before qfi's peak
-    return qfi(rho, gen)
+    return _product_plus_qfi(n, *split)  # product-plus with a split: no cov
 
 
 def _check_point(family: str, n: int, alpha: float, two_beta2: float) -> None:
@@ -252,9 +250,10 @@ def grid_report(
     """Assemble one BoundReport for a named probe and covariance family."""
     d2, mass, split = _family_point(family, n, alpha, two_beta2)
     reference_g = bounds.reference_bound_g(n, two_beta2)
+    cov = _dense_covariance(state, family, n, alpha, two_beta2, split)
     return bounds.bound_report(
         d2, PROBES[state][1](n), family=family, n=n, alpha=alpha, two_beta2=two_beta2,
-        f_rho_bar=_dephased_qfi(state, family, n, alpha, two_beta2, mass, split),
+        f_rho_bar=_dephased_qfi(state, n, two_beta2, mass, split, cov),
         reference_g_value=reference_g,
     )
 
@@ -277,6 +276,7 @@ def cmd_qfi(args) -> int:
     # Without --family the noise flags go unused: only n meets the gate.
     noise = (args.alpha, args.two_beta2) if args.family else (0.0, 0.0)
     _, mass, split = _family_point(args.family or "identity", args.n, *noise)
+    cov = _dense_covariance(args.state, args.family, args.n, *noise, split)
     payload = {"state": args.state, "n": args.n, "f_rho": PROBES[args.state][1](args.n)}
     with _output(args.out, sys.stdout) as out:
         if args.family is not None:
@@ -284,17 +284,17 @@ def cmd_qfi(args) -> int:
                 family=args.family,
                 alpha=args.alpha,
                 two_beta2=args.two_beta2,
-                f_rho_bar=_dephased_qfi(args.state, args.family, args.n, *noise, mass, split),
+                f_rho_bar=_dephased_qfi(args.state, args.n, noise[1], mass, split, cov),
             )
         _emit_record(payload, args.format, out)
     return EXIT_OK
 
 
 def cmd_dephase(args) -> int:
-    _dense_gate(args.n, args.alpha, args.two_beta2, phi=args.phi)
+    cov = _dense_gate(args.n, args.family, args.alpha, args.two_beta2, phi=args.phi)
     with _output(args.out, sys.stdout) as out:
-        gen, state, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
-        state = dephase(state, gen, cov)
+        gen = GeneratorSpec.qubits(args.n)
+        state = dephase(PROBES[args.state][0](args.n), gen, cov)
         if args.phi != 0.0:
             state = encode_phase(state, gen, args.phi)
         a = state.entries
@@ -316,7 +316,8 @@ def cmd_dephase(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _dense_gate(args.n, args.alpha, args.two_beta2, phi0=args.phi0, delta_phi=args.delta_phi)
+    phases = dict(phi0=args.phi0, delta_phi=args.delta_phi)
+    cov = _dense_gate(args.n, args.family, args.alpha, args.two_beta2, **phases)
     if args.two_beta2 == 0:
         # No noise leaves delta2_c = 0: no estimator has local information.
         raise ValueError("simulate needs two_beta2 > 0")
@@ -330,7 +331,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--out and --per-shot name one file: {args.per_shot}")
     # Both outputs are opened before any seed is drawn.
     with _output(args.out, sys.stdout) as out, _output(args.per_shot) as per_shot:
-        gen, rho, cov = _dense_setup(args.state, args.n, args.family, args.alpha, args.two_beta2)
+        gen, rho = GeneratorSpec.qubits(args.n), PROBES[args.state][0](args.n)
         seed = args.seed
         if seed is None:
             seed = int.from_bytes(os.urandom(8), "big")

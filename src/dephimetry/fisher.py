@@ -49,14 +49,15 @@ Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
 with j off the support is an eigenvector of the SLD with eigenvalue 0, and
 of the diagonal H with eigenvalue E_j.  An SLD eigenbasis is therefore the
-eigenbasis of the live block of the SLD, completed by those e_j, and the
-tie-break by H inside the zero eigenspace never has to mix the two parts:
-H maps the live subspace to itself.  Dephasing and phase encoding act
-entrywise, so the support of rho is the support of every state derived
-from it, and a measurement column that is zero on the support has
-probability 0 at every phase.  Probabilities, the classical Fisher
-information and the estimator table (each one Povm.statistics pass), and
-sampling too, use only the columns that touch the support (Povm.restrict).
+eigenbasis of the live block of the SLD, completed by those e_j.  H maps
+the live subspace to itself, so the tie-break by H rotates block columns
+only, and one stable sort orders both parts (optimal_povm).  Dephasing and
+phase encoding act entrywise, so the support of rho is the support of
+every state derived from it, and a measurement column that is zero on the
+support has probability 0 at every phase.  Probabilities, the classical
+Fisher information and the estimator table (each one Povm.statistics
+pass), and sampling too, use only the columns that touch the support
+(Povm.restrict).
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
@@ -407,55 +408,42 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
     """Projective measurement in an eigenbasis of the SLD.
 
     The SLD is diagonalized on the support block and completed by the basis
-    vectors e_j off the support (see the module docstring).  Outcomes come
-    in ascending SLD eigenvalue order: block eigenvectors below zero, the
-    zero eigenspace, then those above.  Degenerate SLD eigenspaces are
-    resolved by diagonalizing H restricted to the eigenspace, which inside
-    the zero eigenspace sorts the block vectors and the e_j together by
-    energy; any remaining ties keep the order of the eigensolver, block
-    before e_j, and the e_j in ascending index, making the construction
-    deterministic.
+    vectors e_j off the support (see the module docstring): the block
+    eigenvectors, then the e_j in ascending j, at eigenvalue 0.  The
+    degenerate groups are the runs of the stably sorted eigenvalues with
+    gaps at most _DEGENERACY_TOL * max(1, max |ell|); in each group of two or
+    more, the block vectors are rotated to diagonalize H on their span.  The
+    outcomes follow one stable sort, by group and then by energy (that H
+    eigenvalue, or E_j), so ties keep the order above: deterministic.
     """
     live, block = _sld_frame(rho, gen)
     ell, basis = np.linalg.eigh(block)
-    dim = rho.dim
-    energy = gen.energies
-    inside = energy[live]
+    dim, size = rho.dim, ell.size
     outside = np.ones(dim, dtype=bool)
     outside[live] = False
     off = np.flatnonzero(outside)
-    size = ell.size
-    cut = int(np.searchsorted(ell, 0.0))
-    # Slot k < size is block column k; slot size + i is e_{off[i]}.
-    slots = np.concatenate([np.arange(cut), size + np.arange(off.size), np.arange(cut, size)])
-    values = np.concatenate([ell[:cut], np.zeros(off.size), ell[cut:]])
-    scale = max(1.0, float(np.abs(ell).max()))
-    start = 0
-    for stop in range(1, dim + 1):
-        if stop < dim and values[stop] - values[stop - 1] <= _DEGENERACY_TOL * scale:
-            continue
-        if stop - start > 1:
-            group = slots[start:stop]
-            inner = group[group < size]
-            outer = group[group >= size]
-            levels = energy[off[outer - size]]
-            if inner.size:
-                # The block columns of one group are consecutive.
-                cols = slice(inner[0], inner[-1] + 1)
-                block = basis[:, cols]
-                restricted = block.conj().T @ (inside[:, None] * block)
-                restricted = (restricted + restricted.conj().T) / 2
-                h, rot = np.linalg.eigh(restricted)
-                basis[:, cols] = block @ rot
-                levels = np.concatenate([h, levels])
-                group = np.concatenate([inner, outer])
-            slots[start:stop] = group[np.argsort(levels, kind="stable")]
-        start = stop
+    # Column k < size is block column k; column size + i is e_{off[i]}.
+    values = np.concatenate([ell, np.zeros(off.size)])
+    levels = np.concatenate([np.zeros(size), gen.energies[off]])
+    ranked = np.argsort(values, kind="stable")
+    steps = np.diff(values[ranked], prepend=values[ranked[0]])
+    group = np.empty(dim, dtype=np.intp)
+    group[ranked] = np.cumsum(steps > _DEGENERACY_TOL * max(1.0, float(np.abs(ell).max())))
+    members = np.bincount(group)
+    blocks = np.bincount(group[:size], minlength=members.size)  # consecutive, as ell ascends
+    ends = np.cumsum(blocks)
+    for g in np.flatnonzero((blocks > 0) & (members > 1)):
+        cols = slice(ends[g] - blocks[g], ends[g])
+        block = basis[:, cols]
+        restricted = block.conj().T @ (gen.energies[live][:, None] * block)
+        restricted = (restricted + restricted.conj().T) / 2
+        levels[cols], rot = np.linalg.eigh(restricted)
+        basis[:, cols] = block @ rot
     if not off.size:
+        # Only block columns, each group at ascending levels: the sort keeps them in place.
         return Povm._from_columns(basis, np.arange(dim), dim)
+    place = np.argsort(np.lexsort((levels, group)))  # the outcome of each column
     vectors = np.zeros((dim, dim), dtype=np.complex128)
-    from_block = np.flatnonzero(slots < size)
-    vectors[np.ix_(live, from_block)] = basis[:, slots[from_block]]
-    from_off = np.flatnonzero(slots >= size)
-    vectors[off[slots[from_off] - size], from_off] = 1.0
+    vectors[np.ix_(live, place[:size])] = basis
+    vectors[off, place[size:]] = 1.0
     return Povm._from_columns(vectors, np.arange(dim), dim)

@@ -47,6 +47,8 @@ HUGE_N_SWEEP = (
 )
 # A one-point sweep grid.
 ONE_POINT_SWEEP = "state = ghz\nfamily = identity\nn = 2\nalpha = 0\ntwo_beta2 = 0.5\n"
+# Bytes written to an output path before a command that must refuse.
+SENTINEL = b"precious\n"
 # The refusal of a covariance whose entries sum past the float range.
 FLOAT_RANGE = "error: covariance entries sum past the float range\n"
 
@@ -159,6 +161,7 @@ class TestExitCodes:
     ])
     def test_bad_family_args_refused_up_front(self, args, named, tmp_path, capsys):
         out = tmp_path / "out"
+        out.write_bytes(SENTINEL)
         config = tmp_path / "grid.cfg"
         config.write_text(HUGE_N_SWEEP)
         args = [a.format(config=config) for a in args]
@@ -166,9 +169,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
-        assert not out.exists()
+        assert out.read_bytes() == SENTINEL
 
-    @pytest.mark.parametrize("command", ["qfi", "bound"])
+    @pytest.mark.parametrize("command", ["qfi", "bound", "dephase", "simulate"])
     @pytest.mark.parametrize("state", ["ghz", "product-plus"])
     @pytest.mark.parametrize("family", ["c1", "c2"])
     @pytest.mark.parametrize("flag, value, message", [
@@ -183,12 +186,18 @@ class TestExitCodes:
                      id="two-beta2-nan"),
     ])
     def test_family_args_refused_on_every_route(
-        self, command, state, family, flag, value, message, capsys
+        self, command, state, family, flag, value, message, tmp_path, capsys
     ):
-        # the GHZ closed form checks family arguments as the builders do
-        assert run([command, "--state", state, "--n", "3", "--family", family, flag, value]) == 1
+        # the GHZ closed form checks family arguments as the builders do, and
+        # every refusal comes before the output is opened
+        out = tmp_path / "out"
+        out.write_bytes(SENTINEL)
+        shots = ["--shots", "5", "--seed", "1"] if command == "simulate" else []
+        args = [command, "--state", state, "--n", "3", "--family", family, flag, value, *shots]
+        assert run(args + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert out.read_bytes() == SENTINEL
 
     # The work of each command, which an unwritable --out must stop first.
     WORK = {"bound": "grid_report", "qfi": "_dephased_qfi", "dephase": "dephase",
@@ -696,6 +705,14 @@ class TestSimulate:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_tiny_noise_keeps_its_local_information(self, tmp_path):
+        # est - phi0 = delta2_c * score: at delta2_c = 5e-171 its square
+        # underflowed, and the CFI-4 measurement was refused as uninformative
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--n", "2", "--family", "identity", "--two-beta2", "1e-170",
+                    "--shots", "10", "--seed", "1", "--out", str(out)]) == 0
+        assert abs(read_json(out)["predicted_mse"] - 0.25) <= 1e-12
 
     def test_missing_seed_drawn_and_echoed(self, tmp_path, capsys):
         out = tmp_path / "sim.json"

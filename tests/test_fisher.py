@@ -700,15 +700,24 @@ class TestOptimalPovm:
 
     def test_degenerate_sld_resolved_by_energy(self):
         # maximally mixed state: SLD = 0, fully degenerate; the tie-break
-        # diagonalizes H on the whole space, giving the computational basis
+        # diagonalizes H on the whole space, giving the computational basis.
+        # On half the basis, with E = [1, 0, 0, -1], a support row and a row
+        # off it tie at energy 0, and the support row comes first.
         from dephimetry import DensityMatrix
 
         gen = GeneratorSpec.qubits(2)
-        rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
-        povm = optimal_povm(rho, gen)
         h = np.diag(gen.energies)
-        for e in dense_effects(povm):
-            assert np.abs(e @ h - h @ e).max() < 1e-12
+        for diagonal, rows in [
+            ([0.25] * 4, None),
+            ([0, 0.5, 0, 0.5], [3, 1, 2, 0]),
+            ([0.5, 0, 0.5, 0], [3, 2, 1, 0]),
+        ]:
+            rho = DensityMatrix(np.diag(np.array(diagonal, dtype=complex)))
+            povm = optimal_povm(rho, gen)
+            for e in dense_effects(povm):
+                assert np.abs(e @ h - h @ e).max() < 1e-12
+            if rows is not None:
+                np.testing.assert_array_equal(np.abs(povm.vectors).argmax(axis=0), rows)
 
     def test_single_qubit_plus_state_basis(self):
         # SLD of |+> under sigma_z/2 encoding is proportional to sigma_y

@@ -68,3 +68,33 @@ def test_module_boundaries():
 def test_parses_as_python_3_10(path):
     # pyproject.toml declares requires-python >= 3.10
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# Module-level imports kept without a use in their module, with the reason.
+UNUSED_IMPORTS_ALLOWED = {
+    # bench/tracing.py rebinds cli.classical_fi for its per-layer metric.
+    ("cli", "classical_fi"),
+}
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names bound by the module's top-level imports (not __future__) that
+    no Name node of the module reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_imports(path):
+    # __init__ imports to re-export; every other module imports to use
+    unused = {(path.stem, name) for name in unused_imports(ast.parse(path.read_text()))}
+    assert unused <= UNUSED_IMPORTS_ALLOWED
