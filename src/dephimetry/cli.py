@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def _write_text(text: str, out: TextIO) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(rows: Iterable[Iterable]) -> str:
@@ -141,26 +141,31 @@ def _csv_text(rows: Iterable[Iterable]) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _check_noise_args(n: int, alpha: float, two_beta2: float) -> None:
-    """The CLI's gate on family arguments, run before any work.  Zero noise
-    is every family's zero covariance, for any alpha, in every command; at
-    positive noise c1 and c2 also pass covariance._check_family_args."""
+class Route(NamedTuple):
+    """A family point as _route fixes it: _family_point's closed forms, the
+    method of f_rho_bar, and the dense covariance or None."""
+
+    delta2: float
+    mass: float
+    split: Optional[tuple[float, float]]
+    method: str
+    cov: Optional[CovarianceMatrix]
+
+
+def _family_point(family: str, n: int, alpha: float, two_beta2: float):
+    """The CLI's gate on family arguments, run before any work, and
+    (delta2_c, 1^T C 1, split) of the point from closed forms.  Zero noise is
+    every family's zero covariance, for any finite alpha; at positive noise
+    c1 and c2 also pass covariance._check_family_args.  split is (a, b) with
+    C = a 11^T + b I, declared from the arguments: (0, 2 beta^2) for identity
+    noise or one site; (2 beta^2 alpha, 2 beta^2 - 2 beta^2 alpha) for every
+    c1, and for c2 at alpha in {0, 1} or n = 2; None for any other c2."""
     if not 1 <= n <= N_MAX:
         raise ValueError(f"n must be between 1 and {N_MAX}")
     if not 0.0 <= two_beta2 < math.inf:
         raise ValueError("two_beta2 must be nonnegative and finite")
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-
-
-def _family_point(family: str, n: int, alpha: float, two_beta2: float):
-    """(delta2_c, 1^T C 1, split) of a family point behind the noise gate,
-    from closed forms.  split is (a, b) with C = a 11^T + b I, declared from
-    the arguments: (0, 2 beta^2) for identity noise or one site;
-    (2 beta^2 alpha, 2 beta^2 - 2 beta^2 alpha) for every c1, and for c2 at
-    alpha in {0, 1} or n = 2; None for any other c2.  Zero noise is the
-    zero covariance of every family."""
-    _check_noise_args(n, alpha, two_beta2)
     if two_beta2 == 0:
         return 0.0, 0.0, (0.0, 0.0)
     if family == "identity":
@@ -178,10 +183,8 @@ def _family_point(family: str, n: int, alpha: float, two_beta2: float):
 
 
 def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> CovarianceMatrix:
-    """The dense n x n covariance of a point that has passed the noise gate."""
-    if two_beta2 == 0:
-        return CovarianceMatrix(np.zeros((n, n)))
-    if family == "identity":
+    """The dense n x n covariance of a point that has passed the noise gate; zeros at zero noise."""
+    if family == "identity" or two_beta2 == 0:
         return CovarianceMatrix(two_beta2 * np.eye(n))
     if family == "c1":
         return build_c1(n, two_beta2, alpha)
@@ -195,66 +198,57 @@ def _shot_limit(n: int) -> int:
     return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
 
 
-def _dense_gate(n: int, family: str, alpha: float, two_beta2: float, **phases: float):
-    """The gate of the commands that build a dense state, run before any
-    output opens: the CLI's one refusal of sizes past NUMERIC_SITE_LIMIT,
-    the noise gate, finite phases, then the covariance, built with its own
-    checks and returned."""
-    if n > NUMERIC_SITE_LIMIT:
+def _route(state: str, family: str, n: int, alpha: float, two_beta2: float,
+           dense_state: bool = False, **phases: float) -> Route:
+    """The gate of every command on one family point, run before any output
+    opens, and the one choice of method: closed-form (N^2 e^{-1^T C 1} for
+    GHZ; at zero noise the mass is 0, so f_rho), then none past
+    NUMERIC_SITE_LIMIT, then schur-weyl under a declared split, else dense.
+    A command that builds the dense state (dephase, simulate) meets the
+    CLI's one refusal of sizes past NUMERIC_SITE_LIMIT first, and its phases
+    must be finite.  The covariance is built, with its own checks, for the
+    dense method or a dense-state command."""
+    if dense_state and n > NUMERIC_SITE_LIMIT:
         raise ValueError(f"dense states are limited to n <= {NUMERIC_SITE_LIMIT}")
-    _check_noise_args(n, alpha, two_beta2)
+    delta2, mass, split = _family_point(family, n, alpha, two_beta2)
     for name, value in phases.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
-    return _family_matrix(family, n, alpha, two_beta2)
+    if state == "ghz" or two_beta2 == 0:
+        method = "closed-form"
+    elif n > NUMERIC_SITE_LIMIT:
+        method = "none"
+    elif split is not None:
+        method = "schur-weyl"
+    else:
+        method = "dense"
+    build = dense_state or method == "dense"
+    cov = _family_matrix(family, n, alpha, two_beta2) if build else None
+    return Route(delta2, mass, split, method, cov)
 
 
-def _dense_covariance(state: str, family: str, n: int, alpha: float, two_beta2: float, split):
-    """The covariance of a gated family point whose f_rho_bar takes the
-    dense path: product-plus at positive noise, n <= NUMERIC_SITE_LIMIT and
-    no split.  Built with its own checks; None on every other route."""
-    if state == "ghz" or two_beta2 == 0 or n > NUMERIC_SITE_LIMIT or split is not None:
-        return None
-    return _family_matrix(family, n, alpha, two_beta2)
-
-
-def _dephased_qfi(state: str, n: int, two_beta2: float, mass: float, split, cov):
-    """f_rho_bar of a named probe at a gated family point with mass 1^T C 1,
-    split (a, b) or None, and cov from _dense_covariance: the dense path on
-    cov when given, else f_rho at zero noise, N^2 e^{-1^T C 1} for GHZ, None
-    past the dense sizes, and Schur-Weyl blocks under C = a 11^T + b I."""
-    f_rho = PROBES[state][1](n)
-    if cov is not None:
+def _f_rho_bar(state: str, n: int, route: Route) -> Optional[float]:
+    """f_rho_bar of a named probe at n sites by the route's method."""
+    if route.method == "closed-form":
+        return PROBES[state][1](n) * math.exp(-route.mass)
+    if route.method == "schur-weyl":
+        return _product_plus_qfi(n, *route.split)
+    if route.method == "dense":
         gen = GeneratorSpec.qubits(n)
-        rho = dephase(PROBES[state][0](n), gen, cov)  # the probe is freed before qfi's peak
+        rho = dephase(PROBES[state][0](n), gen, route.cov)  # the probe is freed before qfi's peak
         return qfi(rho, gen)
-    if two_beta2 == 0:
-        return f_rho
-    if state == "ghz":
-        return f_rho * math.exp(-mass)
-    if n > NUMERIC_SITE_LIMIT:
-        return None
-    return _product_plus_qfi(n, *split)  # product-plus with a split: no cov
-
-
-def _check_point(family: str, n: int, alpha: float, two_beta2: float) -> None:
-    """grid_report's own closed-form checks, run before any output is opened
-    so that a refused point leaves an earlier file alone."""
-    _family_point(family, n, alpha, two_beta2)
-    bounds.reference_bound_g(n, two_beta2)
+    return None
 
 
 def grid_report(
     state: str, family: str, n: int, alpha: float, two_beta2: float
 ) -> bounds.BoundReport:
     """Assemble one BoundReport for a named probe and covariance family."""
-    d2, mass, split = _family_point(family, n, alpha, two_beta2)
-    reference_g = bounds.reference_bound_g(n, two_beta2)
-    cov = _dense_covariance(state, family, n, alpha, two_beta2, split)
+    route = _route(state, family, n, alpha, two_beta2)
     return bounds.bound_report(
-        d2, PROBES[state][1](n), family=family, n=n, alpha=alpha, two_beta2=two_beta2,
-        f_rho_bar=_dephased_qfi(state, n, two_beta2, mass, split, cov),
-        reference_g_value=reference_g,
+        route.delta2, PROBES[state][1](n), family=family, n=n, alpha=alpha, two_beta2=two_beta2,
+        reference_g_value=bounds.reference_bound_g(n, two_beta2),
+        f_rho_bar=_f_rho_bar(state, n, route),
     )
 
 
@@ -265,18 +259,18 @@ def _emit_record(record: dict, fmt: str, out: TextIO) -> None:
 
 
 def cmd_bound(args) -> int:
-    _check_point(args.family, args.n, args.alpha, args.two_beta2)
+    point = (args.state, args.family, args.n, args.alpha, args.two_beta2)
+    _route(*point)
+    bounds.reference_bound_g(args.n, args.two_beta2)
     with _output(args.out, sys.stdout) as out:
-        report = grid_report(args.state, args.family, args.n, args.alpha, args.two_beta2)
-        _emit_record(report.to_dict(), args.format, out)
+        _emit_record(grid_report(*point).to_dict(), args.format, out)
     return EXIT_OK
 
 
 def cmd_qfi(args) -> int:
     # Without --family the noise flags go unused: only n meets the gate.
     noise = (args.alpha, args.two_beta2) if args.family else (0.0, 0.0)
-    _, mass, split = _family_point(args.family or "identity", args.n, *noise)
-    cov = _dense_covariance(args.state, args.family, args.n, *noise, split)
+    route = _route(args.state, args.family or "identity", args.n, *noise)
     payload = {"state": args.state, "n": args.n, "f_rho": PROBES[args.state][1](args.n)}
     with _output(args.out, sys.stdout) as out:
         if args.family is not None:
@@ -284,14 +278,15 @@ def cmd_qfi(args) -> int:
                 family=args.family,
                 alpha=args.alpha,
                 two_beta2=args.two_beta2,
-                f_rho_bar=_dephased_qfi(args.state, args.n, noise[1], mass, split, cov),
+                f_rho_bar=_f_rho_bar(args.state, args.n, route),
             )
         _emit_record(payload, args.format, out)
     return EXIT_OK
 
 
 def cmd_dephase(args) -> int:
-    cov = _dense_gate(args.n, args.family, args.alpha, args.two_beta2, phi=args.phi)
+    point = (args.state, args.family, args.n, args.alpha, args.two_beta2)
+    cov = _route(*point, dense_state=True, phi=args.phi).cov
     with _output(args.out, sys.stdout) as out:
         gen = GeneratorSpec.qubits(args.n)
         state = dephase(PROBES[args.state][0](args.n), gen, cov)
@@ -316,11 +311,11 @@ def cmd_dephase(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    phases = dict(phi0=args.phi0, delta_phi=args.delta_phi)
-    cov = _dense_gate(args.n, args.family, args.alpha, args.two_beta2, **phases)
-    if args.two_beta2 == 0:
-        # No noise leaves delta2_c = 0: no estimator has local information.
-        raise ValueError("simulate needs two_beta2 > 0")
+    point = (args.state, args.family, args.n, args.alpha, args.two_beta2)
+    route = _route(*point, dense_state=True, phi0=args.phi0, delta_phi=args.delta_phi)
+    if not route.delta2 >= sys.float_info.min:
+        # Zero delta2_c leaves no local information; a subnormal one overflows 1 / delta2_c.
+        raise ValueError(f"simulate needs two_beta2 with delta2_c >= {sys.float_info.min!r}")
     limit = _shot_limit(args.n)
     if not 1 <= args.shots <= limit:
         raise ValueError(
@@ -336,10 +331,10 @@ def cmd_simulate(args) -> int:
         if seed is None:
             seed = int.from_bytes(os.urandom(8), "big")
             print(f"drawn seed: {seed}", file=sys.stderr)
-        averaged = encode_phase(dephase(rho, gen, cov), gen, args.phi0)
+        averaged = encode_phase(dephase(rho, gen, route.cov), gen, args.phi0)
         povm = optimal_povm(averaged, gen)
         cfg = ExperimentConfig(
-            rho=rho, gen=gen, cov=cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
+            rho=rho, gen=gen, cov=route.cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
             rho_bar=averaged,
         )
         result = simulate(cfg, args.shots, seed)
@@ -438,8 +433,9 @@ def cmd_sweep(args) -> int:
     grids = parse_sweep_config(text)
     # state outermost, two_beta2 innermost
     points = list(itertools.product(*(grids[key] for key in _SWEEP_KEYS)))
-    for _, family, n, alpha, two_beta2 in points:
-        _check_point(family, n, alpha, two_beta2)
+    for state, family, n, alpha, two_beta2 in points:
+        _route(state, family, n, alpha, two_beta2)
+        bounds.reference_bound_g(n, two_beta2)
     with _output(args.out, sys.stdout) as out:
         rows = (grid_report(*pt).to_dict().values() for pt in points)
         _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), out)
@@ -461,8 +457,8 @@ def cmd_figure(args) -> int:
         if not 1 <= value <= limit:
             raise ValueError(f"{flag} must be between 1 and {limit}")
     if args.panel == "scaling":
-        # the noise gate of `bound`, which the panel's curves share
-        _check_noise_args(1, 0.0, args.two_beta2)
+        if not 0.0 <= args.two_beta2 < math.inf:
+            raise ValueError("two_beta2 must be nonnegative and finite")
         bounds.reference_bound_g(1, args.two_beta2)
     else:
         for flag, value in (("--b2-min", args.b2_min), ("--b2-max", args.b2_max)):

@@ -75,7 +75,7 @@ class CovarianceMatrix:
     def _averaging(self) -> tuple[float, WeightVector]:
         """(delta2_c, weights) from one Cholesky solve x = C^{-1} 1: 1 / sum x
         and x / sum x; c and uniform weights for the collective form c * ones.
-        Any other singular covariance, or a nonpositive sum, is refused."""
+        Any other singular covariance, or a sum outside (0, inf), is refused."""
         if self.is_singular:
             if self.is_collective:
                 return float(self.entries[0, 0]), WeightVector(np.full(self.n, 1.0 / self.n))
@@ -86,8 +86,8 @@ class CovarianceMatrix:
         chol = np.linalg.cholesky(self.entries)
         x = np.linalg.solve(chol.T, np.linalg.solve(chol, np.ones(self.n)))
         total = float(x.sum())
-        if total <= 0.0:
-            raise SingularCovarianceError("covariance inverse has nonpositive mass")
+        if not 0.0 < total < math.inf:
+            raise SingularCovarianceError(f"covariance inverse has mass {total!r}, not in (0, inf)")
         return 1.0 / total, WeightVector(x / total)
 
 
@@ -102,7 +102,7 @@ class WeightVector:
         if g.ndim != 1 or g.size == 0:
             raise ValueError("weights must form a nonempty vector")
         total = g.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "gamma", _readonly(g))
 

@@ -200,7 +200,7 @@ class TestExitCodes:
         assert out.read_bytes() == SENTINEL
 
     # The work of each command, which an unwritable --out must stop first.
-    WORK = {"bound": "grid_report", "qfi": "_dephased_qfi", "dephase": "dephase",
+    WORK = {"bound": "grid_report", "qfi": "qfi", "dephase": "dephase",
             "sweep": "grid_report", "simulate": "simulate", "figure": "_family_point"}
 
     @pytest.mark.parametrize("args", [
@@ -483,6 +483,96 @@ class TestDephasedQfiRoute:
                 closed = cli.grid_report("ghz", family, n, alpha, two_beta2).f_rho_bar
                 assert math.isclose(closed, dense, rel_tol=1e-12, abs_tol=sys.float_info.min), (
                     n, two_beta2)
+
+
+# A product-plus point on the dense method: its covariance is built.
+PLUS_DENSE_N4 = ("product-plus", "c2", 4, 0.5, 0.5)
+
+
+def strict_json(text):
+    """JSON that rejects NaN and Infinity, as json.loads alone does not."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestRoute:
+    """cli._route picks one method per family point, before any output opens."""
+
+    @pytest.mark.parametrize("point, dense_state, method, built", [
+        pytest.param(("ghz", "c2", 10**6, 0.5, 0.5), False, "closed-form", False,
+                     id="ghz-c2-1e6"),
+        pytest.param(("product-plus", "c2", 4, 0.5, 0.0), False, "closed-form", False,
+                     id="zero-noise"),
+        pytest.param(("product-plus", "c1", 4, 0.5, 0.5), False, "schur-weyl", False,
+                     id="plus-c1"),
+        pytest.param(PLUS_DENSE_N4, False, "dense", True, id="plus-c2"),
+        pytest.param(("product-plus", "identity", 11, 0.0, 0.5), False, "none", False,
+                     id="plus-past-dense-sizes"),
+        pytest.param(("product-plus", "c2", 3, 1 - 2**-53, 0.3), False, "dense", True,
+                     id="c2-rounding-coincidence"),
+        pytest.param(("ghz", "c1", 3, 0.5, 0.5), True, "closed-form", True,
+                     id="dense-command-on-ghz"),
+    ])
+    def test_method_table(self, point, dense_state, method, built):
+        route = cli._route(*point, dense_state=dense_state)
+        assert route.method == method
+        assert (route.cov is not None) == built
+        if built:
+            assert route.cov.n == point[2]
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_dense_covariance_built_before_out_opens(self, command, tmp_path, monkeypatch,
+                                                     capsys):
+        def refuse(*args):
+            raise ValueError("no matrix")
+
+        monkeypatch.setattr(cli, "build_c2", refuse)
+        state, family, n, alpha, two_beta2 = PLUS_DENSE_N4
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"state = {state}\nfamily = {family}\nn = {n}\n"
+                          f"alpha = {alpha}\ntwo_beta2 = {two_beta2}\n")
+        args = {
+            "bound": ["bound", "--state", state, "--n", str(n), "--family", family,
+                      "--alpha", str(alpha), "--two-beta2", str(two_beta2)],
+            "sweep": ["sweep", "--config", str(config)],
+        }[command]
+        out = tmp_path / "out"
+        out.write_bytes(SENTINEL)
+        assert run(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no matrix\n"
+        assert out.read_bytes() == SENTINEL
+
+    @pytest.mark.parametrize("n, two_beta2, shots", [
+        (2, 1e-320, 3),
+        (10, 2.2250738585072014e-308, 20),
+    ])
+    def test_simulate_subnormal_delta2_refused_up_front(self, n, two_beta2, shots, tmp_path,
+                                                       capsys):
+        # 1 / delta2_c overflows in the averaging solve: NaN statistics, or a
+        # failure after --out had opened
+        out = tmp_path / "sim.json"
+        out.write_bytes(SENTINEL)
+        assert run(["simulate", "--n", str(n), "--family", "identity", "--two-beta2",
+                    repr(two_beta2), "--shots", str(shots), "--seed", "1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: simulate needs two_beta2 with delta2_c >= "
+                       f"{sys.float_info.min!r}\n")
+        assert out.read_bytes() == SENTINEL
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_simulate_smallest_accepted_noise(self, n, tmp_path, capsys):
+        # identity noise at 2 beta^2 = n * min has delta2_c = min exactly:
+        # finite JSON; half that noise is refused
+        smallest = n * sys.float_info.min
+        args = ["simulate", "--n", str(n), "--family", "identity", "--shots", "5", "--seed", "1"]
+        assert run(args + ["--two-beta2", repr(smallest)]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert math.isfinite(payload["predicted_mse"]) and payload["predicted_mse"] > 0
+        assert run(args + ["--two-beta2", repr(smallest / 2)]) == 1
+        assert "two_beta2" in capsys.readouterr().err
 
 
 FAMILY_ALPHAS = [0.0, -0.0, 0.2, 0.5, 0.9, 1.0]

@@ -72,6 +72,10 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="sum"):
             WeightVector(np.array([0.5, 0.4]))
 
+    def test_rejects_nan_sum(self):
+        with pytest.raises(ValueError, match="sum"):
+            WeightVector(np.array([np.nan, 0.5]))
+
     def test_negative_entries_allowed(self):
         # anticorrelated noise can push optimal weights outside [0, 1]
         w = WeightVector(np.array([1.5, -0.5]))
@@ -129,6 +133,14 @@ class TestDelta2:
     def test_collective_limit_value(self):
         cov = CovarianceMatrix(0.37 * np.ones((5, 5)))
         assert delta2_c(cov) == 0.37
+
+    def test_inverse_mass_past_float_range_raises(self):
+        # 1^T C^{-1} 1 = 2e320 overflows: no delta2_c of 0 and NaN weights
+        cov = CovarianceMatrix(1e-320 * np.eye(2))
+        with pytest.raises(SingularCovarianceError, match="not in"):
+            delta2_c(cov)
+        with pytest.raises(SingularCovarianceError):
+            weights(cov)
 
     def test_singular_noncollective_raises(self):
         # rank-1 but not constant: outer(v, v) with nonuniform v
