@@ -21,7 +21,14 @@ simulate draws phases, samples an outcome from the exactly encoded state,
 and applies est_best, using the fixed chunk partition of chunk_rngs so
 runs are a deterministic function of (seed, shots).  It samples on the
 support of the probe only, over the outcomes whose columns touch it; the
-others have probability 0 at every phase (see the fisher module).
+others have probability 0 at every phase (see the fisher module).  Every
+number it reports depends only on how often each outcome fired, so a run
+keeps one int64 count per outcome and no per-shot array: its memory does
+not grow with the shot count.  The empirical mean and MSE of est_best and
+their standard errors are count-weighted sums of the per-outcome doubles,
+taken exactly and rounded once.  A caller that wants the shots themselves
+(the CLI's --per-shot log) passes a callback that sees each chunk's phases,
+outcomes and estimates while they are in the work buffers.
 
 The sampling kernel works shots-last.  With the probe factored on its
 support as rho = A A^dagger (rank r, s rows) and the m measurement columns
@@ -54,7 +61,7 @@ import dataclasses
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -77,6 +84,10 @@ CHUNK_SHOTS = 8192
 # fewer shots; the batches consume no random numbers, so the seeded streams
 # do not depend on this.
 BATCH_ELEMENTS = 1 << 19
+# Most shots of one run: the outcome counts are int64.
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+# simulate's per-chunk callback: (phases, outcomes, estimates_best).
+ChunkCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +179,14 @@ class QbcrReport:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """A sampled run.  predicted_mse is the local error of est_best,
-    delta2_c^2 / local_error of the estimator table, which equals
-    1 / classical_fi of the measurement exactly (see the module docstring)."""
+    """A sampled run.  counts[x] is how often outcome x of the measurement
+    fired; the empirical moments follow from it exactly.  chunks is the
+    number of chunks of chunk_rngs, clamped the number of probabilities
+    clamped to 0 over all shots, and excluded the number of outcomes the
+    estimator table pins to phi0 (EstimatorTable.excluded).  predicted_mse
+    is the local error of est_best, delta2_c^2 / local_error of the
+    estimator table, which equals 1 / classical_fi of the measurement
+    exactly (see the module docstring)."""
 
     shots: int
     seed: int
@@ -180,17 +196,11 @@ class SimulationResult:
     mse_stderr: Optional[float]
     empirical_mean: float
     mean_stderr: Optional[float]
-    phases: np.ndarray
-    phi_c: np.ndarray
-    outcomes: np.ndarray
-    estimates: np.ndarray
-    estimates_best: np.ndarray
+    counts: np.ndarray
+    chunks: int
+    clamped: int
+    excluded: int
     predicted_mse: float
-
-    def per_shot_rows(self):
-        """Yield per-shot log rows: index, sampled phases, outcome, estimate."""
-        for i in range(self.shots):
-            yield (i, *self.phases[i], int(self.outcomes[i]), float(self.estimates_best[i]))
 
 
 def _state_factor(block: np.ndarray) -> np.ndarray:
@@ -403,17 +413,25 @@ def _product_weights(
     return out
 
 
-def chunk_rngs(seed: int, shots: int) -> list[tuple[np.random.Generator, int]]:
+def _check_shots(shots: int) -> None:
+    """Every run takes at least one shot and at most MAX_SHOTS."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}")
+
+
+def chunk_rngs(seed: int, shots: int) -> Iterator[tuple[np.random.Generator, int]]:
     """Fixed partition policy: ceil(shots / CHUNK_SHOTS) chunks, chunk i
-    seeded with the i-th child of SeedSequence(seed).  Sampled results
-    depend only on (seed, shots, CHUNK_SHOTS)."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    sizes = [CHUNK_SHOTS] * (shots // CHUNK_SHOTS)
-    if shots % CHUNK_SHOTS:
-        sizes = [*sizes, shots % CHUNK_SHOTS]
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    return [(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
+    seeded with the i-th child of SeedSequence(seed).  The chunks are
+    yielded one at a time, each child spawned as its chunk is taken (one
+    spawn(1) per chunk gives the children of one spawn(k)).  Sampled results
+    depend only on (seed, shots, CHUNK_SHOTS).  The shot count and the seed
+    are checked here, before the first chunk is taken."""
+    _check_shots(shots)
+    seq = np.random.SeedSequence(seed)
+    return (
+        (np.random.default_rng(seq.spawn(1)[0]), min(CHUNK_SHOTS, shots - start))
+        for start in range(0, shots, CHUNK_SHOTS)
+    )
 
 
 def map_ordered(fn: Callable, items: Iterable) -> list:
@@ -422,11 +440,15 @@ def map_ordered(fn: Callable, items: Iterable) -> list:
     return [fn(item) for item in items]
 
 
-def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np.ndarray:
-    """Fill phases with the seeded draws and return one sampled outcome per
-    shot; see simulate.  Every work buffer is allocated here, once, and freed
-    on return."""
-    shots, nsites = phases.shape
+def _sample_counts(
+    cfg: ExperimentConfig, shots: int, jobs: Iterator, best: np.ndarray,
+    on_chunk: Optional[ChunkCallback],
+) -> tuple[np.ndarray, int]:
+    """(counts, clamped): how often each outcome of cfg.povm fired over the
+    chunks `jobs` of chunk_rngs(seed, shots), and how many probabilities were
+    clamped to 0; see simulate.  Every work buffer is sized for one chunk or
+    one batch and allocated here, once, and freed on return."""
+    nsites = cfg.cov.n
     root = covariance_sqrt(cfg.cov)
     # Sample on the support of the probe: the other rows of every encoded
     # state are zero, and only the outcomes `reached` there can fire.
@@ -437,14 +459,13 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
     folded = _fold(povm, factor)
     support, terms, columns = factor.shape[0], folded.shape[0], povm.vectors.shape[1]
     mean = cfg.phi0 + cfg.delta_phi
-    jobs = chunk_rngs(seed, shots)
-    starts = np.cumsum([0] + [size for _, size in jobs[:-1]])
-    outcomes = np.empty(shots, dtype=np.int_)
 
-    chunk = jobs[0][1]
+    chunk = min(CHUNK_SHOTS, shots)
     batch = min(chunk, _batch_shots(max(support, terms)))
     z = np.empty((chunk, nsites))
+    phases = np.empty((chunk, nsites))
     draws = np.empty(chunk)
+    found = np.empty(chunk, dtype=np.int_)
     w = np.empty(support * batch, dtype=np.complex128)
     # Each route allocates only its own buffers.
     if isinstance(live, slice):
@@ -469,18 +490,20 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
     squares = np.empty(columns * batch)
     total = np.empty(batch)
     above = np.empty(batch, dtype=bool)
+    counts = np.zeros(cfg.povm.outcomes, dtype=np.int64)
+    clamped = 0
 
     def run_chunk(job):
-        (rng, size), start = job
-        rows = slice(start, start + size)
+        nonlocal clamped
+        rng, size = job
         rng.standard_normal(out=z[:size])
-        np.matmul(z[:size], root, out=phases[rows])
-        phases[rows] += mean
+        np.matmul(z[:size], root, out=phases[:size])
+        phases[:size] += mean
         rng.random(out=draws[:size])
         for lo in range(0, size, batch):
             b = min(batch, size - lo)
             probs = _shot_probabilities(
-                povm, folded, weigh(phases[start + lo : start + lo + b], b),
+                povm, folded, weigh(phases[lo : lo + b], b),
                 _shaped(amplitudes, terms, b), _shaped(squares, columns, b),
             )
             worst = probs.min()
@@ -488,6 +511,8 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
                 raise NumericalConsistencyError(
                     f"outcome probability {worst:.3e} below the clamping tolerance"
                 )
+            if worst < 0.0:
+                clamped += int(np.count_nonzero(probs < 0.0))
             np.clip(probs, 0.0, None, out=probs)
             # The CDF down axis 0 in place, one row at a time: the same
             # additions as np.cumsum, which is ten times slower on this axis.
@@ -497,42 +522,78 @@ def _sample_outcomes(cfg: ExperimentConfig, seed: int, phases: np.ndarray) -> np
             np.copyto(total[:b], cdf[-1])
             cdf /= total[:b]
             # The outcome is the number of CDF rows below the draw.
-            counts = outcomes[start + lo : start + lo + b]
-            counts[:] = 0
+            picked = found[lo : lo + b]
+            picked[:] = 0
             for row in cdf:
-                counts += np.greater(draws[lo : lo + b], row, out=above[:b])
+                picked += np.greater(draws[lo : lo + b], row, out=above[:b])
+        counts[reached] += np.bincount(found[:size], minlength=povm.outcomes)
+        if on_chunk is not None:
+            outcomes = found[:size] if isinstance(reached, slice) else reached[found[:size]]
+            on_chunk(phases[:size], outcomes, best[outcomes])
 
-    map_ordered(run_chunk, zip(jobs, starts))
-    return outcomes if isinstance(reached, slice) else reached[outcomes]
+    map_ordered(run_chunk, jobs)
+    return counts, clamped
 
 
-def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
+def _weighted_moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, Optional[float]]:
+    """(mean, stderr) over the shots of `values`, where outcome x fired
+    counts[x] times and each of its shots has values[x].  The count-weighted
+    sums are exact: each double is an integer over a power of two, so over
+    the largest of those powers, `scale`, every sum is a Python integer.
+    The mean and the sample variance (ddof 1) are each one quotient of
+    integers, which Python rounds correctly, once; the stderr is then
+    sqrt(variance) / sqrt(shots), None for one shot.  Past the float range
+    the moments are inf, or nan where a value already is, as float sums
+    give them."""
+    fired = np.flatnonzero(counts)
+    weights, picked = counts[fired].tolist(), values[fired]
+    shots = sum(weights)
+    if not np.isfinite(picked).all():
+        return float(counts[fired] @ picked), None if shots == 1 else math.nan
+    ratios = [value.as_integer_ratio() for value in picked.tolist()]
+    scale = max(denominator for _, denominator in ratios)
+    scaled = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    first = sum(w * x for w, x in zip(weights, scaled))
+    second = sum(w * x * x for w, x in zip(weights, scaled))
+    mean = _quotient(first, shots * scale)
+    if shots == 1:
+        return mean, None
+    variance = _quotient(shots * second - first * first, shots * (shots - 1) * scale * scale)
+    return mean, math.sqrt(variance) / math.sqrt(shots)
+
+
+def _quotient(numerator: int, denominator: int) -> float:
+    """numerator / denominator for a positive denominator, rounded once;
+    inf with the numerator's sign past the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def simulate(
+    cfg: ExperimentConfig, shots: int, seed: int, on_chunk: Optional[ChunkCallback] = None
+) -> SimulationResult:
     """Sample phases ~ N((phi0 + delta_phi) 1, C), draw one outcome per shot
     from the exactly encoded state, and apply the locally unbiased estimator.
 
     Outcome sampling inverts the per-shot CDF; probabilities are clamped at
     zero and renormalized when the worst negative stays above -1e-12, else a
-    NumericalConsistencyError is raised.
+    NumericalConsistencyError is raised.  The run keeps only how often each
+    outcome fired; the summary is computed from those counts exactly (see
+    _weighted_moments).  on_chunk, when given, is called after each chunk
+    with (phases, outcomes, estimates_best): the chunk's (size, nsites)
+    phases, the outcome of each shot and its est_best.  They are views of
+    work buffers, valid only during the call.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    jobs = chunk_rngs(seed, shots)
     table = best_estimator(cfg)
-    phases = np.empty((shots, cfg.cov.n))
-    outcomes = _sample_outcomes(cfg, seed, phases)
-
-    # The summaries come first, so that the squared errors are gone before
-    # the last per-shot arrays are built.
-    estimates_best = table.best[outcomes]
-    squares = np.subtract(estimates_best, cfg.phi0)
-    np.square(squares, out=squares)
-    empirical_mse_best = float(squares.mean())
-    if shots > 1:
-        mse_stderr = float(squares.std(ddof=1) / np.sqrt(shots))
-        mean_stderr = float(estimates_best.std(ddof=1) / np.sqrt(shots))
-    else:
-        mse_stderr = None
-        mean_stderr = None
-    del squares
+    counts, clamped = _sample_counts(cfg, shots, jobs, table.best, on_chunk)
+    empirical_mean, mean_stderr = _weighted_moments(counts, table.best)
+    squares = np.subtract(table.best, cfg.phi0)
+    with np.errstate(over="ignore"):  # an inf square makes the MSE inf
+        np.square(squares, out=squares)
+    empirical_mse_best, mse_stderr = _weighted_moments(counts, squares)
     s, scaled = _scaled_local_error(table)
     square, le = table.delta2**2, scaled / s / s
     # Out of the normal range the plain quotient loses its digits.
@@ -544,12 +605,11 @@ def simulate(cfg: ExperimentConfig, shots: int, seed: int) -> SimulationResult:
         delta_phi=cfg.delta_phi,
         empirical_mse_best=empirical_mse_best,
         mse_stderr=mse_stderr,
-        empirical_mean=float(estimates_best.mean()),
+        empirical_mean=empirical_mean,
         mean_stderr=mean_stderr,
-        phases=phases,
-        phi_c=phases @ cfg.gamma,
-        outcomes=outcomes,
-        estimates=table.estimates[outcomes],
-        estimates_best=estimates_best,
+        counts=counts,
+        chunks=-(-shots // CHUNK_SHOTS),
+        clamped=clamped,
+        excluded=len(table.excluded),
         predicted_mse=square / le if normal else (table.delta2 * s) ** 2 / scaled,
     )

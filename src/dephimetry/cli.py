@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import _fmt
-from .bayes import ExperimentConfig, simulate
+from .bayes import ExperimentConfig, _check_shots, simulate
 from .core import GeneratorSpec, encode_phase, ghz_state, product_plus_state
 from .covariance import (
     CovarianceMatrix,
@@ -58,12 +58,6 @@ FAMILIES = ("c1", "c2", "identity")
 # `bound`, `sweep` and `qfi` report f_rho_bar only where a closed form is known.
 NUMERIC_SITE_LIMIT = 10
 
-# `simulate` keeps about 8 (n + 5) bytes per shot in its results (the n
-# phases, phi_c, outcome and two estimates, and one summary temporary);
-# shots past this budget are refused before any work.
-SIMULATE_RESULT_BYTES = 1 << 30
-# Rows of a --per-shot file formatted and written at a time.
-PER_SHOT_BLOCK = 8192
 # `figure` grid sizes: at most this many points per axis, so the comparison
 # panel has at most FIGURE_POINTS^2 rows.
 FIGURE_POINTS = 500
@@ -193,11 +187,6 @@ def _family_matrix(family: str, n: int, alpha: float, two_beta2: float) -> Covar
     raise ValueError(f"unknown family {family!r}")
 
 
-def _shot_limit(n: int) -> int:
-    """Most shots whose results fit SIMULATE_RESULT_BYTES at n sites."""
-    return SIMULATE_RESULT_BYTES // (8 * (max(n, 1) + 5))
-
-
 def _route(state: str, family: str, n: int, alpha: float, two_beta2: float,
            dense_state: bool = False, **phases: float) -> Route:
     """The gate of every command on one family point, run before any output
@@ -316,12 +305,7 @@ def cmd_simulate(args) -> int:
     if not route.delta2 >= sys.float_info.min:
         # Zero delta2_c leaves no local information; a subnormal one overflows 1 / delta2_c.
         raise ValueError(f"simulate needs two_beta2 with delta2_c >= {sys.float_info.min!r}")
-    limit = _shot_limit(args.n)
-    if not 1 <= args.shots <= limit:
-        raise ValueError(
-            f"shots must be between 1 and {limit} at n = {args.n} "
-            f"({SIMULATE_RESULT_BYTES} bytes of per-shot results)"
-        )
+    _check_shots(args.shots)
     if _same_file(args.out, args.per_shot):
         raise ValueError(f"--out and --per-shot name one file: {args.per_shot}")
     # Both outputs are opened before any seed is drawn.
@@ -337,7 +321,8 @@ def cmd_simulate(args) -> int:
             rho=rho, gen=gen, cov=route.cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
             rho_bar=averaged,
         )
-        result = simulate(cfg, args.shots, seed)
+        on_chunk = None if per_shot is None else _per_shot_writer(args.n, per_shot)
+        result = simulate(cfg, args.shots, seed, on_chunk)
         predicted = result.predicted_mse
 
         undefined = result.mse_stderr is None
@@ -360,30 +345,33 @@ def cmd_simulate(args) -> int:
             mean_stderr=result.mean_stderr,
             z_score=z_score,
             undefined_variance=undefined,
+            chunks=result.chunks,
+            clamped=result.clamped,
+            excluded=result.excluded,
         )
         _write_text(_json_text(payload), out)
-        if per_shot is not None:
-            _write_per_shot(result, args.n, per_shot)
     return EXIT_OK
 
 
-def _write_per_shot(result, n: int, out) -> None:
-    """CSV of per_shot_rows to the open text file `out`, the bytes _csv_text
-    gives them, formatted and written PER_SHOT_BLOCK rows at a time: each
-    block is one %-format of a repeated row template (%.17g is _fmt's float
-    format)."""
+def _per_shot_writer(n: int, out: TextIO):
+    """simulate's per-chunk callback that writes the --per-shot CSV to the
+    open text file `out`, in the bytes _csv_text gives the rows (shot index,
+    the n phases, outcome, estimate): the header now, then each chunk as one
+    %-format of a repeated row template (%.17g is _fmt's float format)."""
     header = ["shot", *(f"phi_{j + 1}" for j in range(n)), "outcome", "estimate"]
     template = "%d," + "%.17g," * n + "%d,%.17g\n"
     out.write(_csv_text([header]))
-    for lo in range(0, result.shots, PER_SHOT_BLOCK):
-        hi = min(lo + PER_SHOT_BLOCK, result.shots)
-        columns = (
-            range(lo, hi),
-            *result.phases[lo:hi].T.tolist(),
-            result.outcomes[lo:hi].tolist(),
-            result.estimates_best[lo:hi].tolist(),
-        )
-        out.write(template * (hi - lo) % tuple(itertools.chain.from_iterable(zip(*columns))))
+    shot = 0
+
+    def write(phases: np.ndarray, outcomes: np.ndarray, estimates: np.ndarray) -> None:
+        nonlocal shot
+        size = len(outcomes)
+        columns = (range(shot, shot + size), *phases.T.tolist(), outcomes.tolist(),
+                   estimates.tolist())
+        out.write(template * size % tuple(itertools.chain.from_iterable(zip(*columns))))
+        shot += size
+
+    return write
 
 
 def parse_sweep_config(text: str) -> dict[str, list]:

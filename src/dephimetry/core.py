@@ -55,6 +55,16 @@ def _grid(live):
     return (live, live) if isinstance(live, slice) else np.ix_(live, live)
 
 
+def _embed(block: np.ndarray, live, dim: int) -> np.ndarray:
+    """The dim x dim matrix that is `block` on rows and columns `live` (see
+    _support) and +0 elsewhere; `block` itself when live is every row."""
+    if isinstance(live, slice):
+        return block
+    out = np.zeros((dim, dim), dtype=block.dtype)
+    out[_grid(live)] = block
+    return out
+
+
 def _trusted(cls, entries: np.ndarray):
     """Wrap a matrix the package built to be Hermitian (and, for a state,
     unit-trace and PSD) in `cls` without checking it again.  `entries`
@@ -190,17 +200,21 @@ def product_plus_state(n: int) -> DensityMatrix:
 
 
 def encode_phase(rho: DensityMatrix, gen: GeneratorSpec, phi: float) -> DensityMatrix:
-    """Unitary phase encoding exp(-i phi H) rho exp(+i phi H), entrywise."""
+    """Unitary phase encoding exp(-i phi H) rho exp(+i phi H), entrywise.
+
+    Only the support of rho (_support) is computed; every other entry of
+    the result is +0."""
     _check_pairing(rho, gen)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    energy = gen.energies
+    live = _support(rho.entries)
+    energy = gen.energies[live]
     w = np.exp(-1j * phi * (energy[:, None] - energy[None, :]))
-    out = rho.entries * w
+    out = rho.entries[_grid(live)] * w
     # The product is Hermitian, but a conjugate pair of zeros can carry
     # opposite signs, which the CLI prints as "0" and "-0"; averaging the
     # pair settles one sign.
-    return _trusted(DensityMatrix, (out + out.conj().T) / 2)
+    return _trusted(DensityMatrix, _embed((out + out.conj().T) / 2, live, rho.dim))
 
 
 def variance(op: HermitianOperator, rho: DensityMatrix) -> float:

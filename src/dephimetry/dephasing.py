@@ -23,6 +23,7 @@ from .core import (
     GeneratorSpec,
     HermitianOperator,
     _check_pairing,
+    _embed,
     _grid,
     _support,
     _trusted,
@@ -59,11 +60,7 @@ def dephase(rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix) -> De
         raise ValueError(f"covariance is {cov.n}-site but generator has {gen.nsites} sites")
     live = _support(rho.entries)
     factor = np.exp(-0.5 * _pair_quadratic(gen.site_energy_table[:, live], cov))
-    if isinstance(live, slice):
-        return _trusted(DensityMatrix, rho.entries * factor)
-    out = np.zeros_like(rho.entries)
-    out[_grid(live)] = rho.entries[_grid(live)] * factor
-    return _trusted(DensityMatrix, out)
+    return _trusted(DensityMatrix, _embed(rho.entries[_grid(live)] * factor, live, rho.dim))
 
 
 def derivative_state(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:

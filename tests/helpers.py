@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -17,9 +18,10 @@ from dephimetry import (
     ghz_state,
     product_plus_state,
     qfi,
+    simulate,
     weights,
 )
-from dephimetry.bayes import chunk_rngs, covariance_sqrt
+from dephimetry.bayes import SimulationResult, chunk_rngs, covariance_sqrt
 from dephimetry.dephasing import derivative_state
 from dephimetry.fisher import _rounding_floor
 
@@ -286,6 +288,27 @@ def traced_peak_mb(fn, *args, **kwargs) -> float:
     finally:
         tracemalloc.stop()
     return (peak - base) / 2**20
+
+
+class Shots(NamedTuple):
+    """A simulate run and its per-shot arrays, gathered by collect_shots."""
+
+    result: SimulationResult
+    phases: np.ndarray
+    outcomes: np.ndarray
+    estimates_best: np.ndarray
+
+
+def collect_shots(cfg, shots: int, seed: int) -> Shots:
+    """simulate(cfg, shots, seed) with every shot's phases, outcome and
+    est_best copied out of the per-chunk callback and joined in shot order."""
+    chunks = []
+
+    def keep(phases, outcomes, estimates_best):
+        chunks.append((phases.copy(), outcomes.copy(), estimates_best.copy()))
+
+    result = simulate(cfg, shots, seed, keep)
+    return Shots(result, *(np.concatenate(parts) for parts in zip(*chunks)))
 
 
 def _dense_frame(rho: DensityMatrix, gen: GeneratorSpec):

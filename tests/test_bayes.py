@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,11 +40,19 @@ from dephimetry import (
     weights,
 )
 import dephimetry.bayes
-from dephimetry.bayes import CHUNK_SHOTS, _fold, _shot_probabilities, _state_factor, map_ordered
+from dephimetry.bayes import (
+    CHUNK_SHOTS,
+    _fold,
+    _shot_probabilities,
+    _state_factor,
+    _weighted_moments,
+    map_ordered,
+)
 from dephimetry.dephasing import derivative_state
 from dephimetry.fisher import _support_block
 
 from helpers import (
+    collect_shots,
     dense_effects,
     dense_shot_probabilities,
     dense_traces,
@@ -68,6 +77,15 @@ def make_cfg(seed: int, n: int = 2, phi0: float = 0.0, delta_phi: float = 0.0,
     povm = random_projective_povm(r, 2**n)
     return ExperimentConfig(rho=rho, gen=GeneratorSpec.qubits(n), cov=cov,
                             povm=povm, phi0=phi0, delta_phi=delta_phi)
+
+
+def plus_or_ghz_cfg(make_state, n: int = 3, **phases) -> ExperimentConfig:
+    """A named probe at n sites under c2(0.5, 0.5), measured by the optimal
+    POVM at phi0, as the CLI sets up simulate."""
+    gen, cov, rho = GeneratorSpec.qubits(n), build_c2(n, 0.5, 0.5), make_state(n)
+    averaged = encode_phase(dephase(rho, gen, cov), gen, phases.get("phi0", 0.0))
+    return ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=optimal_povm(averaged, gen),
+                            rho_bar=averaged, **phases)
 
 
 def shot_probabilities(povm: Povm, factor: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -415,8 +433,8 @@ class TestQbcrGap:
 class TestSimulate:
     def test_deterministic_in_seed(self):
         cfg = make_cfg(11, n=1)
-        a = simulate(cfg, 3000, 21)
-        b = simulate(cfg, 3000, 21)
+        a = collect_shots(cfg, 3000, 21)
+        b = collect_shots(cfg, 3000, 21)
         np.testing.assert_array_equal(a.outcomes, b.outcomes)
         np.testing.assert_array_equal(a.phases, b.phases)
 
@@ -426,7 +444,7 @@ class TestSimulate:
         averaged = encode_phase(dephase(rho, gen, cov), gen, 0.3)
         cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=optimal_povm(averaged, gen),
                                phi0=0.3, delta_phi=0.4, rho_bar=averaged)
-        phases = simulate(cfg, 200_000, 8).phases
+        phases = collect_shots(cfg, 200_000, 8).phases
         assert phases.shape == (200_000, 3)
         np.testing.assert_allclose(phases.mean(axis=0), 0.7, atol=0.01)
         np.testing.assert_allclose(np.cov(phases.T), cov.entries, atol=0.01)
@@ -434,10 +452,11 @@ class TestSimulate:
     def test_four_chunk_stream_pinned(self):
         # golden values of the fixed chunk partition: a change here changes
         # every seeded run
-        res = simulate(make_cfg(18, n=2), 3 * CHUNK_SHOTS + 5, 8)
+        res = collect_shots(make_cfg(18, n=2), 3 * CHUNK_SHOTS + 5, 8)
         digest = hashlib.sha256(res.outcomes.astype(np.int64).tobytes()).hexdigest()
         assert digest == "69b9758f69ef32f6370c9380282874cfb15dedb0aee2326df9214ada094c0f36"
         np.testing.assert_array_equal(np.bincount(res.outcomes), [7205, 8244, 3608, 5524])
+        np.testing.assert_array_equal(res.result.counts, [7205, 8244, 3608, 5524])
         pinned = {
             0: [-0.3143988090925381, 0.22890257518551588],
             CHUNK_SHOTS - 1: [0.09368014870696663, 0.03341801554837339],
@@ -531,11 +550,12 @@ class TestSimulate:
         rb = encode_phase(dephase(ghz_state(n), gen, cov), gen, 0.0)
         cfg = ExperimentConfig(rho=ghz_state(n), gen=gen, cov=cov,
                                povm=optimal_povm(rb, gen), rho_bar=rb)
-        res = simulate(cfg, 3000, 100001)
+        res = collect_shots(cfg, 3000, 100001)
         digest = hashlib.sha256(res.outcomes.astype(np.int64).tobytes()).hexdigest()
         assert digest == outcome_digest
         assert hashlib.sha256(res.phases.tobytes()).hexdigest() == phase_digest
         assert dict(zip(*np.unique(res.outcomes, return_counts=True))) == counts
+        assert {x: int(c) for x, c in enumerate(res.result.counts) if c} == counts
         np.testing.assert_array_equal(
             res.estimates_best, np.where(res.outcomes == 0, -estimate, estimate)
         )
@@ -559,7 +579,7 @@ class TestSimulate:
         product = dephimetry.bayes._product_weights
         monkeypatch.setattr(dephimetry.bayes, "_product_weights",
                             lambda *args: calls.append(1) or product(*args))
-        fast = simulate(cfg, shots, 4)
+        fast = collect_shots(cfg, shots, 4)
         assert len(calls) == shots // CHUNK_SHOTS
 
         def indexed(rho, gen):
@@ -568,7 +588,7 @@ class TestSimulate:
             return np.arange(rho.dim), block, energy
 
         monkeypatch.setattr(dephimetry.bayes, "_support_block", indexed)
-        direct = simulate(cfg, shots, 4)
+        direct = collect_shots(cfg, shots, 4)
         assert len(calls) == shots // CHUNK_SHOTS
         assert np.unique(fast.outcomes).size > 1
         np.testing.assert_array_equal(fast.outcomes, direct.outcomes)
@@ -587,8 +607,8 @@ class TestSimulate:
         rb = encode_phase(dephase(ghz_state(n), gen, cov), gen, 0.0)
         cfg = ExperimentConfig(rho=ghz_state(n), gen=gen, cov=cov,
                                povm=optimal_povm(rb, gen), rho_bar=rb)
-        outcomes = simulate(cfg, 3000, 100001).outcomes
-        assert set(np.unique(outcomes)) == {0, 2**n - 1}
+        counts = simulate(cfg, 3000, 100001).counts
+        assert set(np.flatnonzero(counts)) == {0, 2**n - 1}
 
     def test_memory_budget_ghz_n10(self):
         # one full chunk on the 2-row support of GHZ; sampling over all
@@ -616,7 +636,7 @@ class TestSimulate:
     def test_chunks_reuse_their_buffers(self, tmp_path):
         # Temporaries allocated and freed per chunk are trimmed from the heap
         # and faulted in again by the next chunk: about 1100 minor faults per
-        # chunk, against about 100 for the pages of the growing results.
+        # chunk.
         src = os.path.dirname(os.path.dirname(dephimetry.bayes.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
@@ -635,6 +655,49 @@ class TestSimulate:
         assert (faults(32) - faults(2)) / 30 < 256
 
     @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
+    def test_memory_does_not_grow_with_shots(self, make_state):
+        # the run keeps one count per outcome: 64 chunks peak within 1 MiB
+        # of 2, where keeping every shot grew by 7 MiB per 16 chunks
+        cfg = plus_or_ghz_cfg(make_state, phi0=0.2, delta_phi=0.1)
+        few = traced_peak_mb(simulate, cfg, 2 * CHUNK_SHOTS, 9)
+        many = traced_peak_mb(simulate, cfg, 64 * CHUNK_SHOTS, 9)
+        assert many <= few + 1.0
+
+    @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
+    def test_summary_is_exact_from_the_shots(self, make_state):
+        # the summary from the counts equals the exact moments of the
+        # per-shot values, and the numpy reductions over them within 1e-12
+        cfg = plus_or_ghz_cfg(make_state, phi0=0.2, delta_phi=0.1)
+        shots = 2 * CHUNK_SHOTS + 100
+        res, _, _, best = collect_shots(cfg, shots, 12)
+        squares = np.square(best - cfg.phi0)
+        summary = [(res.empirical_mean, res.mean_stderr),
+                   (res.empirical_mse_best, res.mse_stderr)]
+        for (mean, stderr), values in zip(summary, (best, squares)):
+            exact = [Fraction(v) for v in values.tolist()]
+            exact_mean = sum(exact) / shots
+            variance = sum((v - exact_mean) ** 2 for v in exact) / (shots - 1)
+            assert mean == float(exact_mean)
+            expected = math.sqrt(float(variance)) / math.sqrt(shots)
+            assert abs(stderr - expected) <= 4 * math.ulp(expected)
+            assert math.isclose(mean, values.mean(), rel_tol=1e-12)
+            # GHZ's squares are one constant: its stderr is 0.0 exactly,
+            # and numpy's is rounding of the mean
+            assert math.isclose(stderr, values.std(ddof=1) / math.sqrt(shots),
+                                rel_tol=1e-12, abs_tol=1e-12 * res.predicted_mse)
+        if make_state is ghz_state:
+            assert res.mse_stderr == 0.0
+
+    def test_moments_past_the_float_range(self):
+        # a sum past the float range saturates to inf; a value there leaves
+        # the variance undefined, as float sums do
+        assert _weighted_moments(np.array([1, 1]), np.array([1.3e154, -1.3e154])) == (
+            0.0, math.inf)
+        mean, stderr = _weighted_moments(np.array([3, 0, 1]), np.array([np.inf, 5.0, 1.0]))
+        assert mean == math.inf and math.isnan(stderr)
+        assert _weighted_moments(np.array([0, 1]), np.array([np.inf, 2.0])) == (2.0, None)
+
+    @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
     def test_memory_budget_n6(self, make_state):
         # one full chunk at dim 64: a dense per-shot state stack is 512 MiB
         gen = GeneratorSpec.qubits(6)
@@ -646,10 +709,12 @@ class TestSimulate:
 
     def test_chunk_boundary_shapes(self):
         cfg = make_cfg(12, n=1)
-        res = simulate(cfg, 8192 + 5, 3)
+        res = collect_shots(cfg, 8192 + 5, 3)
         assert res.phases.shape == (8197, 1)
         assert res.outcomes.shape == (8197,)
         assert res.estimates_best.shape == (8197,)
+        assert res.result.chunks == 2
+        assert res.result.counts.sum() == 8197
 
     def test_single_shot_has_no_stderr(self):
         cfg = make_cfg(13, n=1)
@@ -681,9 +746,10 @@ class TestSimulate:
         cov = build_c2(2, 0.5, 0.4)
         povm = random_projective_povm(rng(20), 4)
         cfg = ExperimentConfig(rho=ghz_state(2), gen=gen, cov=cov, povm=povm)
-        res = simulate(cfg, 60_000, 23)
-        errors = (res.estimates - res.phi_c) ** 2
-        se = errors.std(ddof=1) / math.sqrt(res.shots)
+        res = collect_shots(cfg, 60_000, 23)
+        estimates = bayes_estimators(cfg).estimates[res.outcomes]
+        errors = (estimates - res.phases @ cfg.gamma) ** 2
+        se = errors.std(ddof=1) / math.sqrt(res.result.shots)
         assert abs(errors.mean() - bayes_mse(cfg)) < 3.5 * se
 
     def test_shifted_prior_mean_tracked(self):
@@ -698,16 +764,20 @@ class TestSimulate:
         # locally unbiased: E[best] = phi0 + delta + O(delta^2)
         assert abs(res.empirical_mean - delta) < 4.0 * res.mean_stderr + 2e-3
 
-    def test_per_shot_rows(self):
+    def test_callback_sees_each_chunk(self):
+        # one call per chunk, in shot order, with the chunk's rows; the
+        # estimates are est_best of the outcomes, which the counts tally
         cfg = make_cfg(15, n=2)
-        res = simulate(cfg, 50, 1)
-        rows = list(res.per_shot_rows())
-        assert len(rows) == 50
-        idx, p1, p2, outcome, estimate = rows[7]
-        assert idx == 7
-        assert (p1, p2) == tuple(res.phases[7])
-        assert outcome == res.outcomes[7]
-        assert estimate == res.estimates_best[7]
+        calls = []
+        res = simulate(cfg, 2 * CHUNK_SHOTS + 50, 1,
+                       lambda *views: calls.append([v.copy() for v in views]))
+        assert [len(o) for _, o, _ in calls] == [CHUNK_SHOTS, CHUNK_SHOTS, 50]
+        assert all(p.shape == (len(o), 2) for p, o, _ in calls)
+        best = best_estimator(cfg).best
+        for _, outcomes, estimates in calls:
+            np.testing.assert_array_equal(estimates, best[outcomes])
+        outcomes = np.concatenate([o for _, o, _ in calls])
+        np.testing.assert_array_equal(res.counts, np.bincount(outcomes, minlength=4))
 
 
 class TestMapOrdered:
@@ -752,6 +822,6 @@ class TestAveragedProbabilities:
         result = simulate(cfg, shots=shots, seed=31)
         p = averaged_probabilities(cfg, cfg.phi0)
         for k in range(2):
-            freq = np.mean(result.outcomes == k)
+            freq = result.counts[k] / shots
             se = math.sqrt(p[k] * (1 - p[k]) / shots)
             assert abs(freq - p[k]) <= 3.5 * se

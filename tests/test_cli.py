@@ -15,7 +15,6 @@ import pytest
 import dephimetry.cli as cli
 from dephimetry import (
     GeneratorSpec,
-    SimulationResult,
     build_c2,
     dephase,
     encode_phase,
@@ -27,7 +26,7 @@ from dephimetry.bayes import CHUNK_SHOTS
 from dephimetry.errors import NumericalConsistencyError
 from dephimetry.fisher import _product_plus_qfi
 
-from helpers import collective_and_local, dense_plus_qfi
+from helpers import collect_shots, collective_and_local, dense_plus_qfi
 
 
 def run(args):
@@ -107,10 +106,9 @@ class TestExitCodes:
                       "--seed", "1"], "two_beta2", id="simulate-zero-noise"),
         pytest.param(["simulate", "--n", "10", "--state", "product-plus", "--two-beta2", "0",
                       "--shots", "4"], "two_beta2", id="simulate-zero-noise-no-seed"),
-        pytest.param(["simulate", "--n", "3", "--shots", "16777217", "--seed", "1"],
-                     "shots must be between 1 and 16777216", id="simulate-shots-limit"),
         pytest.param(["simulate", "--n", "10", "--state", "product-plus", "--shots",
-                      "1000000000"], "between 1 and 8947848", id="simulate-shots-limit-no-seed"),
+                      str(2**63)], "shots must be between 1 and 9223372036854775807\n",
+                     id="simulate-shots-limit"),
         pytest.param(["simulate", "--n", "2", "--shots", "0"], "shots must be between 1",
                      id="simulate-zero-shots-no-seed"),
         pytest.param(["simulate", "--n", "100000000000", "--shots", "10"],
@@ -300,11 +298,15 @@ class TestExitCodes:
 
     def test_failed_write_removes_the_partial_file(self, tmp_path, monkeypatch, capsys):
         # the failure comes after part of the --per-shot text is written
-        def half_written(result, n, out):
+        def half_written(n, out):
             out.write("shot,phi_1,phi_2,outcome,estimate\n")
-            raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "_write_per_shot", half_written)
+            def write(*views):
+                raise OSError("disk full")
+
+            return write
+
+        monkeypatch.setattr(cli, "_per_shot_writer", half_written)
         out, per_shot = tmp_path / "sim.json", tmp_path / "ok.csv"
         assert run(["simulate", "--n", "2", "--shots", "4", "--seed", "1", "--per-shot",
                     str(per_shot), "--out", str(out)]) == 1
@@ -782,8 +784,10 @@ class TestSimulate:
             "state", "n", "family", "alpha", "two_beta2", "phi0", "delta_phi",
             "shots", "seed", "predicted_mse", "empirical_mse_best", "mse_stderr",
             "empirical_mean", "mean_stderr", "z_score", "undefined_variance",
+            "chunks", "clamped", "excluded",
         ]
         assert payload["seed"] == 7
+        assert (payload["chunks"], payload["clamped"], payload["excluded"]) == (1, 0, 0)
         assert payload["undefined_variance"] is False
         assert abs(payload["z_score"]) <= 3.0
 
@@ -803,6 +807,28 @@ class TestSimulate:
         assert run(["simulate", "--n", "2", "--family", "identity", "--two-beta2", "1e-170",
                     "--shots", "10", "--seed", "1", "--out", str(out)]) == 0
         assert abs(read_json(out)["predicted_mse"] - 0.25) <= 1e-12
+
+    @pytest.mark.parametrize("two_beta2", ["640", "660"])
+    def test_square_past_float_range_refused(self, two_beta2, tmp_path, capsys):
+        # est_best^2 passes the float range, so the MSE is inf, which the
+        # JSON cannot hold: exit 1 with one error line and no output left
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--n", "1", "--two-beta2", two_beta2, "--shots", "10",
+                    "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Out of range float values are not JSON compliant: inf\n"
+        assert not out.exists()
+
+    def test_large_constant_square_has_zero_stderr(self, tmp_path):
+        # the squares (about 1e206) are one constant; a float variance of
+        # them overflowed, where the exact one is 0
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--n", "1", "--two-beta2", "400", "--shots", "10",
+                    "--seed", "1", "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["mse_stderr"] == 0.0
+        assert math.isclose(payload["empirical_mse_best"], payload["predicted_mse"],
+                            rel_tol=1e-12)
 
     def test_missing_seed_drawn_and_echoed(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
@@ -835,46 +861,37 @@ class TestSimulate:
         float(first[4])
 
     def test_per_shot_csv_streams_the_joined_text(self, tmp_path, monkeypatch):
-        # rows are written in blocks through one file; the bytes are those of
-        # the whole table joined at once, across a chunk boundary
-        kept = []
-        monkeypatch.setattr(cli, "simulate", lambda *a: kept.append(simulate(*a)) or kept[-1])
+        # rows are written a chunk at a time through one file; the bytes are
+        # those of the whole table joined at once, across a chunk boundary
+        configs = []
+        monkeypatch.setattr(cli, "simulate",
+                            lambda cfg, *a: configs.append(cfg) or simulate(cfg, *a))
         shots_file = tmp_path / "shots.csv"
-        assert run(["simulate", "--n", "2", "--shots", str(CHUNK_SHOTS + 7), "--seed", "3",
+        shots = CHUNK_SHOTS + 7
+        assert run(["simulate", "--n", "2", "--shots", str(shots), "--seed", "3",
                     "--out", str(tmp_path / "sim.json"), "--per-shot", str(shots_file)]) == 0
-        res = kept[0]
+        res = collect_shots(configs[0], shots, 3)
         lines = ["shot,phi_1,phi_2,outcome,estimate"]
-        for i in range(res.shots):
+        for i in range(shots):
             lines.append(",".join([str(i)] + [_fmt(p) for p in res.phases[i]]
                                   + [str(int(res.outcomes[i])), _fmt(res.estimates_best[i])]))
         assert shots_file.read_text() == "\n".join(lines) + "\n"
 
-    def test_per_shot_block_format_matches_csv_text(self, tmp_path, monkeypatch):
-        # one %-format per block gives _fmt's bytes, across block boundaries
+    def test_per_shot_chunk_format_matches_csv_text(self, tmp_path):
+        # one %-format per chunk gives _fmt's bytes, across chunk boundaries
         # and for signed zero, subnormals, huge and integer-valued floats
-        monkeypatch.setattr(cli, "PER_SHOT_BLOCK", 3)
         phases = np.array([[-0.0, 5e-324], [1e300, 3.0], [0.1, -2.0], [-1e-300, 0.0],
                            [np.pi, -7.0], [2.5, 1e16], [-0.5, 123456789.0]])
-        shots = len(phases)
-        result = SimulationResult(
-            shots=shots, seed=0, phi0=0.0, delta_phi=0.0, empirical_mse_best=1.0,
-            mse_stderr=None, empirical_mean=0.0, mean_stderr=None, phases=phases,
-            phi_c=phases.mean(axis=1), outcomes=np.array([0, 3, 1, 2, 0, 7, 12]),
-            estimates=np.zeros(shots),
-            estimates_best=np.array([-0.0, 4.0, 5e-324, -1e300, 0.25, 1.0 / 3.0, -6.0]),
-            predicted_mse=1.0,
-        )
+        outcomes = np.array([0, 3, 1, 2, 0, 7, 12])
+        estimates = np.array([-0.0, 4.0, 5e-324, -1e300, 0.25, 1.0 / 3.0, -6.0])
         path = tmp_path / "shots.csv"
         with open(path, "w") as out:
-            cli._write_per_shot(result, 2, out)
+            write = cli._per_shot_writer(2, out)
+            for lo in range(0, len(phases), 3):
+                write(phases[lo : lo + 3], outcomes[lo : lo + 3], estimates[lo : lo + 3])
         header = ("shot", "phi_1", "phi_2", "outcome", "estimate")
-        assert path.read_text() == cli._csv_text([header, *result.per_shot_rows()])
-
-    def test_shot_limit_admits_a_million_shots(self):
-        for n in range(1, cli.NUMERIC_SITE_LIMIT + 1):
-            limit = cli._shot_limit(n)
-            assert limit >= 2**20
-            assert 8 * (n + 5) * limit <= cli.SIMULATE_RESULT_BYTES
+        rows = [(i, *phases[i], int(outcomes[i]), estimates[i]) for i in range(len(phases))]
+        assert path.read_text() == cli._csv_text([header, *rows])
 
 
 class TestEntryPoint:
@@ -1156,8 +1173,8 @@ GOLDEN_DIGESTS = {
     "qfi-csv": "6bbf164c869b9ae8f79358c4258e1527d4e414810836360eb8890a0d673ec4a9",
     "qfi-json": "09ff6422ad729a7038559212018925b263bbedd6f16a0d14f0592bd1b20aea4d",
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
-    "simulate-ghz": "679f633821d56b1c8c35252c0386febfa2cf524930300fbb79e44ba27fe564e8",
-    "simulate-plus": "5c7cecee8228c03906cbef05a5ee3d5f354e805771c7658be5c03e39c61221d4",
+    "simulate-ghz": "be4f1fb8e506a3b52164409c0634f498d6e35c5fe9ee15ce3c37081f4280015a",
+    "simulate-plus": "64470b06d0a2f6fa6d1f538e674e3136a3b2531f044e91404cac2e215740ab4d",
     "sweep": "b5824c21ae48cbf48ddd2a8befe66bc41f8507d28d29e1c4fb71d075c1bdf99d",
 }
 
@@ -1179,3 +1196,19 @@ def golden_digest(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_bytes(case, tmp_path):
     assert golden_digest(case, tmp_path) == GOLDEN_DIGESTS[case]
+
+
+# sha256 of the shots.csv each simulate golden writes, recorded while the
+# run still kept every shot in memory: the per-shot rows streamed from each
+# chunk are the same bytes.
+GOLDEN_SHOTS = {
+    "simulate-ghz": "66b3dc2a5c5d7697fe85d1e00f88ffb27160c5849dbb70a7c468611066d8b866",
+    "simulate-plus": "0e1e82c44de866b2258cda4f421018ad7c67ef60a9b07caa6d5fd7ab9f186991",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SHOTS))
+def test_golden_per_shot_bytes(case, tmp_path):
+    golden_digest(case, tmp_path)
+    shots = (tmp_path / "out" / "shots.csv").read_bytes()
+    assert hashlib.sha256(shots).hexdigest() == GOLDEN_SHOTS[case]

@@ -24,6 +24,7 @@ from dephimetry import (
 )
 from dephimetry.bayes import (
     CHUNK_SHOTS,
+    MAX_SHOTS,
     _phase_weights,
     _product_weights,
     _site_steps,
@@ -308,7 +309,7 @@ class TestChunkRngs:
         assert [size for _, size in jobs] == [CHUNK_SHOTS] * 2
 
     def test_small_run_single_chunk(self):
-        jobs = chunk_rngs(5, 100)
+        jobs = list(chunk_rngs(5, 100))
         assert len(jobs) == 1
         assert jobs[0][1] == 100
 
@@ -319,7 +320,7 @@ class TestChunkRngs:
             np.testing.assert_array_equal(ra.random(8), rb.random(8))
 
     def test_streams_differ_across_chunks(self):
-        jobs = chunk_rngs(42, 2 * CHUNK_SHOTS)
+        jobs = list(chunk_rngs(42, 2 * CHUNK_SHOTS))
         x = jobs[0][0].random(8)
         y = jobs[1][0].random(8)
         assert not np.array_equal(x, y)
@@ -327,6 +328,20 @@ class TestChunkRngs:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="shots"):
             chunk_rngs(0, 0)
+
+    def test_children_spawned_one_at_a_time(self):
+        # one spawn(1) per chunk gives the children of one spawn(k)
+        children = np.random.SeedSequence(42).spawn(3)
+        for (r, _), child in zip(chunk_rngs(42, 3 * CHUNK_SHOTS), children, strict=True):
+            np.testing.assert_array_equal(r.random(8), np.random.default_rng(child).random(8))
+
+    def test_int64_shot_range(self):
+        # the chunks are yielded lazily, so the largest run costs nothing
+        # until its chunks are taken; one shot more is refused up front
+        jobs = chunk_rngs(0, MAX_SHOTS)
+        assert next(jobs)[1] == CHUNK_SHOTS
+        with pytest.raises(ValueError, match=f"shots must be between 1 and {MAX_SHOTS}"):
+            chunk_rngs(0, MAX_SHOTS + 1)
 
 
 class TestDerivativeState:
