@@ -434,10 +434,11 @@ def chunk_rngs(seed: int, shots: int) -> Iterator[tuple[np.random.Generator, int
     )
 
 
-def map_ordered(fn: Callable, items: Iterable) -> list:
-    """[fn(item) for item in items]; simulate runs its chunks through this
-    one module-level name so that a profiler can time each chunk."""
-    return [fn(item) for item in items]
+def map_ordered(fn: Callable, items: Iterable) -> None:
+    """fn(item) for each item in order, keeping nothing; simulate runs its
+    chunks through this one module-level name so that a profiler can time each chunk."""
+    for item in items:
+        fn(item)
 
 
 def _sample_counts(

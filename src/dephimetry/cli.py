@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -488,6 +489,28 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS mapped into this process to one thread, through the
+    setter named as in numpy's builds, so that output does not depend on the
+    thread count: the last bits of LAPACK's eigh follow it, and
+    OPENBLAS_NUM_THREADS is read when numpy loads, before main runs.  Where
+    there is no such library, or no /proc/self/maps to find it by, nothing
+    is set."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+        for lib in map(ctypes.CDLL, sorted(paths)):
+            for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                         "openblas_set_num_threads"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+                    return
+    except OSError:
+        pass
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dephimetry", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -541,6 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    _one_blas_thread()
     try:
         return args.handler(args)
     except BoundViolationError as exc:

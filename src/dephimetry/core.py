@@ -10,6 +10,9 @@ States and operators are plain numpy arrays wrapped in small frozen
 dataclasses that are treated as immutable values.  Public constructors
 check every invariant at every dimension; outputs of the package's own
 channels are not checked again, and the tests of each producer pin them.
+The public constructors store complex128 entries.  The named probes are
+real and stored as float64, one real copy, and dephasing keeps the dtype
+of its input; phase encoding, the SLD and -i [H, rho] are complex.
 """
 from __future__ import annotations
 
@@ -186,7 +189,7 @@ def ghz_state(n: int) -> DensityMatrix:
     if n < 1:
         raise ValueError("need at least one qubit")
     dim = 2**n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho = np.zeros((dim, dim))
     rho[0, 0] = rho[0, -1] = rho[-1, 0] = rho[-1, -1] = 0.5
     return _trusted(DensityMatrix, rho)
 
@@ -196,7 +199,7 @@ def product_plus_state(n: int) -> DensityMatrix:
     if n < 1:
         raise ValueError("need at least one qubit")
     dim = 2**n
-    return _trusted(DensityMatrix, np.full((dim, dim), 1.0 / dim, dtype=np.complex128))
+    return _trusted(DensityMatrix, np.full((dim, dim), 1.0 / dim))
 
 
 def encode_phase(rho: DensityMatrix, gen: GeneratorSpec, phi: float) -> DensityMatrix:

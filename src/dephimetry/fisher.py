@@ -252,7 +252,7 @@ def _support_block(rho: DensityMatrix, gen: GeneratorSpec):
     entries = rho.entries
     live = _support(entries)
     # Rows outside `live` are zero, so the block is real when rho is.
-    if not entries.imag.any():
+    if np.iscomplexobj(entries) and not entries.imag.any():
         entries = entries.real
     return live, entries[_grid(live)], gen.energies[live]
 

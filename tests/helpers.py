@@ -202,6 +202,23 @@ def dephase_factor_loops(cov: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def pair_quadratic(table: np.ndarray, cov: CovarianceMatrix) -> np.ndarray:
+    """The full matrix of delta^T C delta over pairs of the basis states
+    whose columns of the site energy table are given, from one Gram matrix
+    of the whole table: the arithmetic dephase applies a block of rows at a
+    time, kept whole as its bitwise oracle.  Overflow is refused as dephase
+    refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = table.T @ (cov.entries @ table)
+        diag = np.diag(gram).copy()  # d_m = g_mm, the GEMM's own bits
+        gram = (gram + gram.T) / 2
+        quad = diag[:, None] + diag[None, :] - 2.0 * gram
+    if not np.isfinite(quad).all():
+        raise ValueError("delta^T C delta overflows for this covariance and generator")
+    np.fill_diagonal(quad, 0.0)
+    return quad
+
+
 def dense_traces(a: np.ndarray, effects) -> np.ndarray:
     """Re Tr(A Pi_x) per dense effect; reference for the factored Povm."""
     return np.array([np.trace(a @ e).real for e in effects])

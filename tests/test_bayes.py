@@ -782,10 +782,14 @@ class TestSimulate:
 
 class TestMapOrdered:
     def test_preserves_order_sequential(self):
-        assert map_ordered(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+        seen = []
+        assert map_ordered(lambda x: seen.append(x * x), iter(range(10))) is None
+        assert seen == [x * x for x in range(10)]
 
     def test_empty(self):
-        assert map_ordered(lambda x: x, []) == []
+        seen = []
+        map_ordered(seen.append, [])
+        assert seen == []
 
 
 class TestAveragedProbabilities:

@@ -897,11 +897,23 @@ class TestSimulate:
 class TestEntryPoint:
     """`python -m dephimetry` in a fresh interpreter."""
 
-    def run_module(self, *args):
+    def run_module(self, *args, threads=1):
         src = Path(cli.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
         return subprocess.run([sys.executable, "-m", "dephimetry", *args], env=env,
                               capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("args", [
+        ["bound", "--state", "product-plus", "--n", "10", "--family", "c2", "--alpha", "0.5",
+         "--two-beta2", "0.1"],
+        ["simulate", "--state", "product-plus", "--n", "8", "--family", "c2", "--alpha", "0.5",
+         "--shots", "4096", "--seed", "5"],
+    ], ids=["bound", "simulate"])
+    def test_output_does_not_follow_blas_threads(self, args):
+        # unpinned, the last digits of f_rho_bar and predicted_mse moved
+        runs = [self.run_module(*args, threads=threads) for threads in (1, 2)]
+        assert all(done.returncode == 0 for done in runs), runs[-1].stderr
+        assert runs[0].stdout == runs[1].stdout
 
     def test_bound_exits_zero(self):
         done = self.run_module("bound", "--n", "2")
@@ -1148,6 +1160,8 @@ GOLDEN_CASES = {
                      "0.6", "--phi", "0.3"],
     "dephase-csv": ["dephase", "--state", "product-plus", "--n", "2", "--family", "c1",
                     "--alpha", "0.3", "--phi", "0.7", "--format", "csv"],
+    "dephase-real-json": ["dephase", "--state", "product-plus", "--n", "3", "--family", "c2",
+                          "--alpha", "0.4"],
     "sweep": ["sweep", "--config", "{cfg}"],
     "figure-scaling": ["figure", "scaling"],
     "figure-comparison": ["figure", "comparison"],
@@ -1168,6 +1182,7 @@ GOLDEN_DIGESTS = {
     "bound-zero-noise-json": "5fd6cde9fd4ca7c9d69e212a6298ce23035b68b55934b0aae2ed1deffe34be7b",
     "dephase-csv": "9191a0492840013430d5b119b8148606630690e92aab01b101c3fc8aa058e7cc",
     "dephase-json": "c1d21e4ac2ca45c25a8f46dd8cd7a87802097ea47e2d95bb001f92a048e95a81",
+    "dephase-real-json": "56e81c585ff5d121bef54160613cddbe3b93eaab06855149f014a1bf37ae2078",
     "figure-comparison": "52c5dc9ab11fc0c046990c4b83abda0d1b999fe3d3c832e20359938875eb09ab",
     "figure-scaling": "82d4aad49bf1aebe2970d3db4396d5b635946366f43209036d2cdc641df53389",
     "qfi-csv": "6bbf164c869b9ae8f79358c4258e1527d4e414810836360eb8890a0d673ec4a9",

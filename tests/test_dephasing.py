@@ -20,6 +20,7 @@ from dephimetry import (
     encode_phase,
     ghz_state,
     product_plus_state,
+    qfi,
     weights,
 )
 from dephimetry.bayes import (
@@ -31,14 +32,17 @@ from dephimetry.bayes import (
     chunk_rngs,
     covariance_sqrt,
 )
-from dephimetry.dephasing import _pair_quadratic
+from dephimetry.dephasing import ROW_BLOCK_ELEMENTS
+from dephimetry.fisher import _support_block
 
 from helpers import (
     dephase_factor_loops,
     dephase_monte_carlo,
+    pair_quadratic,
     random_density,
     random_psd_cov,
     rng,
+    traced_peak_mb,
 )
 
 # Every public producer of a DensityMatrix, as (rng, rho, gen, cov) -> state.
@@ -61,12 +65,17 @@ class TestDephase:
         assert math.isclose(out.entries[0, 1].real, 0.5 * 0.7788007830714049, rel_tol=1e-14)
 
     def test_refuses_overflowing_quadratic(self):
-        # a unit covariance with an energy gap of 1e160: delta^T C delta
-        # overflows, which no qubit generator can make it do
-        gen = GeneratorSpec(((0.0, 1e160),) * 2)
-        rho = DensityMatrix(np.full((4, 4), 0.25))
+        # a unit covariance with an energy gap of 1e154 on the first site:
+        # d_m + d_n overflows once both rows have the high level, which no
+        # qubit generator can make it do.  Those rows start halfway down, so
+        # the first block of rows is finite and a later one is refused.
+        gen = GeneratorSpec(((0.0, 1e154),) + ((0.5, -0.5),) * 8)
+        cov = CovarianceMatrix(np.eye(gen.nsites))
+        step = ROW_BLOCK_ELEMENTS // gen.dim
+        assert step < gen.dim // 2
+        assert np.isfinite(pair_quadratic(gen.site_energy_table[:, :step], cov)).all()
         with pytest.raises(ValueError, match="delta\\^T C delta overflows"):
-            dephase(rho, gen, CovarianceMatrix(np.eye(2)))
+            dephase(product_plus_state(gen.nsites), gen, cov)
 
     def test_ghz_coherence_uses_total_mass(self):
         # extreme entries differ by delta = (1,...,1): factor exp(-1^T C 1 / 2)
@@ -142,21 +151,47 @@ class TestDephase:
         with pytest.raises(ValueError, match="sites"):
             dephase(ghz_state(2), GeneratorSpec.qubits(2), build_c1(3, 0.5, 0.1))
 
-    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("n", [3, 6, 8, 10])
     @pytest.mark.parametrize("cov", [
         lambda n: CovarianceMatrix(0.5 * np.eye(n)),
         lambda n: build_c1(n, 0.5, 0.0),
+        lambda n: build_c1(n, 0.5, 0.3),
         lambda n: build_c1(n, 0.5, 0.5),
         lambda n: build_c2(n, 0.5, 0.5),
-    ], ids=["identity", "c1-0", "c1", "c2"])
+        lambda n: build_c2(n, 0.5, 0.9),
+    ], ids=["identity", "c1-0", "c1-0.3", "c1", "c2", "c2-0.9"])
     def test_support_matches_full_factor_bitwise(self, cov, n):
-        # the channel computes the support block only; it must equal the
-        # full-table factor bit for bit, and leave every other entry zero
+        # the channel computes the support block only, a block of rows at a
+        # time; it must equal the full-table factor bit for bit, and leave
+        # every other entry zero.  T^T (C T) is not bitwise symmetric for
+        # c1-0.3 and c2-0.9, so a lost symmetrization shows there.
         gen = GeneratorSpec.qubits(n)
         c = cov(n)
-        factor = np.exp(-0.5 * _pair_quadratic(gen.site_energy_table, c))
+        factor = np.exp(-0.5 * pair_quadratic(gen.site_energy_table, c))
         for rho in (ghz_state(n), product_plus_state(n)):
             np.testing.assert_array_equal(dephase(rho, gen, c).entries, rho.entries * factor)
+
+    @pytest.mark.parametrize("case", ["multilevel", "partial-support"])
+    def test_blocks_match_full_factor_bitwise(self, case):
+        # more than one block of rows, on a mixed-level generator and on a
+        # random state whose support is not a power of two
+        r = rng(8)
+        if case == "multilevel":
+            gen = GeneratorSpec(((1.0, 0.0, -1.0), (0.5, -0.5), (0.3, 0.1, -0.2, -0.7),
+                                 (1.0, 0.0, -1.0), (0.5, -0.5), (2.0, -1.0)))
+            live = np.arange(gen.dim)
+        else:
+            gen = GeneratorSpec.qubits(9)
+            live = np.sort(r.choice(gen.dim, size=300, replace=False))
+        assert live.size > ROW_BLOCK_ELEMENTS // live.size
+        entries = np.zeros((gen.dim, gen.dim), dtype=complex)
+        entries[np.ix_(live, live)] = random_density(r, live.size).entries
+        rho = DensityMatrix(entries)
+        cov = random_psd_cov(r, gen.nsites)
+        factor = np.exp(-0.5 * pair_quadratic(gen.site_energy_table, cov))
+        out = dephase(rho, gen, cov).entries
+        np.testing.assert_array_equal(out, rho.entries * factor)
+        np.testing.assert_array_equal(out, out.conj().T)
 
     def test_support_of_random_state(self):
         gen = GeneratorSpec.qubits(3)
@@ -170,6 +205,30 @@ class TestDephase:
         np.testing.assert_allclose(out, rho.entries * factor, rtol=0, atol=1e-13)
         off = np.setdiff1d(np.arange(8), live)
         assert not out[off].any() and not out[:, off].any()
+
+
+class TestRealDenseRoute:
+    def test_dtypes(self):
+        # the named probes and their dephased states hold one real copy;
+        # phase encoding and the public constructor are complex
+        gen, cov = GeneratorSpec.qubits(3), build_c2(3, 0.5, 0.5)
+        for probe in (ghz_state(3), product_plus_state(3)):
+            assert probe.entries.dtype == np.float64
+            assert dephase(probe, gen, cov).entries.dtype == np.float64
+            assert encode_phase(probe, gen, 0.0).entries.dtype == np.complex128
+            assert DensityMatrix(probe.entries).entries.dtype == np.complex128
+        assert dephase(random_density(rng(2), 8), gen, cov).entries.dtype == np.complex128
+
+    def test_memory_at_ten_qubits(self):
+        # dephase holds the probe and its result, 8 MiB each, and three blocks
+        # of rows (the complex, whole-factor channel peaked at 40 MiB); qfi
+        # takes the real block as it is: past the 1 MiB boolean mask of the
+        # support scan, no zero imaginary part is made.
+        gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
+        assert traced_peak_mb(lambda: dephase(product_plus_state(10), gen, cov)) < 20
+        rho = dephase(product_plus_state(10), gen, cov)
+        assert traced_peak_mb(_support_block, rho, gen) < 2
+        assert traced_peak_mb(qfi, rho, gen) < 12
 
 
 class TestCovarianceSqrt:
