@@ -231,10 +231,14 @@ def _f_rho_bar(state: str, n: int, route: Route) -> Optional[float]:
 
 
 def grid_report(
-    state: str, family: str, n: int, alpha: float, two_beta2: float
+    state: str, family: str, n: int, alpha: float, two_beta2: float,
+    *, route: Optional[Route] = None,
 ) -> bounds.BoundReport:
-    """Assemble one BoundReport for a named probe and covariance family."""
-    route = _route(state, family, n, alpha, two_beta2)
+    """Assemble one BoundReport for a named probe and covariance family, by
+    `route` when the caller's gate has fixed it (so its covariance is built
+    once), else by _route."""
+    if route is None:
+        route = _route(state, family, n, alpha, two_beta2)
     return bounds.bound_report(
         route.delta2, PROBES[state][1](n), family=family, n=n, alpha=alpha, two_beta2=two_beta2,
         reference_g_value=bounds.reference_bound_g(n, two_beta2),
@@ -250,10 +254,10 @@ def _emit_record(record: dict, fmt: str, out: TextIO) -> None:
 
 def cmd_bound(args) -> int:
     point = (args.state, args.family, args.n, args.alpha, args.two_beta2)
-    _route(*point)
+    route = _route(*point)
     bounds.reference_bound_g(args.n, args.two_beta2)
     with _output(args.out, sys.stdout) as out:
-        _emit_record(grid_report(*point).to_dict(), args.format, out)
+        _emit_record(grid_report(*point, route=route).to_dict(), args.format, out)
     return EXIT_OK
 
 
@@ -422,11 +426,13 @@ def cmd_sweep(args) -> int:
     grids = parse_sweep_config(text)
     # state outermost, two_beta2 innermost
     points = list(itertools.product(*(grids[key] for key in _SWEEP_KEYS)))
+    routes = []
     for state, family, n, alpha, two_beta2 in points:
-        _route(state, family, n, alpha, two_beta2)
+        routes.append(_route(state, family, n, alpha, two_beta2))
         bounds.reference_bound_g(n, two_beta2)
     with _output(args.out, sys.stdout) as out:
-        rows = (grid_report(*pt).to_dict().values() for pt in points)
+        rows = (grid_report(*pt, route=route).to_dict().values()
+                for pt, route in zip(points, routes))
         _write_text(_csv_text([bounds.CSV_FIELDS, *rows]), out)
     return EXIT_OK
 

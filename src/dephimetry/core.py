@@ -11,8 +11,10 @@ dataclasses that are treated as immutable values.  Public constructors
 check every invariant at every dimension; outputs of the package's own
 channels are not checked again, and the tests of each producer pin them.
 The public constructors store complex128 entries.  The named probes are
-real and stored as float64, one real copy, and dephasing keeps the dtype
-of its input; phase encoding, the SLD and -i [H, rho] are complex.
+real and stored as float64: GHZ as one real copy, product-plus as one
+read-only broadcast value (every entry is 2^-n, so no 2^n x 2^n array is
+held).  Dephasing keeps the dtype of its input; phase encoding, the SLD
+and -i [H, rho] are complex.
 """
 from __future__ import annotations
 
@@ -195,11 +197,12 @@ def ghz_state(n: int) -> DensityMatrix:
 
 
 def product_plus_state(n: int) -> DensityMatrix:
-    """|+>^n on n qubits; every matrix entry equals 2**-n."""
+    """|+>^n on n qubits; every matrix entry equals 2**-n, held as one
+    read-only value broadcast to (2**n, 2**n)."""
     if n < 1:
         raise ValueError("need at least one qubit")
     dim = 2**n
-    return _trusted(DensityMatrix, np.full((dim, dim), 1.0 / dim))
+    return _trusted(DensityMatrix, np.broadcast_to(np.float64(1.0 / dim), (dim, dim)))
 
 
 def encode_phase(rho: DensityMatrix, gen: GeneratorSpec, phi: float) -> DensityMatrix:

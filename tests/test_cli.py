@@ -14,6 +14,7 @@ import pytest
 
 import dephimetry.cli as cli
 from dephimetry import (
+    DensityMatrix,
     GeneratorSpec,
     build_c2,
     dephase,
@@ -23,6 +24,7 @@ from dephimetry import (
 )
 from dephimetry.bounds import _fmt
 from dephimetry.bayes import CHUNK_SHOTS
+from dephimetry.core import _trusted
 from dephimetry.errors import NumericalConsistencyError
 from dephimetry.fisher import _product_plus_qfi
 
@@ -314,7 +316,7 @@ class TestExitCodes:
         assert not out.exists() and not per_shot.exists()
 
     def test_failed_bound_removes_out_but_spares_a_link(self, tmp_path, monkeypatch):
-        def failing(*args):
+        def failing(*args, **kwargs):
             raise NumericalConsistencyError("no report")
 
         monkeypatch.setattr(cli, "grid_report", failing)
@@ -545,6 +547,23 @@ class TestRoute:
         assert run(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: no matrix\n"
         assert out.read_bytes() == SENTINEL
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_dense_covariance_built_once_per_point(self, command, tmp_path, monkeypatch):
+        # the gate's route goes into grid_report: one build_c2 per dense
+        # point (alpha 0.5), none for the Schur-Weyl points (alpha 0)
+        calls = []
+        monkeypatch.setattr(cli, "build_c2", lambda *args: calls.append(args) or build_c2(*args))
+        config = tmp_path / "grid.cfg"
+        config.write_text("state = product-plus\nfamily = c2\nn = 3, 4\n"
+                          "alpha = 0, 0.5\ntwo_beta2 = 0.5\n")
+        args, dense = {
+            "bound": (["bound", "--state", "product-plus", "--n", "4", "--family", "c2",
+                       "--alpha", "0.5"], [(4, 0.5, 0.5)]),
+            "sweep": (["sweep", "--config", str(config)], [(3, 0.5, 0.5), (4, 0.5, 0.5)]),
+        }[command]
+        assert run(args + ["--out", str(tmp_path / "out")]) == 0
+        assert calls == dense
 
     @pytest.mark.parametrize("n, two_beta2, shots", [
         (2, 1e-320, 3),
@@ -790,6 +809,21 @@ class TestSimulate:
         assert (payload["chunks"], payload["clamped"], payload["excluded"]) == (1, 0, 0)
         assert payload["undefined_variance"] is False
         assert abs(payload["z_score"]) <= 3.0
+
+    def test_one_value_probe_gives_full_array_bytes(self, tmp_path, monkeypatch):
+        # product-plus is held as one broadcast value; a full float64 array
+        # of the same value gives the same summary and per-shot bytes
+        args = ["simulate", "--state", "product-plus", "--n", "3", "--family", "c2",
+                "--alpha", "0.5", "--phi0", "0.2", "--shots", "500", "--seed", "17"]
+        outputs = []
+        for probe in ("one", "full"):
+            if probe == "full":
+                monkeypatch.setitem(cli.PROBES, "product-plus", (
+                    lambda n: _trusted(DensityMatrix, np.full((2**n, 2**n), 1.0 / 2**n)), float))
+            out, shots = tmp_path / f"{probe}.json", tmp_path / f"{probe}.csv"
+            assert run(args + ["--out", str(out), "--per-shot", str(shots)]) == 0
+            outputs.append((out.read_bytes(), shots.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_same_seed_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"
@@ -1171,6 +1205,9 @@ GOLDEN_CASES = {
                       "--alpha", "0.3", "--phi0", "0.2", "--delta-phi", "0.1", "--shots", "200",
                       "--seed", "5", "--per-shot", "{out}/shots.csv"],
 }
+# qfi-csv, qfi-json and sweep hold product-plus c2 values that the site
+# reversal sectors of fisher.qfi moved by at most 2e-15 relative from the
+# one parity frame; every other entry kept its bytes.
 GOLDEN_DIGESTS = {
     "bound-csv": "2c0cf06cbfa2c32f293aa79860b84c9b426810f1f68c53bfa8b534fedf4cc78f",
     "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
@@ -1185,12 +1222,12 @@ GOLDEN_DIGESTS = {
     "dephase-real-json": "56e81c585ff5d121bef54160613cddbe3b93eaab06855149f014a1bf37ae2078",
     "figure-comparison": "52c5dc9ab11fc0c046990c4b83abda0d1b999fe3d3c832e20359938875eb09ab",
     "figure-scaling": "82d4aad49bf1aebe2970d3db4396d5b635946366f43209036d2cdc641df53389",
-    "qfi-csv": "6bbf164c869b9ae8f79358c4258e1527d4e414810836360eb8890a0d673ec4a9",
-    "qfi-json": "09ff6422ad729a7038559212018925b263bbedd6f16a0d14f0592bd1b20aea4d",
+    "qfi-csv": "3b231e94f7a7076097546df8772476df29378423ef9fe8f47b03b81bc17beb99",
+    "qfi-json": "23d894c9a8fca3dd42231dd66e18c44967773d1cdd9eac51b47ee10eed61529a",
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
     "simulate-ghz": "be4f1fb8e506a3b52164409c0634f498d6e35c5fe9ee15ce3c37081f4280015a",
     "simulate-plus": "64470b06d0a2f6fa6d1f538e674e3136a3b2531f044e91404cac2e215740ab4d",
-    "sweep": "b5824c21ae48cbf48ddd2a8befe66bc41f8507d28d29e1c4fb71d075c1bdf99d",
+    "sweep": "421f45946605bb5732250b1e2999e49b056a412cd11b0c8b6bdfc9b23e7802e9",
 }
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,11 +11,16 @@ from dephimetry import (
     DensityMatrix,
     GeneratorSpec,
     HermitianOperator,
+    build_c2,
+    dephase,
     encode_phase,
     ghz_state,
+    optimal_povm,
     product_plus_state,
+    qfi,
     variance,
 )
+from dephimetry.core import _trusted
 
 from helpers import random_density, rng
 
@@ -159,6 +166,51 @@ class TestNamedStates:
             ghz_state(0)
         with pytest.raises(ValueError):
             product_plus_state(0)
+
+
+def full_plus_state(n):
+    """|+>^n as a full float64 array: the reference for the broadcast probe."""
+    return _trusted(DensityMatrix, np.full((2**n, 2**n), 1.0 / 2**n))
+
+
+def assert_same(a, b):
+    """Same dtype, shape and bytes (so +0 and -0 differ)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestProductPlusValue:
+    def test_one_read_only_value(self):
+        entries = product_plus_state(10).entries
+        assert entries.shape == (1024, 1024) and entries.strides == (0, 0)
+        assert not entries.flags.writeable
+        with pytest.raises(ValueError):
+            entries[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_outputs_are_those_of_the_full_array(self, n):
+        gen = GeneratorSpec.qubits(n)
+        cov = build_c2(n, 0.6, 0.4)
+        one, full = product_plus_state(n), full_plus_state(n)
+        assert_same(dephase(one, gen, cov).entries, dephase(full, gen, cov).entries)
+        assert_same(encode_phase(one, gen, 0.3).entries, encode_phase(full, gen, 0.3).entries)
+        assert qfi(one, gen) == qfi(full, gen)
+        assert_same(DensityMatrix(one.entries).entries, DensityMatrix(full.entries).entries)
+        povm = optimal_povm(encode_phase(dephase(full, gen, cov), gen, 0.2), gen)
+        for got, want in zip(povm.statistics(one, gen.energies),
+                             povm.statistics(full, gen.energies)):
+            assert_same(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_pickle_and_copy_round_trip(self, n):
+        gen = GeneratorSpec.qubits(n)
+        cov = build_c2(n, 0.6, 0.4)
+        full = full_plus_state(n)
+        one = product_plus_state(n)
+        for clone in (pickle.loads(pickle.dumps(one)), copy.copy(one), copy.deepcopy(one)):
+            assert_same(clone.entries, full.entries)
+            assert_same(dephase(clone, gen, cov).entries, dephase(full, gen, cov).entries)
+            assert qfi(clone, gen) == qfi(full, gen)
 
 
 class TestEncodePhase:

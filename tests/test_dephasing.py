@@ -209,8 +209,8 @@ class TestDephase:
 
 class TestRealDenseRoute:
     def test_dtypes(self):
-        # the named probes and their dephased states hold one real copy;
-        # phase encoding and the public constructor are complex
+        # the named probes and their dephased states are real; phase
+        # encoding and the public constructor are complex
         gen, cov = GeneratorSpec.qubits(3), build_c2(3, 0.5, 0.5)
         for probe in (ghz_state(3), product_plus_state(3)):
             assert probe.entries.dtype == np.float64
@@ -220,15 +220,19 @@ class TestRealDenseRoute:
         assert dephase(random_density(rng(2), 8), gen, cov).entries.dtype == np.complex128
 
     def test_memory_at_ten_qubits(self):
-        # dephase holds the probe and its result, 8 MiB each, and three blocks
-        # of rows (the complex, whole-factor channel peaked at 40 MiB); qfi
-        # takes the real block as it is: past the 1 MiB boolean mask of the
-        # support scan, no zero imaginary part is made.
+        # product-plus is one broadcast value (0.7 KiB traced; 8 MiB as a
+        # full array), so dephase holds its 8 MiB result and three blocks of
+        # rows: 9.8 MiB traced (the complex, whole-factor channel peaked at
+        # 40 MiB, the full probe at 18 MiB).  qfi takes the real block as it
+        # is, scans it through a 1 MiB boolean mask, and holds one
+        # site-reversal sector of about 2^n / 4 rows at a time: 4.7 MiB (8.2
+        # with one parity frame).  Each budget is the measured peak plus 25%.
         gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
-        assert traced_peak_mb(lambda: dephase(product_plus_state(10), gen, cov)) < 20
+        assert traced_peak_mb(product_plus_state, 10) < 1 / 16
+        assert traced_peak_mb(lambda: dephase(product_plus_state(10), gen, cov)) < 12.2
         rho = dephase(product_plus_state(10), gen, cov)
         assert traced_peak_mb(_support_block, rho, gen) < 2
-        assert traced_peak_mb(qfi, rho, gen) < 12
+        assert traced_peak_mb(qfi, rho, gen) < 5.8
 
 
 class TestCovarianceSqrt:

@@ -448,6 +448,167 @@ class TestParitySplit:
         assert frame_calls(dephase(ghz_state(n), gen, cov), gen)[1] == 1
 
 
+def qfi_route(rho, gen):
+    """(qfi, copies): the QFI and the copies of each frame it gave the rank
+    rule: [1] for the full frame, [2] for the parity frame, [2, 2] for the
+    two site-reversal sectors."""
+    rule = dephimetry.fisher._kept_pairs
+    copies = []
+
+    def spy(spectra):
+        copies.extend(c for c, _, _ in spectra)
+        yield from rule(spectra)
+
+    with mock.patch.object(dephimetry.fisher, "_kept_pairs", spy):
+        value = qfi(rho, gen)
+    return value, copies
+
+
+def reversal_symmetric_state(seed, n, kind, full=False):
+    """A real state on n qubits that equals its images under J and R entry
+    for entry, on a random union of orbits of {1, J, R, JR} with at least
+    four rows (every orbit when `full`): "pure" (one vector of one J x R
+    sector, nonzero on at least four rows), "deficient" (two such vectors,
+    rank at most 2) or "mixed" (the group average of a random Gram matrix,
+    full rank on its support)."""
+    r = rng(seed)
+    dim = 2**n
+    flip = dim - 1 - np.arange(dim)
+    rev = np.arange(dim).reshape((2,) * n).transpose().ravel()
+    orbits = sorted({tuple(sorted({m, flip[m], rev[m], flip[rev[m]]})) for m in range(dim)})
+    while True:
+        chosen = [o for o in orbits if full or r.integers(2)]
+        live = np.array(sorted(m for o in chosen for m in o), dtype=int)
+        if live.size >= 4:
+            break
+    mask = np.zeros(dim)
+    mask[live] = 1.0
+
+    def sector_vector():
+        while True:
+            x = r.normal(size=dim) * mask
+            j, s = r.choice([1.0, -1.0], size=2)
+            y = x + j * x[flip]
+            psi = y + s * y[rev]
+            if np.linalg.norm(psi) > 1e-3:  # J x R sectors may be empty on small supports
+                return psi / np.linalg.norm(psi)
+
+    if kind != "mixed":
+        # A sector vector may vanish on some rows: the split needs 4 rows.
+        while True:
+            u, v, w = sector_vector(), sector_vector(), r.uniform(0.1, 0.9)
+            entries = np.outer(u, u) if kind == "pure" else (
+                w * np.outer(u, u) + (1 - w) * np.outer(v, v))
+            if np.count_nonzero(entries.any(axis=1)) >= 4:
+                break
+    else:
+        x = r.normal(size=(dim, 2 * dim)) * mask[:, None]
+        m = x @ x.T
+        # Sums of pairs that J and R swap, so the average is exactly symmetric.
+        both = flip[rev]
+        entries = (m + m[np.ix_(flip, flip)]) + (m[np.ix_(rev, rev)] + m[np.ix_(both, both)])
+        entries /= np.trace(entries)
+    return DensityMatrix(entries)
+
+
+class TestReversalSectors:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 4),
+        kind=st.sampled_from(["pure", "mixed", "deficient"]),
+    )
+    def test_matches_dense_frame(self, seed, n, kind):
+        gen = GeneratorSpec.qubits(n)
+        rho = reversal_symmetric_state(seed, n, kind)
+        value, copies = qfi_route(rho, gen)
+        assert copies == [2, 2]
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12, abs_tol=1e-14)
+
+    def test_two_qubits_leave_one_sector_empty(self):
+        # |01> + |10> is R-even, so the J-even half has no R-odd row: that
+        # frame has an empty spectrum, which the rank rule skips
+        gen = GeneratorSpec.qubits(2)
+        rho = dephase(product_plus_state(2), gen, build_c2(2, 0.5, 0.5))
+        fisher = dephimetry.fisher
+        live, block, energy = fisher._support_block(rho, gen)
+        frames = fisher._parity_frames(block, energy, fisher._site_reversal(live, gen, 4))
+        assert [(lam_e.size, lam_o.size) for _, lam_e, lam_o, _ in frames] == [(2, 1), (0, 1)]
+        value, copies = qfi_route(rho, gen)
+        assert copies == [2, 2]
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("scale, copies", [(0.5, [2, 2]), (10.0, [2])])
+    def test_asymmetry_gate_is_the_rounding_floor(self, scale, copies):
+        # rows 1 and 0 of 3 qubits and their flips 6 and 7: R maps (1, 0) to
+        # (4, 0), so the shift breaks R but keeps J exact
+        n = 3
+        gen = GeneratorSpec.qubits(n)
+        entries = reversal_symmetric_state(5, n, "mixed", full=True).entries.real.copy()
+        shift = scale * dephimetry.fisher._rounding_floor(8, entries.diagonal().max())
+        for p, q in ((1, 0), (0, 1), (6, 7), (7, 6)):
+            entries[p, q] += shift
+        rho = DensityMatrix(entries)
+        value, taken = qfi_route(rho, gen)
+        assert taken == copies
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    def test_spectra_not_a_palindrome_fall_back(self):
+        # each site's spectrum is symmetric about 0, so J still splits, but
+        # reversing the sites changes the energies
+        gen = GeneratorSpec(((0.5, -0.5), (1.0, -1.0)))
+        rho = reversal_symmetric_state(9, 2, "mixed", full=True)
+        value, copies = qfi_route(rho, gen)
+        assert copies == [2]
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    def test_support_not_closed_under_reversal_falls_back(self):
+        # rows 0, 1, 6, 7 of 3 qubits are closed under J, but R maps 1 to 4
+        gen = GeneratorSpec.qubits(3)
+        live = np.array([0, 1, 6, 7])
+        x = rng(14).normal(size=(4, 8))
+        block = x @ x.T
+        block = block + block[::-1, ::-1]
+        entries = np.zeros((8, 8))
+        entries[np.ix_(live, live)] = block / np.trace(block)
+        rho = DensityMatrix(entries)
+        value, copies = qfi_route(rho, gen)
+        assert copies == [2]
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    def test_reversal_that_does_not_commute_with_the_flip_falls_back(self):
+        # rows 2, 4, 6, 9 of 4 qubits are closed under R, which swaps 2 and
+        # 4, and the block reversal J pairs energies 1 + 0 from both ends;
+        # but J R maps row 0 to 3 and R J maps it to 2, so the sectors of R
+        # do not split the halves of J
+        gen = GeneratorSpec.qubits(4)
+        live = np.array([2, 4, 6, 9])
+        entries = np.zeros((16, 16))
+        entries[np.ix_(live, live)] = (0.6 * np.eye(4) + 0.1 * np.ones((4, 4))) / 2.8
+        rho = DensityMatrix(entries)
+        value, copies = qfi_route(rho, gen)
+        assert copies == [2]
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_product_plus_c2_grid(self, n):
+        # every (alpha, 2 beta^2) of the grid takes the sectors: dephase sums
+        # the sites in a fixed order, so R rho R misses rho by a few ulp (the
+        # gate tolerates at least 2.1 times that); the values are compared
+        # with the one parity frame up to n = 8
+        gen = GeneratorSpec.qubits(n)
+        fisher = dephimetry.fisher
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for two_beta2 in (0.01, 0.1, 0.5, 2.0, 5.0):
+                rho = dephase(product_plus_state(n), gen, build_c2(n, two_beta2, alpha))
+                live, block, _ = fisher._support_block(rho, gen)
+                pi = fisher._site_reversal(live, gen, block.shape[0])
+                assert len(fisher._reversal_sectors(block, pi)) == 2, (alpha, two_beta2)
+                if n <= 8:
+                    value = qfi(rho, gen)
+                    with mock.patch.object(fisher, "_site_reversal", lambda *args: None):
+                        assert math.isclose(value, qfi(rho, gen), rel_tol=1e-12)
+
+
 # Every noise strength of the block tests.  At the two ends the global rank
 # rule drops whole blocks (2 beta^2 = 1e-6: the blocks below j = n/2 - 1
 # weigh 1e-12 of the top one) or the coherences are tiny (2 beta^2 = 50:
@@ -572,15 +733,16 @@ class TestRoundingFloorLoss:
 
 def rank_rule_routes():
     """Each route to a kept-pair sum, with the number of frames it feeds the
-    rank rule: qfi on a full frame and on a parity frame, the Schur-Weyl
-    blocks (spins 2, 1, 0 at n = 4) and the SLD."""
+    rank rule: qfi on a full frame and on the parity frames (one per
+    site-reversal sector), the Schur-Weyl blocks (spins 2, 1, 0 at n = 4)
+    and the SLD."""
     gen = GeneratorSpec.qubits(4)
     plus = dephase(product_plus_state(4), gen, build_c2(4, 0.5, 0.5))
     rotated = encode_phase(plus, gen, 0.3)
     assert frame_calls(plus, gen)[1] == 0 and frame_calls(rotated, gen)[1] == 1
     return {
         "qfi-full": (lambda: qfi(rotated, gen), 1),
-        "qfi-parity": (lambda: qfi(plus, gen), 1),
+        "qfi-parity": (lambda: qfi(plus, gen), 2),
         "product-plus-blocks": (lambda: dephimetry.fisher._product_plus_qfi(4, 0.25, 0.25), 3),
         "sld": (lambda: sld(rotated, gen).entries, 1),
     }
