@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import DensityMatrix, GeneratorSpec
 from .covariance import CovarianceMatrix, delta2_c, delta2_c1_closed, delta2_c2_closed
-from .dephasing import dephase
 from .errors import BoundViolationError
 from .fisher import qfi
 
@@ -238,7 +237,7 @@ def verify_bound(rho: DensityMatrix, gen: GeneratorSpec, cov: CovarianceMatrix) 
     """Evaluate both sides of the ceiling for an arbitrary state and
     covariance; raises BoundViolationError as check_violation does."""
     f_rho = qfi(rho, gen)
-    f_bar = qfi(dephase(rho, gen, cov), gen)
+    f_bar = qfi(rho, gen, cov)
     return bound_report(
         delta2_c(cov), f_rho, family="custom", n=gen.nsites, alpha=None, two_beta2=None,
         f_rho_bar=f_bar, reference_g_value=None,

@@ -224,9 +224,7 @@ def _f_rho_bar(state: str, n: int, route: Route) -> Optional[float]:
     if route.method == "schur-weyl":
         return _product_plus_qfi(n, *route.split)
     if route.method == "dense":
-        gen = GeneratorSpec.qubits(n)
-        rho = dephase(PROBES[state][0](n), gen, route.cov)  # the probe is freed before qfi's peak
-        return qfi(rho, gen)
+        return qfi(PROBES[state][0](n), GeneratorSpec.qubits(n), route.cov)
     return None
 
 

@@ -14,7 +14,9 @@ The public constructors store complex128 entries.  The named probes are
 real and stored as float64: GHZ as one real copy, product-plus as one
 read-only broadcast value (every entry is 2^-n, so no 2^n x 2^n array is
 held).  Dephasing keeps the dtype of its input; phase encoding, the SLD
-and -i [H, rho] are complex.
+and -i [H, rho] are complex.  The dephasing channel itself (dephase, which
+the dephasing module exports) lives here with the other entrywise maps, so
+that fisher can take the QFI of a dephased state without it.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
+# Most entries of one block of rows that the channel and the row scans hold
+# at a time (512 KiB of floats; 64 rows at n = 10).
+ROW_BLOCK_ELEMENTS = 1 << 16
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -48,10 +53,18 @@ def _hermitian_part(entries, what: str) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive slices over `rows` rows of `cols` entries each, each
+    block at most ROW_BLOCK_ELEMENTS entries (and at least one row)."""
+    step = max(1, ROW_BLOCK_ELEMENTS // max(cols, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _support(entries: np.ndarray):
     """Indices of the rows of `entries` that are not identically zero, or
-    slice(None) when that is every row, so that indexing by it takes a view."""
-    rows = (entries != 0).any(axis=1)
+    slice(None) when that is every row, so that indexing by it takes a view;
+    scanned a block of rows at a time."""
+    rows = np.concatenate([entries[block].any(axis=1) for block in _row_blocks(*entries.shape)])
     return slice(None) if rows.all() else np.flatnonzero(rows)
 
 
@@ -181,9 +194,46 @@ class GeneratorSpec:
         return HermitianOperator(np.diag(self.energies.astype(np.complex128)))
 
 
-def _check_pairing(rho: DensityMatrix, gen: GeneratorSpec) -> None:
+def _check_pairing(rho: DensityMatrix, gen: GeneratorSpec, cov=None) -> None:
+    """Refuse a state, generator and (optional) covariance of different sizes."""
     if rho.dim != gen.dim:
         raise ValueError(f"state dimension {rho.dim} does not match generator dimension {gen.dim}")
+    if cov is not None and cov.n != gen.nsites:
+        raise ValueError(f"covariance is {cov.n}-site but generator has {gen.nsites} sites")
+
+
+def _channel_factor(table: np.ndarray, cov: np.ndarray):
+    """factor(rows, cols): the factor exp(-1/2 delta^T C delta) of the
+    dephasing channel on rows x cols (slices or index arrays) of the basis
+    states whose site energy columns are `table`, for the covariance
+    entries `cov`.  With g = T^T (C T) and d_m = g_mm (each from the GEMM
+    of its own block of rows), delta^T C delta = d_r + d_c - (g_rc + g_cr),
+    a sum that reads the same in either order, so factor(c, r) is
+    factor(r, c)^T bit for bit; where r = c it is set to 0 (factor 1,
+    so the channel preserves the diagonal exactly).  An overflow is
+    refused (ValueError; no accepted covariance overflows with energy gaps
+    of at most 1, as qubits have, see covariance)."""
+    weighted = cov @ table
+    index = np.arange(table.shape[1])
+    diag = np.empty(index.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(index.size, index.size):
+            diag[rows] = (table[:, rows].T @ weighted[:, rows]).diagonal()
+
+    def factor(rows, cols) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = table[:, rows].T @ weighted[:, cols]
+            pair += (table[:, cols].T @ weighted[:, rows]).T
+            quad = np.add.outer(diag[rows], diag[cols])
+            quad -= pair
+        del pair
+        if not np.isfinite(quad).all():
+            raise ValueError("delta^T C delta overflows for this covariance and generator")
+        quad[np.equal.outer(index[rows], index[cols])] = 0.0
+        quad *= -0.5
+        return np.exp(quad, out=quad)
+
+    return factor
 
 
 def ghz_state(n: int) -> DensityMatrix:
@@ -221,6 +271,30 @@ def encode_phase(rho: DensityMatrix, gen: GeneratorSpec, phi: float) -> DensityM
     # opposite signs, which the CLI prints as "0" and "-0"; averaging the
     # pair settles one sign.
     return _trusted(DensityMatrix, _embed((out + out.conj().T) / 2, live, rho.dim))
+
+
+def dephase(rho: DensityMatrix, gen: GeneratorSpec, cov) -> DensityMatrix:
+    """Apply the exact channel of the covariance `cov` (a
+    covariance.CovarianceMatrix): entry (m, n) times exp(-1/2 delta^T C
+    delta).
+
+    Only the support of rho (_support) is computed; every other entry of
+    rho, and so of the result, is zero.  The result keeps the dtype of rho.
+    The factor (_channel_factor) is computed a block of rows up to the
+    diagonal at a time and written to those rows and, transposed, to the
+    columns above them, so the result is exactly Hermitian; an overflowing
+    delta^T C delta is refused (ValueError)."""
+    _check_pairing(rho, gen, cov)
+    live = _support(rho.entries)
+    block = rho.entries[_grid(live)]
+    factor = _channel_factor(gen.site_energy_table[:, live], cov.entries)
+    out = np.empty(block.shape, dtype=block.dtype)
+    for rows in _row_blocks(*block.shape):
+        lo, hi = rows.start, rows.stop
+        part = factor(rows, slice(0, hi))
+        np.multiply(block[rows, :hi], part, out=out[rows, :hi])
+        np.multiply(block[:lo, rows], part[:, :lo].T, out=out[:lo, rows])
+    return _trusted(DensityMatrix, _embed(out, live, rho.dim))
 
 
 def variance(op: HermitianOperator, rho: DensityMatrix) -> float:

@@ -8,10 +8,10 @@ _kept_pairs alone: a pair is kept when lam_k + lam'_l exceeds the rounding
 floor _rounding_floor(size, top) = size * eps * top, with top the largest
 eigenvalue over all frames of the state and size = sum of copies * len(lam),
 the rows of the support the frames tile (s for the full frame, 2h for the
-parity frames, 2^n for the Schur-Weyl blocks); a frame with an empty
-spectrum (an empty sector) adds nothing to top.  An eigensolver on such a
-support resolves eigenvalues to about that level, so the floor drops only
-pairs it cannot tell from zero.  A dropped pair costs at most 2 (lam_k +
+parity frame, 2^n for the orbit sectors and the Schur-Weyl blocks); a
+frame with an empty spectrum (an empty sector) adds nothing to top.  An
+eigensolver on such a support resolves eigenvalues to about that level, so
+the floor drops only pairs it cannot tell from zero.  A dropped pair costs at most 2 (lam_k +
 lam'_l) |H~_kl|^2 with H~ = V^dagger H V, since M_kl = (lam'_l - lam_k)
 H~_kl.  The same floor sets the rank of the probe factor
 (bayes._state_factor) and of each effect of a Povm.
@@ -46,36 +46,32 @@ support) takes the full frame, and so do sld and optimal_povm.  A two-row
 support (a dephased GHZ state) keeps the 2 x 2 frame: the split would save
 nothing there and would move the last bits of its QFI.
 
-Each half splits again by the site reversal R (site j to site N + 1 - j),
-so four eigh calls of about s/4 rows replace the two of h: the sector
-frame.  A stationary covariance (every c1 and c2, any Toeplitz C) is
-unchanged when the sites are reversed, and so are both probes and H =
-J_z, so the dephased probes commute with R as well as with J.  R applies
-when the site spectra read the same in reversed order (then R commutes
-with H), the support is closed under R, R commutes with J on the support
-rows (pi[J p] = J pi[p]), and the block equals R block R within
-_rounding_floor(s, max diag): the eigenvalue resolution of the block
-itself.  The gate is that floor, not exact equality: dephase sums the
-sites in one fixed order in its products, so R rho R misses rho by 1 to 26
-ulp (58 of the 240 product-plus c2 points with n = 3..10, alpha in {0.1,
-0.3, 0.5, 0.7, 0.9, 0.99} and 2 beta^2 in {0.01, 0.1, 0.5, 2, 5} are
-bitwise symmetric; the floor is at least 2.1 times the asymmetry at every
-one), so a test of exact equality would take the split at those 58 by
-the accident of the summation order and refuse it at the rest.  On
-the even half R permutes the rows p -> fold(p) (pi[p] folded back into
-the upper half by J); on the odd half it does so with sign -1 where pi[p]
-falls in the lower half.  Each orbit pair p < fold(p) gives the sector
-vectors (e_p +- s_p e_fold(p)) / sqrt(2), and each fixed row goes to the
-sector of its sign; the sectors of each half are U^T X U for these
-vectors (_sector), which averages out the asymmetry the gate admits, so
-the value moves by rounding only (on that grid, at most 5.1e-15 relative
-to the one parity frame and 1.2e-14 to a dense complex eigh).  g
-commutes with R, so each R sector gives one frame (2, lam_e, lam_o, M)
-between its even and odd rows, under the same global rank rule.  Any
-block that fails a test keeps the one parity frame; among the c2 probes
-that happens only at strong, nearly collective noise (2 beta^2 >= 20 with
-alpha = 0.99), where the exponent of an entry cancels terms of order 2
-beta^2 n^2 and its rounding reaches a hundred ulp of the entry.
+qfi(rho, gen, cov) is the QFI of rho-bar = dephase(rho, gen, cov), and it
+never builds rho-bar when the inputs are invariant under the Klein group G =
+{1, J, R, JR}: J the spin flip (m -> dim - 1 - m on the whole basis) and R
+the site reversal (site j to site N + 1 - j).  The gate is exact and reads
+the inputs only: a full support, site spectra that read the same reversed
+(R commutes with H), E + E[::-1] constant (E_{Jq} = c - E_q), C equal to
+C[::-1, ::-1] (every c1, c2 and identity covariance, at any noise), and rho
+equal to J rho J and R rho R entry for entry, compared a block of rows at a
+time.  Then rho-bar[g p, g q] = rho-bar[p, q].  Take a character chi of G,
+P_chi = 1/4 sum_g chi(g) g, and for each orbit O whose stabiliser chi is 1
+on, its representative p (its least index) and the unit vector sqrt(|O|)
+P_chi e_p.  In that basis the sector block is X_chi[O, O'] = 1/4 sqrt(|O|
+|O'|) sum_g chi(g) rho-bar[p, g p'].  [H, rho-bar] maps each J-even
+sector to the J-odd one of the same R parity (E_{Rq} = E_q) through Y[O,
+O'] = 1/4 sqrt(|O| |O'|) sum_g chi'(g) (E_p - E_{g p'}) rho-bar[p, g p'],
+chi' = chi times the J sign of g, the character of that J-odd sector.
+Both sums read only the rows of rho-bar at the representatives, about
+2^n / 4 of them, so only those are computed, a block of rows at a time
+from the channel formula (core._channel_factor); each row's four columns
+g p' feed all four sector blocks and both couplings, and each R parity
+gives one frame (2, lam_e, lam_o, V_e^dagger Y V_o) under the global rank
+rule.
+At n = 10 the 272 orbits (240 of size 4, 16 + 16 of size 2) give sectors of
+272, 256, 240 and 256 rows.  Inputs that fail the gate (GHZ's two-row
+support, a random state or covariance) take qfi(dephase(rho, gen, cov),
+gen) through core.dephase, bit for bit.
 
 Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
@@ -118,6 +114,7 @@ rule is taken per sector.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -128,11 +125,14 @@ from .core import (
     DensityMatrix,
     GeneratorSpec,
     HermitianOperator,
+    _channel_factor,
     _check_pairing,
     _grid,
     _readonly,
+    _row_blocks,
     _support,
     _trusted,
+    dephase,
 )
 
 PROB_FLOOR = 1e-12
@@ -140,9 +140,6 @@ PROB_FLOOR = 1e-12
 _EFFECT_PSD_TOL = -1e-10
 _COMPLETENESS_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
-# Most entries of one block of rows the site-reversal test reads at a time
-# (512 KiB of floats).
-_ROW_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -305,126 +302,94 @@ def _eig_frame(block: np.ndarray, energy: np.ndarray):
     return lam, vec, mixed @ vec
 
 
-def _site_reversal(live, gen: GeneratorSpec, size: int):
-    """pi: site reversal R on the rows of the support block (pi[p] is the
-    block row of the basis state of row p with its sites in reversed
-    order), or None when R does not apply: the site spectra do not read the
-    same in reversed order, or the support `live` (core._support) of `size`
-    rows is not closed under R."""
-    if gen.sites != gen.sites[::-1]:
-        return None
-    reversal = np.arange(gen.dim).reshape(gen.dims).transpose().ravel()
-    if isinstance(live, slice):
-        return reversal
-    row = np.full(gen.dim, -1)
-    row[live] = np.arange(size)
-    pi = row[reversal[live]]
-    return None if (pi < 0).any() else pi
-
-
-def _reversal_sectors(block: np.ndarray, pi):
-    """The R-even and R-odd sector bases of the two J halves of a block that
-    equals its own reversal J (see the module docstring), as [(even basis,
-    odd basis)] per sector, each basis (first, second, coef, weight) for
-    _sector; or [(None, None)], the halves whole, when pi is None, R does
-    not commute with J on the rows, or some entry of the block misses its
-    image under R (entry (pi[p], pi[q]) for (p, q)) by more than the
-    rounding floor of its largest diagonal entry.  The test reads one block
-    of rows of at most _ROW_BLOCK_ELEMENTS entries at a time, over the
-    upper half alone (J-symmetry is exact, so the lower half repeats it)."""
-    whole = [(None, None)]
-    size = block.shape[0]
-    half = size // 2
-    if pi is None or not np.array_equal(pi[::-1], size - 1 - pi):
-        return whole
-    floor = _rounding_floor(size, block.diagonal().real.max())
-    step = max(1, _ROW_BLOCK_ELEMENTS // size)
-    for lo in range(0, half, step):
-        rows = slice(lo, min(lo + step, half))
-        if np.abs(block[rows] - block[np.ix_(pi[rows], pi)]).max() > floor:
-            return whole
-    # R on the half bases: even row p goes to row fold[p] with sign +1, odd
-    # row p with sign -1 where pi carries it into the lower half.
-    up = pi[:half]
-    inside = up < half
-    fold = np.where(inside, up, size - 1 - up)
-    signs = (np.ones(half), np.where(inside, 1.0, -1.0))
-    index = np.arange(half)
-    first = np.flatnonzero(index < fold)
-    fixed = np.flatnonzero(index == fold)
-    root = np.full(first.size, math.sqrt(0.5))
-    sectors = []
-    for sector in (1.0, -1.0):
-        bases = []
-        for sign in signs:
-            own = fixed[sign[fixed] == sector]
-            bases.append((
-                np.concatenate([first, own]), np.concatenate([fold[first], own]),
-                np.concatenate([sector * sign[first], np.zeros(own.size)]),
-                np.concatenate([root, np.ones(own.size)]),
-            ))
-        sectors.append(tuple(bases))
-    return sectors
-
-
-def _sector(part, rows, cols) -> np.ndarray:
-    """U_rows^T X U_cols for two bases of _reversal_sectors, with part(r, c)
-    the block of X on rows r and columns c (index arrays or slices); all of
-    X when the bases are None.  Column k of a basis U is weight_k
-    (e_first_k + coef_k e_second_k): (e_p + s e_q) / sqrt(2) on an orbit
-    pair, e_p (coef 0) on a fixed row."""
-    if rows is None:
-        return part(slice(None), slice(None))
-    first, second, coef, weight = rows
-    first2, second2, coef2, weight2 = cols
-    out = part(first, first2)
-    out += part(first, second2) * coef2
-    out += coef[:, None] * part(second, first2)
-    out += np.outer(coef, coef2) * part(second, second2)
-    out *= np.outer(weight, weight2)
-    return out
-
-
-def _parity_frames(block: np.ndarray, energy: np.ndarray, pi):
-    """The parity frames of a support block that equals its own reversal J
-    (see the module docstring), or None when the block is not one: one
-    frame (2, lam_e, lam_o, V_e^dagger G V_o) between the even half a + b
-    and the odd half a - b, or, when _reversal_sectors splits the halves by
-    the site reversal pi, one such frame per R sector, each computed and
-    reduced to its frame before the next.  The J tests are exact."""
+def _parity_frame(block: np.ndarray, energy: np.ndarray):
+    """The parity frame (2, lam_e, lam_o, V_e^dagger G V_o) between the even
+    half a + b and the odd half a - b of a support block that equals its
+    own reversal J (see the module docstring), or None when the block is
+    not one.  The J tests are exact; the block is compared a block of rows
+    at a time."""
     size = block.shape[0]
     half = size // 2
     if size % 2 or half < 2:
         return None
     level = energy + energy[::-1]
-    if not (level == level[0]).all() or not np.array_equal(block, block[::-1, ::-1]):
+    if not (level == level[0]).all() or not all(
+        np.array_equal(block[rows], block[::-1, ::-1][rows]) for rows in _row_blocks(size, size)
+    ):
         return None
     a = block[:half, :half]
     b = block[:half, ::-1][:, :half]
-    upper, lower = energy[:half], energy[::-1][:half]
+    # Each half is freed once diagonalized, and G before the second product.
+    lam_e, vec_e = np.linalg.eigh(a + b)
+    lam_o, vec_o = np.linalg.eigh(a - b)
+    upper = energy[:half]
+    cross = np.subtract.outer(upper, upper) * a
+    cross -= np.subtract.outer(upper, energy[::-1][:half]) * b
+    mixed = vec_e.conj().T @ cross
+    del cross
+    return 2, lam_e, lam_o, mixed @ vec_o
 
-    def grid(r, c):
-        return (r, c) if isinstance(r, slice) else np.ix_(r, c)
 
-    def even(r, c):
-        return a[grid(r, c)] + b[grid(r, c)]
-
-    def odd(r, c):
-        return a[grid(r, c)] - b[grid(r, c)]
-
-    def cross(r, c):
-        out = np.subtract.outer(upper[r], upper[c]) * a[grid(r, c)]
-        out -= np.subtract.outer(upper[r], lower[c]) * b[grid(r, c)]
-        return out
-
+def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
+    """The frames of dephase(rho, gen, cov) from its rows at one
+    representative per orbit of G = {1, J, R, JR} (see the module
+    docstring): (2, lam_e, lam_o, Y) between the J-even and J-odd sectors
+    of each R parity, the second parity's blocks reduced after the first's;
+    or None when the inputs fail the exact gate."""
+    dim, energy, entries = gen.dim, gen.energies, rho.entries
+    index = np.arange(dim)
+    flip, rev = index[::-1], index.reshape(gen.dims).transpose().ravel()
+    level = energy + energy[::-1]
+    if (gen.sites != gen.sites[::-1] or not (level == level[0]).all()
+            or not np.array_equal(cov.entries, cov.entries[::-1, ::-1])
+            or not isinstance(_support(entries), slice)):
+        return None
+    for rows in _row_blocks(dim, dim):
+        head = entries[rows]
+        if not (np.array_equal(head, entries[::-1, ::-1][rows])
+                and np.array_equal(head, entries[np.ix_(rev[rows], rev)])):
+            return None
+    if np.iscomplexobj(entries) and not entries.imag.any():
+        entries = entries.real
+    # Row g of `moved` holds g p for g = 1, J, R, JR and each representative
+    # p, the least index of its orbit; weight = sqrt(|O|) / 2.
+    images = np.stack([index, flip, rev, flip[rev]])
+    reps = np.flatnonzero(images.min(axis=0) == index)
+    moved = images[:, reps]
+    fixed = moved == reps
+    weight = 1.0 / np.sqrt(fixed.sum(axis=0))
+    # Per R parity: the even and odd blocks X and the coupling Y, each with
+    # the orbits of its rows and columns, its character, and whether it
+    # weighs rho-bar[p, g p'] by E_p - E_{g p'}.
+    parities = []
+    for r in (1.0, -1.0):
+        even, odd = np.array([1.0, 1.0, r, r]), np.array([1.0, -1.0, r, -r])
+        keep_e, keep_o = ((~fixed | (chi[:, None] == 1.0)).all(axis=0) for chi in (even, odd))
+        parities.append([
+            (np.empty((rows.sum(), cols.sum()), dtype=entries.dtype), rows, cols, chi, coupling)
+            for rows, cols, chi, coupling in ((keep_e, keep_e, even, False),
+                                              (keep_o, keep_o, odd, False),
+                                              (keep_e, keep_o, odd, True))
+        ])
+    factor = _channel_factor(gen.site_energy_table, cov.entries)
+    for batch in _row_blocks(reps.size, dim):
+        p = reps[batch]
+        parts = (factor(p, slice(None)) * entries[p])[:, moved]
+        parts *= np.outer(weight[batch], weight)[:, None, :]
+        spread = parts * (energy[p][:, None, None] - energy[moved])
+        for out, rows, cols, chi, coupling in itertools.chain(*parities):
+            lo = np.count_nonzero(rows[:batch.start])
+            part = np.einsum("bgo,g->bo", spread if coupling else parts, chi)
+            out[lo:lo + np.count_nonzero(rows[batch])] = part[rows[batch]][:, cols]
+        del parts, spread  # before the next block's factor
     frames = []
-    for e, o in _reversal_sectors(block, pi):
-        g = _sector(cross, e, o)
-        lam_e, vec_e = np.linalg.eigh(_sector(even, e, e))
-        lam_o, vec_o = np.linalg.eigh(_sector(odd, o, o))
-        # G is freed before the second product.
-        mixed = vec_e.conj().T @ g
-        del g
+    while parities:
+        x_e, x_o, y = (out for out, *_ in parities.pop(0))
+        lam_e, vec_e = np.linalg.eigh(x_e)
+        lam_o, vec_o = np.linalg.eigh(x_o)
+        del x_e, x_o
+        mixed = vec_e.conj().T @ y
+        del y
         frames.append((2, lam_e, lam_o, mixed @ vec_o))
     return frames
 
@@ -441,7 +406,7 @@ def _kept_pairs(spectra):
     spectra ascending, the pair sums denom = lam_k + lam2_l and the mask of
     the kept pairs, denom > _rounding_floor(size, top), with size = sum of
     copies * len(lam) and top the largest eigenvalue over all of them (a
-    spectrum may be empty, as an R sector of a small support can be)."""
+    spectrum may be empty, as an orbit sector of a small support can be)."""
     top = max(side[-1] for _, lam, lam2 in spectra for side in (lam, lam2) if side.size)
     floor = _rounding_floor(sum(copies * lam.size for copies, lam, _ in spectra), top)
     for _, lam, lam2 in spectra:
@@ -488,14 +453,20 @@ def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     return _trusted(HermitianOperator, out)
 
 
-def qfi(rho: DensityMatrix, gen: GeneratorSpec) -> float:
-    """Quantum Fisher information of the encoded family at rho."""
-    live, block, energy = _support_block(rho, gen)
-    frames = _parity_frames(block, energy, _site_reversal(live, gen, block.shape[0]))
-    if frames is None:
+def qfi(rho: DensityMatrix, gen: GeneratorSpec, cov=None) -> float:
+    """Quantum Fisher information of the encoded family at rho or, given a
+    covariance, at dephase(rho, gen, cov): from its orbit rows when the
+    inputs pass the gate of _orbit_frames, else from the dephased state."""
+    if cov is not None:
+        _check_pairing(rho, gen, cov)
+        frames = _orbit_frames(rho, gen, cov)
+        return qfi(dephase(rho, gen, cov), gen) if frames is None else _frame_qfi(frames)
+    _, block, energy = _support_block(rho, gen)
+    frame = _parity_frame(block, energy)
+    if frame is None:
         lam, _, mixed = _eig_frame(block, energy)
-        frames = [(1, lam, lam, mixed)]
-    return _frame_qfi(frames)
+        frame = (1, lam, lam, mixed)
+    return _frame_qfi([frame])
 
 
 def _product_plus_qfi(n: int, collective: float, local: float) -> float:

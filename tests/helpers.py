@@ -17,7 +17,6 @@ from dephimetry import (
     encode_phase,
     ghz_state,
     product_plus_state,
-    qfi,
     simulate,
     weights,
 )
@@ -161,11 +160,20 @@ _DENSE_PLUS = {}
 
 
 def dense_plus_qfi(cov: CovarianceMatrix) -> float:
-    """qfi(dephase(|+>^n, C)) by the dense path, once per distinct C."""
+    """The QFI of dephase(|+>^n, C) from one eigh of the whole real
+    dephased state (its support is every row): the full frame with the
+    rounding floor of fisher, and no parity, orbit or block split; the
+    oracle for every route the CLI takes for product-plus.  Once per
+    distinct C."""
     key = (cov.entries + 0.0).tobytes()  # -0.0 and 0.0 entries are one C
     if key not in _DENSE_PLUS:
         gen = GeneratorSpec.qubits(cov.n)
-        _DENSE_PLUS[key] = qfi(dephase(product_plus_state(cov.n), gen, cov), gen)
+        rho = dephase(product_plus_state(cov.n), gen, cov).entries
+        lam, vec = np.linalg.eigh(rho)
+        mixed = vec.T @ (np.subtract.outer(gen.energies, gen.energies) * rho) @ vec
+        denom = lam[:, None] + lam[None, :]
+        keep = denom > _rounding_floor(lam.size, lam[-1])
+        _DENSE_PLUS[key] = float(2.0 * np.sum(mixed[keep] ** 2 / denom[keep]))
     return _DENSE_PLUS[key]
 
 

@@ -16,15 +16,18 @@ from dephimetry import (
     check_violation,
     crossover,
     crossover_boundary,
+    delta2_c,
+    dephase,
     error_bound,
     ghz_state,
     main_bound,
     product_plus_state,
+    qfi,
     reference_bound_g,
     verify_bound,
 )
 import dephimetry.cli as cli
-from dephimetry.bounds import CSV_FIELDS
+from dephimetry.bounds import CSV_FIELDS, bound_report
 
 from helpers import random_density, random_psd_cov, rng
 
@@ -255,6 +258,19 @@ class TestVerifyBound:
         assert math.isclose(report.f_rho_bar, 1.4715177646857693, rel_tol=1e-12)
         assert report.family == "custom"
         assert report.alpha is None
+
+    def test_random_state_keeps_its_report(self):
+        # no orbit symmetry, so f_rho_bar is qfi of the dephased state, with
+        # the bits it had when verify_bound built that state itself
+        r = rng(21)
+        rho, gen, cov = random_density(r, 16), GeneratorSpec.qubits(4), random_psd_cov(r, 4)
+        report = verify_bound(rho, gen, cov)
+        assert report.f_rho_bar == qfi(dephase(rho, gen, cov), gen) == 0.3429286475558189
+        assert report.to_dict() == bound_report(
+            delta2_c(cov), qfi(rho, gen), family="custom", n=4, alpha=None, two_beta2=None,
+            f_rho_bar=report.f_rho_bar, reference_g_value=None,
+        ).to_dict()
+        assert report.f_rho == 0.8671028612432072
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_states_never_violate(self, seed):

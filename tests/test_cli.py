@@ -331,7 +331,7 @@ class TestExitCodes:
         assert link.is_symlink() and target.read_text() == ""
 
     def test_bound_violation_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "qfi", lambda rho, gen: 1e9)
+        monkeypatch.setattr(cli, "qfi", lambda rho, gen, cov=None: 1e9)
         assert run(["bound", *PLUS_DENSE]) == 2
         assert "violation" in capsys.readouterr().err
 
@@ -339,7 +339,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise NumericalConsistencyError("lost positivity")
 
-        monkeypatch.setattr(cli, "dephase", boom)
+        monkeypatch.setattr(cli, "qfi", boom)
         assert run(["bound", *PLUS_DENSE]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -435,12 +435,13 @@ class TestBound:
 class TestDephasedQfiRoute:
     """GHZ takes its closed form and product-plus under C = a 11^T + b I the
     Schur-Weyl blocks; product-plus under any other covariance keeps the
-    dense path (cli.dephase, cli.qfi)."""
+    dense path (cli.qfi of the probe and the covariance)."""
 
     def dense_calls(self, monkeypatch, args, capsys):
         calls = []
         original = cli.qfi
-        monkeypatch.setattr(cli, "qfi", lambda rho, gen: calls.append(rho.dim) or original(rho, gen))
+        monkeypatch.setattr(cli, "qfi", lambda rho, gen, cov=None: calls.append(rho.dim)
+                            or original(rho, gen, cov))
         assert run(args) == 0
         return calls, json.loads(capsys.readouterr().out)
 
@@ -628,7 +629,8 @@ class TestFamilyPoint:
         assert cli._family_point("c2", n, alpha, two_beta2)[2] is None
         calls = []
         original = cli.qfi
-        monkeypatch.setattr(cli, "qfi", lambda rho, gen: calls.append(1) or original(rho, gen))
+        monkeypatch.setattr(cli, "qfi", lambda rho, gen, cov=None: calls.append(1)
+                            or original(rho, gen, cov))
         f_bar = cli.grid_report("product-plus", "c2", n, alpha, two_beta2).f_rho_bar
         assert calls == [1]
         assert math.isclose(f_bar, _product_plus_qfi(n, *oracle), rel_tol=1e-12)
@@ -1205,9 +1207,11 @@ GOLDEN_CASES = {
                       "--alpha", "0.3", "--phi0", "0.2", "--delta-phi", "0.1", "--shots", "200",
                       "--seed", "5", "--per-shot", "{out}/shots.csv"],
 }
-# qfi-csv, qfi-json and sweep hold product-plus c2 values that the site
-# reversal sectors of fisher.qfi moved by at most 2e-15 relative from the
-# one parity frame; every other entry kept its bytes.
+# qfi-csv, qfi-json and sweep hold product-plus c2 values from the orbit
+# sectors of fisher.qfi(rho, gen, cov), within 7e-16 relative of 40-digit
+# values (1.5393064974731467 and 1.4732360049949254 against
+# 1.53930649747314736 and 1.47323600499492607); every other entry keeps
+# its bytes.
 GOLDEN_DIGESTS = {
     "bound-csv": "2c0cf06cbfa2c32f293aa79860b84c9b426810f1f68c53bfa8b534fedf4cc78f",
     "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
@@ -1222,12 +1226,12 @@ GOLDEN_DIGESTS = {
     "dephase-real-json": "56e81c585ff5d121bef54160613cddbe3b93eaab06855149f014a1bf37ae2078",
     "figure-comparison": "52c5dc9ab11fc0c046990c4b83abda0d1b999fe3d3c832e20359938875eb09ab",
     "figure-scaling": "82d4aad49bf1aebe2970d3db4396d5b635946366f43209036d2cdc641df53389",
-    "qfi-csv": "3b231e94f7a7076097546df8772476df29378423ef9fe8f47b03b81bc17beb99",
-    "qfi-json": "23d894c9a8fca3dd42231dd66e18c44967773d1cdd9eac51b47ee10eed61529a",
+    "qfi-csv": "9b09e729e8a9477a4f0d408bf404effec579be1377b6db2349e7f583f5cfe335",
+    "qfi-json": "4559a37651aea084f48ed2bb20f468d972308f18c2931c15d9f7a167d1e88d72",
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
     "simulate-ghz": "be4f1fb8e506a3b52164409c0634f498d6e35c5fe9ee15ce3c37081f4280015a",
     "simulate-plus": "64470b06d0a2f6fa6d1f538e674e3136a3b2531f044e91404cac2e215740ab4d",
-    "sweep": "421f45946605bb5732250b1e2999e49b056a412cd11b0c8b6bdfc9b23e7802e9",
+    "sweep": "d4fdaca92bd2f1cf57e7878385ca57ca817a31dbeaa3d58289c9f1c14b6b943e",
 }
 
 

@@ -20,9 +20,9 @@ from dephimetry import (
     qfi,
     variance,
 )
-from dephimetry.core import _trusted
+from dephimetry.core import ROW_BLOCK_ELEMENTS, _support, _trusted
 
-from helpers import random_density, rng
+from helpers import random_density, rng, traced_peak_mb
 
 
 class TestHermitianOperator:
@@ -50,6 +50,27 @@ class TestHermitianOperator:
         op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+
+class TestSupport:
+    def test_full_state_scanned_in_row_blocks(self):
+        # a whole-matrix boolean mask would be 1 MiB at 1024 x 1024
+        entries = np.full((1024, 1024), 1.0 / 1024)
+        assert _support(entries) == slice(None)
+        assert traced_peak_mb(_support, entries) < 1.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_whole_mask(self, dtype):
+        # zero rows in several blocks of rows, and rows whose only entries
+        # are -0.0 (zero) or tiny (not zero)
+        r = rng(3)
+        dim = 3 * ROW_BLOCK_ELEMENTS // 256
+        entries = np.zeros((dim, 256), dtype=dtype)
+        live = np.sort(r.choice(dim, size=dim // 3, replace=False))
+        entries[live, r.integers(0, 256, size=live.size)] = 1e-300
+        entries[np.setdiff1d(np.arange(dim), live)[0]] = -0.0
+        expected = np.flatnonzero((entries != 0).any(axis=1))
+        np.testing.assert_array_equal(_support(entries), expected)
 
 
 class TestDensityMatrix:

@@ -32,7 +32,7 @@ from dephimetry.bayes import (
     chunk_rngs,
     covariance_sqrt,
 )
-from dephimetry.dephasing import ROW_BLOCK_ELEMENTS
+from dephimetry.core import ROW_BLOCK_ELEMENTS
 from dephimetry.fisher import _support_block
 
 from helpers import (
@@ -224,15 +224,18 @@ class TestRealDenseRoute:
         # full array), so dephase holds its 8 MiB result and three blocks of
         # rows: 9.8 MiB traced (the complex, whole-factor channel peaked at
         # 40 MiB, the full probe at 18 MiB).  qfi takes the real block as it
-        # is, scans it through a 1 MiB boolean mask, and holds one
-        # site-reversal sector of about 2^n / 4 rows at a time: 4.7 MiB (8.2
-        # with one parity frame).  Each budget is the measured peak plus 25%.
+        # is and scans it a block of rows at a time (13 KiB; 1 MiB through a
+        # whole-block mask); on the dephased state it holds the parity frame
+        # (8.2 MiB), and from the probe and the covariance, the CLI's dense
+        # route, the orbit sectors (4.7 MiB).  Each budget is the measured
+        # peak plus 25%.
         gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
         assert traced_peak_mb(product_plus_state, 10) < 1 / 16
         assert traced_peak_mb(lambda: dephase(product_plus_state(10), gen, cov)) < 12.2
         rho = dephase(product_plus_state(10), gen, cov)
-        assert traced_peak_mb(_support_block, rho, gen) < 2
-        assert traced_peak_mb(qfi, rho, gen) < 5.8
+        assert traced_peak_mb(_support_block, rho, gen) < 1 / 16
+        assert traced_peak_mb(qfi, rho, gen) < 10.2
+        assert traced_peak_mb(qfi, product_plus_state(10), gen, cov) < 5.8
 
 
 class TestCovarianceSqrt:

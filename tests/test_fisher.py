@@ -27,7 +27,7 @@ from dephimetry import (
     variance,
 )
 import dephimetry.fisher
-from dephimetry.core import _support
+from dephimetry.core import ROW_BLOCK_ELEMENTS, _support
 from dephimetry.dephasing import derivative_state
 
 from helpers import (
@@ -45,6 +45,7 @@ from helpers import (
     measurement_case,
     random_density,
     random_projective_povm,
+    random_psd_cov,
     random_pure_density,
     rng,
     traced_peak_mb,
@@ -448,165 +449,141 @@ class TestParitySplit:
         assert frame_calls(dephase(ghz_state(n), gen, cov), gen)[1] == 1
 
 
-def qfi_route(rho, gen):
-    """(qfi, copies): the QFI and the copies of each frame it gave the rank
-    rule: [1] for the full frame, [2] for the parity frame, [2, 2] for the
-    two site-reversal sectors."""
-    rule = dephimetry.fisher._kept_pairs
-    copies = []
-
-    def spy(spectra):
-        copies.extend(c for c, _, _ in spectra)
-        yield from rule(spectra)
-
-    with mock.patch.object(dephimetry.fisher, "_kept_pairs", spy):
-        value = qfi(rho, gen)
-    return value, copies
+def orbit_qfi(rho, gen, cov):
+    """(qfi(rho, gen, cov), whether it took the orbit rows): every other
+    input goes through the dephased state."""
+    fisher = dephimetry.fisher
+    with mock.patch.object(fisher, "dephase", wraps=fisher.dephase) as spy:
+        value = qfi(rho, gen, cov)
+    return value, spy.call_count == 0
 
 
-def reversal_symmetric_state(seed, n, kind, full=False):
-    """A real state on n qubits that equals its images under J and R entry
-    for entry, on a random union of orbits of {1, J, R, JR} with at least
-    four rows (every orbit when `full`): "pure" (one vector of one J x R
-    sector, nonzero on at least four rows), "deficient" (two such vectors,
-    rank at most 2) or "mixed" (the group average of a random Gram matrix,
-    full rank on its support)."""
+def klein_state(seed, gen, real=True, group=("flip", "reversal")):
+    """A full-rank state equal to its images under the spin flip J and the
+    site reversal R (each of `group`) entry for entry: the group average of
+    a random Gram matrix, as sums of the pairs the group swaps, so the
+    average is exactly symmetric."""
     r = rng(seed)
-    dim = 2**n
-    flip = dim - 1 - np.arange(dim)
-    rev = np.arange(dim).reshape((2,) * n).transpose().ravel()
-    orbits = sorted({tuple(sorted({m, flip[m], rev[m], flip[rev[m]]})) for m in range(dim)})
-    while True:
-        chosen = [o for o in orbits if full or r.integers(2)]
-        live = np.array(sorted(m for o in chosen for m in o), dtype=int)
-        if live.size >= 4:
-            break
-    mask = np.zeros(dim)
-    mask[live] = 1.0
-
-    def sector_vector():
-        while True:
-            x = r.normal(size=dim) * mask
-            j, s = r.choice([1.0, -1.0], size=2)
-            y = x + j * x[flip]
-            psi = y + s * y[rev]
-            if np.linalg.norm(psi) > 1e-3:  # J x R sectors may be empty on small supports
-                return psi / np.linalg.norm(psi)
-
-    if kind != "mixed":
-        # A sector vector may vanish on some rows: the split needs 4 rows.
-        while True:
-            u, v, w = sector_vector(), sector_vector(), r.uniform(0.1, 0.9)
-            entries = np.outer(u, u) if kind == "pure" else (
-                w * np.outer(u, u) + (1 - w) * np.outer(v, v))
-            if np.count_nonzero(entries.any(axis=1)) >= 4:
-                break
-    else:
-        x = r.normal(size=(dim, 2 * dim)) * mask[:, None]
-        m = x @ x.T
-        # Sums of pairs that J and R swap, so the average is exactly symmetric.
-        both = flip[rev]
-        entries = (m + m[np.ix_(flip, flip)]) + (m[np.ix_(rev, rev)] + m[np.ix_(both, both)])
-        entries /= np.trace(entries)
-    return DensityMatrix(entries)
+    dim = gen.dim
+    x = r.normal(size=(dim, 2 * dim))
+    if not real:
+        x = x + 1j * r.normal(size=(dim, 2 * dim))
+    m = x @ x.conj().T
+    images = {"flip": np.arange(dim)[::-1],
+              "reversal": np.arange(dim).reshape(gen.dims).transpose().ravel()}
+    for g in group:
+        m = m + m[np.ix_(images[g], images[g])]
+    return DensityMatrix(m / np.trace(m).real)
 
 
-class TestReversalSectors:
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(2, 4),
-        kind=st.sampled_from(["pure", "mixed", "deficient"]),
-    )
-    def test_matches_dense_frame(self, seed, n, kind):
+def persymmetric_cov(seed, n):
+    """A random covariance equal to its site reversal C[::-1, ::-1]."""
+    c = random_psd_cov(rng(seed), n).entries
+    return CovarianceMatrix(c + c[::-1, ::-1])
+
+
+def dense_dephased_qfi(rho, gen, cov):
+    return dense_qfi(dephase(rho, gen, cov), gen)
+
+
+class TestOrbitRoute:
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), real=st.booleans())
+    def test_matches_dense_frame(self, seed, n, real):
         gen = GeneratorSpec.qubits(n)
-        rho = reversal_symmetric_state(seed, n, kind)
-        value, copies = qfi_route(rho, gen)
-        assert copies == [2, 2]
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12, abs_tol=1e-14)
+        rho, cov = klein_state(seed, gen, real), persymmetric_cov(seed + 1, n)
+        value, took = orbit_qfi(rho, gen, cov)
+        assert took
+        assert math.isclose(value, dense_dephased_qfi(rho, gen, cov), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("sites", [
+        ((0.5, -0.5),), ((1.0, 0.0, -1.0),) * 2, ((1.0, 0.0, -1.0),) * 3,
+        ((0.5, -0.5), (1.5, 0.5, -0.5, -1.5), (0.5, -0.5)),
+    ], ids=["one-qubit", "two-qutrits", "three-qutrits", "palindrome"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_small_and_qutrit_sites(self, sites, real):
+        # one site: R is the identity, so both R-odd sectors are empty; J
+        # fixes the middle qutrit level, and the all-middle state of three
+        # qutrits is an orbit of one
+        gen = GeneratorSpec(sites)
+        rho, cov = klein_state(5, gen, real), persymmetric_cov(6, gen.nsites)
+        value, took = orbit_qfi(rho, gen, cov)
+        assert took
+        assert math.isclose(value, dense_dephased_qfi(rho, gen, cov), rel_tol=1e-13)
 
     def test_two_qubits_leave_one_sector_empty(self):
-        # |01> + |10> is R-even, so the J-even half has no R-odd row: that
-        # frame has an empty spectrum, which the rank rule skips
+        # |00>, |11> are R-fixed and |01>, |10> JR-fixed, so the R-odd
+        # parity has no J-even row: that frame has an empty spectrum, which
+        # the rank rule skips
         gen = GeneratorSpec.qubits(2)
-        rho = dephase(product_plus_state(2), gen, build_c2(2, 0.5, 0.5))
-        fisher = dephimetry.fisher
-        live, block, energy = fisher._support_block(rho, gen)
-        frames = fisher._parity_frames(block, energy, fisher._site_reversal(live, gen, 4))
-        assert [(lam_e.size, lam_o.size) for _, lam_e, lam_o, _ in frames] == [(2, 1), (0, 1)]
-        value, copies = qfi_route(rho, gen)
-        assert copies == [2, 2]
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+        rule, sizes = dephimetry.fisher._kept_pairs, []
 
-    @pytest.mark.parametrize("scale, copies", [(0.5, [2, 2]), (10.0, [2])])
-    def test_asymmetry_gate_is_the_rounding_floor(self, scale, copies):
-        # rows 1 and 0 of 3 qubits and their flips 6 and 7: R maps (1, 0) to
-        # (4, 0), so the shift breaks R but keeps J exact
-        n = 3
-        gen = GeneratorSpec.qubits(n)
-        entries = reversal_symmetric_state(5, n, "mixed", full=True).entries.real.copy()
-        shift = scale * dephimetry.fisher._rounding_floor(8, entries.diagonal().max())
-        for p, q in ((1, 0), (0, 1), (6, 7), (7, 6)):
-            entries[p, q] += shift
-        rho = DensityMatrix(entries)
-        value, taken = qfi_route(rho, gen)
-        assert taken == copies
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+        def spy(spectra):
+            sizes.extend((lam.size, lam2.size) for _, lam, lam2 in spectra)
+            yield from rule(spectra)
 
-    def test_spectra_not_a_palindrome_fall_back(self):
-        # each site's spectrum is symmetric about 0, so J still splits, but
-        # reversing the sites changes the energies
-        gen = GeneratorSpec(((0.5, -0.5), (1.0, -1.0)))
-        rho = reversal_symmetric_state(9, 2, "mixed", full=True)
-        value, copies = qfi_route(rho, gen)
-        assert copies == [2]
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+        cov = build_c2(2, 0.5, 0.5)
+        with mock.patch.object(dephimetry.fisher, "_kept_pairs", spy):
+            value = qfi(product_plus_state(2), gen, cov)
+        assert sizes == [(2, 1), (0, 1)]
+        assert math.isclose(value, dense_plus_qfi(cov), rel_tol=1e-13)
 
-    def test_support_not_closed_under_reversal_falls_back(self):
-        # rows 0, 1, 6, 7 of 3 qubits are closed under J, but R maps 1 to 4
+    @pytest.mark.parametrize("case", ["covariance", "state", "spectra", "ghz"])
+    def test_gate_falls_back_bitwise(self, case):
+        # a covariance that is not persymmetric, a state with J but not R,
+        # site spectra that differ when reversed (E + E[::-1] is still
+        # constant), and GHZ's two-row support
         gen = GeneratorSpec.qubits(3)
-        live = np.array([0, 1, 6, 7])
-        x = rng(14).normal(size=(4, 8))
-        block = x @ x.T
-        block = block + block[::-1, ::-1]
-        entries = np.zeros((8, 8))
-        entries[np.ix_(live, live)] = block / np.trace(block)
-        rho = DensityMatrix(entries)
-        value, copies = qfi_route(rho, gen)
-        assert copies == [2]
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
-
-    def test_reversal_that_does_not_commute_with_the_flip_falls_back(self):
-        # rows 2, 4, 6, 9 of 4 qubits are closed under R, which swaps 2 and
-        # 4, and the block reversal J pairs energies 1 + 0 from both ends;
-        # but J R maps row 0 to 3 and R J maps it to 2, so the sectors of R
-        # do not split the halves of J
-        gen = GeneratorSpec.qubits(4)
-        live = np.array([2, 4, 6, 9])
-        entries = np.zeros((16, 16))
-        entries[np.ix_(live, live)] = (0.6 * np.eye(4) + 0.1 * np.ones((4, 4))) / 2.8
-        rho = DensityMatrix(entries)
-        value, copies = qfi_route(rho, gen)
-        assert copies == [2]
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+        rho, cov = klein_state(7, gen), build_c2(3, 0.5, 0.5)
+        if case == "covariance":
+            cov = random_psd_cov(rng(8), 3)
+        elif case == "state":
+            rho = klein_state(7, gen, group=("flip",))
+        elif case == "spectra":
+            gen = GeneratorSpec(((0.5, -0.5), (0.5, -0.5), (1.0, -1.0)))
+        elif case == "ghz":
+            rho = ghz_state(3)
+        value, took = orbit_qfi(rho, gen, cov)
+        assert not took
+        assert value == qfi(dephase(rho, gen, cov), gen)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_product_plus_c2_grid(self, n):
-        # every (alpha, 2 beta^2) of the grid takes the sectors: dephase sums
-        # the sites in a fixed order, so R rho R misses rho by a few ulp (the
-        # gate tolerates at least 2.1 times that); the values are compared
-        # with the one parity frame up to n = 8
+        # every c2 point takes the orbit rows, strong nearly collective
+        # noise (2 beta^2 >= 20 at alpha = 0.99) too, and matches one dense
+        # eigh of the whole dephased state
         gen = GeneratorSpec.qubits(n)
-        fisher = dephimetry.fisher
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            for two_beta2 in (0.01, 0.1, 0.5, 2.0, 5.0):
-                rho = dephase(product_plus_state(n), gen, build_c2(n, two_beta2, alpha))
-                live, block, _ = fisher._support_block(rho, gen)
-                pi = fisher._site_reversal(live, gen, block.shape[0])
-                assert len(fisher._reversal_sectors(block, pi)) == 2, (alpha, two_beta2)
-                if n <= 8:
-                    value = qfi(rho, gen)
-                    with mock.patch.object(fisher, "_site_reversal", lambda *args: None):
-                        assert math.isclose(value, qfi(rho, gen), rel_tol=1e-12)
+            for two_beta2 in (0.01, 0.1, 0.5, 2.0, 5.0, 20.0, 50.0):
+                cov = build_c2(n, two_beta2, alpha)
+                value, took = orbit_qfi(product_plus_state(n), gen, cov)
+                assert took, (alpha, two_beta2)
+                assert math.isclose(value, dense_plus_qfi(cov), rel_tol=1e-13), (alpha, two_beta2)
+
+    def test_memory_budget_n10(self):
+        # the rows of rho-bar at the 272 representatives, a block at a time,
+        # and the six sector blocks: 4.7 MiB traced, where one 2^n x 2^n
+        # float array alone is 8 MiB (the dephased state and its frames
+        # peaked at 12.75 MiB); no eigh sees more than a sector
+        gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
+        probe = product_plus_state(10)
+        assert traced_peak_mb(qfi, probe, gen, cov) < 6.0
+        make, sizes = dephimetry.fisher._channel_factor, []
+
+        def spy(table, c):
+            factor = make(table, c)
+
+            def traced(rows, cols):
+                out = factor(rows, cols)
+                sizes.append(out.size)
+                return out
+
+            return traced
+
+        with mock.patch.object(dephimetry.fisher, "_channel_factor", spy), \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            qfi(probe, gen, cov)
+        assert max(sizes) <= ROW_BLOCK_ELEMENTS
+        assert sorted(call.args[0].shape[0] for call in eigh.call_args_list) == [240, 256, 256, 272]
 
 
 # Every noise strength of the block tests.  At the two ends the global rank
@@ -733,23 +710,26 @@ class TestRoundingFloorLoss:
 
 def rank_rule_routes():
     """Each route to a kept-pair sum, with the number of frames it feeds the
-    rank rule: qfi on a full frame and on the parity frames (one per
-    site-reversal sector), the Schur-Weyl blocks (spins 2, 1, 0 at n = 4)
-    and the SLD."""
+    rank rule: qfi on a full frame, on the parity frame and on the orbit
+    sectors (one frame per R parity), the Schur-Weyl blocks (spins 2, 1, 0
+    at n = 4) and the SLD."""
     gen = GeneratorSpec.qubits(4)
-    plus = dephase(product_plus_state(4), gen, build_c2(4, 0.5, 0.5))
+    cov = build_c2(4, 0.5, 0.5)
+    plus = dephase(product_plus_state(4), gen, cov)
     rotated = encode_phase(plus, gen, 0.3)
     assert frame_calls(plus, gen)[1] == 0 and frame_calls(rotated, gen)[1] == 1
     return {
         "qfi-full": (lambda: qfi(rotated, gen), 1),
-        "qfi-parity": (lambda: qfi(plus, gen), 2),
+        "qfi-parity": (lambda: qfi(plus, gen), 1),
+        "qfi-orbit": (lambda: qfi(product_plus_state(4), gen, cov), 2),
         "product-plus-blocks": (lambda: dephimetry.fisher._product_plus_qfi(4, 0.25, 0.25), 3),
         "sld": (lambda: sld(rotated, gen).entries, 1),
     }
 
 
 class TestRankRule:
-    @pytest.mark.parametrize("route", ["qfi-full", "qfi-parity", "product-plus-blocks", "sld"])
+    @pytest.mark.parametrize("route", ["qfi-full", "qfi-parity", "qfi-orbit",
+                                       "product-plus-blocks", "sld"])
     def test_every_route_takes_its_pairs_from_one_rule(self, route):
         value, frames = rank_rule_routes()[route]
         rule = dephimetry.fisher._kept_pairs
