@@ -46,14 +46,20 @@ n for qubits (_product_weights); the unit factor exp(i phi . h(0)) they
 drop cancels in every probability.  On a partial support (GHZ, s = 2) they
 are cos and sin of the phase products phi . h(m), 2 s calls per shot
 (_phase_weights).  The CDF is summed down the outcome axis in place and
-inverted with one vector compare per outcome, the same comparisons a
-shots-first kernel makes.  Each chunk draws its normals, then its
-uniforms, into buffers of the chunk's size, so the streams are those of
-standard_normal((size, n)) and random(size).  Every work buffer is
-allocated once per call, sized by BATCH_ELEMENTS: a chunk whose widest
-buffer, max(s, r m) rows, would pass that many elements runs in batches of
-fewer shots.  Batches draw nothing, so the seeded streams do not depend on
-the batch size.
+inverted with one compare of the draws against all of its rows, the same
+comparisons a shots-first kernel makes; the outcome of a shot is the sum of
+its flags.  Each chunk draws its normals, then its uniforms, into
+buffers of the chunk's size, so the streams are those of
+standard_normal((size, n)) and random(size).  A chunk runs in batches of
+shots (_batch_shots), the fewest that pay for the product repacking the
+folded matrix on every batch: BATCH_MIN_ELEMENTS (2^14) elements in the
+widest buffer, max(s, r m) rows, and at least BATCH_MIN_SHOTS (512), capped
+at BATCH_ELEMENTS (2^19) elements and one chunk.  That is 8192 shots on
+GHZ's 2 rows, 2048 on 8 rows and 512 on 256 or 1024 rows.  The work
+buffers are allocated once per call: the chunk's phases, uniforms and
+outcomes, and two float64 pools that every other temporary of a chunk or a
+batch is a view of, sized for the route the weights take.  Batches draw
+nothing, so the seeded streams do not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -79,11 +85,15 @@ _PROB_SUM_TOL = 1e-10
 _NEGATIVE_PROB_TOL = -1e-12
 _SQRT_PSD_TOL = -1e-10
 CHUNK_SHOTS = 8192
-# Elements per shots-last work buffer of the one Monte Carlo sampler,
-# simulate.  A chunk whose buffers would hold more runs in batches of
-# fewer shots; the batches consume no random numbers, so the seeded streams
-# do not depend on this.
+# The one Monte Carlo sampler, simulate, weighs a chunk in batches of shots
+# (_batch_shots).  Each batch repacks the folded measurement in its matrix
+# product, so a batch is the smallest that pays for that: BATCH_MIN_ELEMENTS
+# elements in the rows of the widest shots-last buffer, and BATCH_MIN_SHOTS
+# shots.  BATCH_ELEMENTS and CHUNK_SHOTS cap it.  The batches consume no
+# random numbers, so the seeded streams do not depend on these.
 BATCH_ELEMENTS = 1 << 19
+BATCH_MIN_ELEMENTS = 1 << 14
+BATCH_MIN_SHOTS = 512
 # Most shots of one run: the outcome counts are int64.
 MAX_SHOTS = int(np.iinfo(np.int64).max)
 # simulate's per-chunk callback: (phases, outcomes, estimates_best).
@@ -237,9 +247,9 @@ def _shot_probabilities(
     overwritten; for a projective povm the result is a view of squares."""
     m = squares.shape[0]
     np.matmul(folded, w, out=amplitudes)
-    re, im = amplitudes.real, amplitudes.imag
-    np.square(re, out=re)
-    np.square(im, out=im)
+    parts = amplitudes.view(np.float64)  # the real and imaginary parts, interleaved
+    np.square(parts, out=parts)
+    re, im = parts[:, 0::2], parts[:, 1::2]
     np.add(re[:m], im[:m], out=squares)
     for k in range(m, amplitudes.shape[0], m):
         np.add(re[k : k + m], im[k : k + m], out=re[k : k + m])
@@ -330,13 +340,19 @@ def covariance_sqrt(cov: CovarianceMatrix) -> np.ndarray:
 
 
 def _batch_shots(rows: int) -> int:
-    """Shots per batch of a kernel whose widest buffer has `rows` rows."""
-    return max(1, min(CHUNK_SHOTS, BATCH_ELEMENTS // max(rows, 1)))
+    """Shots per batch of a kernel whose widest buffer has `rows` rows: the
+    fewest that fill BATCH_MIN_ELEMENTS elements, and never fewer than
+    BATCH_MIN_SHOTS, within the caps BATCH_ELEMENTS and CHUNK_SHOTS."""
+    rows = max(rows, 1)
+    least = max(BATCH_MIN_SHOTS, -(-BATCH_MIN_ELEMENTS // rows))
+    return max(1, min(CHUNK_SHOTS, BATCH_ELEMENTS // rows, least))
 
 
-def _shaped(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Contiguous (rows, cols) view of the front of a flat work buffer."""
-    return buffer[: rows * cols].reshape(rows, cols)
+def _shaped(pool: np.ndarray, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
+    """Contiguous (rows, cols) view, read as dtype, of the front of a flat
+    float64 work pool."""
+    size = rows * cols * np.dtype(dtype).itemsize
+    return pool.view(np.uint8)[:size].view(dtype).reshape(rows, cols)
 
 
 def _phase_weights(table: np.ndarray, phases: np.ndarray, arg: np.ndarray, out: np.ndarray):
@@ -463,74 +479,89 @@ def _sample_counts(
 
     chunk = min(CHUNK_SHOTS, shots)
     batch = min(chunk, _batch_shots(max(support, terms)))
-    z = np.empty((chunk, nsites))
+    # The phases, uniforms and outcomes of a chunk live through all of its
+    # batches, and on_chunk reads the phases and outcomes.  Every other
+    # temporary is a view of one of two float64 pools, and the uses of a
+    # pool never overlap.  Pool a holds the chunk's normals until the
+    # phases are made, then in each batch the weights' scratch, the
+    # amplitudes and the CDF's flags.  Pool b holds the weights, then the
+    # squares, summed into the CDF in place, then the flags' tally.
     phases = np.empty((chunk, nsites))
     draws = np.empty(chunk)
     found = np.empty(chunk, dtype=np.int_)
-    w = np.empty(support * batch, dtype=np.complex128)
-    # Each route allocates only its own buffers.
+    # Each route sizes pool a for its own scratch.
     if isinstance(live, slice):
         dims, steps = cfg.gen.dims, _site_steps(cfg.gen)
-        levels = steps.shape[0]
-        scratch = np.empty(2 * levels * batch)
+        scratch_rows = 2 * steps.shape[0]
 
-        def weigh(drawn, b):
-            return _product_weights(
-                dims, steps, drawn, _shaped(scratch, 2 * levels, b), _shaped(w, support, b)
-            )
+        def weigh(drawn, scratch, w):
+            return _product_weights(dims, steps, drawn, scratch, w)
     else:
         energy_table = cfg.gen.site_energy_table[:, live]
-        arg = np.empty(support * batch)
+        scratch_rows = support
 
-        def weigh(drawn, b):
-            return _phase_weights(
-                energy_table, drawn, _shaped(arg, b, support), _shaped(w, support, b)
-            )
+        def weigh(drawn, scratch, w):
+            return _phase_weights(energy_table, drawn, scratch.reshape(-1, support), w)
 
-    amplitudes = np.empty(terms * batch, dtype=np.complex128)
-    squares = np.empty(columns * batch)
-    total = np.empty(batch)
-    above = np.empty(batch, dtype=bool)
+    pool_a = np.empty(max(chunk * nsites, scratch_rows * batch, 2 * terms * batch))
+    pool_b = np.empty(max(2 * support * batch, columns * batch))
+    outcomes = povm.outcomes
+    tally_type = np.min_scalar_type(outcomes)
+
+    def views(b):
+        """The pool views of a batch of b shots: the weights' scratch, the
+        weights, the amplitudes, the squares, the flags and their tally."""
+        return (
+            _shaped(pool_a, scratch_rows, b), _shaped(pool_b, support, b, np.complex128),
+            _shaped(pool_a, terms, b, np.complex128), _shaped(pool_b, columns, b),
+            _shaped(pool_a, outcomes - 1, b, np.uint8), _shaped(pool_b, 1, b, tally_type)[0],
+        )
+
+    full = views(batch)
     counts = np.zeros(cfg.povm.outcomes, dtype=np.int64)
     clamped = 0
 
     def run_chunk(job):
         nonlocal clamped
         rng, size = job
-        rng.standard_normal(out=z[:size])
-        np.matmul(z[:size], root, out=phases[:size])
+        z = _shaped(pool_a, size, nsites)
+        rng.standard_normal(out=z)
+        np.matmul(z, root, out=phases[:size])
         phases[:size] += mean
         rng.random(out=draws[:size])
         for lo in range(0, size, batch):
             b = min(batch, size - lo)
+            scratch, w, amplitudes, squares, flags, tally = full if b == batch else views(b)
             probs = _shot_probabilities(
-                povm, folded, weigh(phases[lo : lo + b], b),
-                _shaped(amplitudes, terms, b), _shaped(squares, columns, b),
+                povm, folded, weigh(phases[lo : lo + b], scratch, w), amplitudes, squares
             )
+            # A -0.0 left unclipped sums and compares as 0.0 does.
             worst = probs.min()
-            if worst < _NEGATIVE_PROB_TOL:
-                raise NumericalConsistencyError(
-                    f"outcome probability {worst:.3e} below the clamping tolerance"
-                )
             if worst < 0.0:
+                if worst < _NEGATIVE_PROB_TOL:
+                    raise NumericalConsistencyError(
+                        f"outcome probability {worst:.3e} below the clamping tolerance"
+                    )
                 clamped += int(np.count_nonzero(probs < 0.0))
-            np.clip(probs, 0.0, None, out=probs)
+                np.clip(probs, 0.0, None, out=probs)
             # The CDF down axis 0 in place, one row at a time: the same
             # additions as np.cumsum, which is ten times slower on this axis.
             cdf = probs
-            for k in range(1, cdf.shape[0]):
+            for k in range(1, outcomes):
                 np.add(cdf[k - 1], cdf[k], out=cdf[k])
-            np.copyto(total[:b], cdf[-1])
-            cdf /= total[:b]
-            # The outcome is the number of CDF rows below the draw.
-            picked = found[lo : lo + b]
-            picked[:] = 0
-            for row in cdf:
-                picked += np.greater(draws[lo : lo + b], row, out=above[:b])
-        counts[reached] += np.bincount(found[:size], minlength=povm.outcomes)
+            # The outcome is the number of normalised CDF rows below the
+            # draw, tallied in the smallest unsigned type that holds the
+            # outcome count.  The last row is left out: it normalises to 1
+            # (x / x), or to nan, and no draw in [0, 1) passes either.
+            cdf = cdf[:-1]
+            np.divide(cdf, probs[-1], out=cdf)
+            np.greater(draws[lo : lo + b], cdf, out=flags.view(np.bool_))
+            np.add.reduce(flags, axis=0, dtype=tally_type, out=tally)
+            np.copyto(found[lo : lo + b], tally)
+        counts[reached] += np.bincount(found[:size], minlength=outcomes)
         if on_chunk is not None:
-            outcomes = found[:size] if isinstance(reached, slice) else reached[found[:size]]
-            on_chunk(phases[:size], outcomes, best[outcomes])
+            fired = found[:size] if isinstance(reached, slice) else reached[found[:size]]
+            on_chunk(phases[:size], fired, best[fired])
 
     map_ordered(run_chunk, jobs)
     return counts, clamped

@@ -309,6 +309,8 @@ def cmd_simulate(args) -> int:
         # Zero delta2_c leaves no local information; a subnormal one overflows 1 / delta2_c.
         raise ValueError(f"simulate needs two_beta2 with delta2_c >= {sys.float_info.min!r}")
     _check_shots(args.shots)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, not {args.seed}")
     if _same_file(args.out, args.per_shot):
         raise ValueError(f"--out and --per-shot name one file: {args.per_shot}")
     # Both outputs are opened before any seed is drawn.

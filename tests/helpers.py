@@ -159,21 +159,39 @@ def collective_and_local(cov: CovarianceMatrix):
 _DENSE_PLUS = {}
 
 
-def dense_plus_qfi(cov: CovarianceMatrix) -> float:
-    """The QFI of dephase(|+>^n, C) from one eigh of the whole real
-    dephased state (its support is every row): the full frame with the
-    rounding floor of fisher, and no parity, orbit or block split; the
-    oracle for every route the CLI takes for product-plus.  Once per
-    distinct C."""
-    key = (cov.entries + 0.0).tobytes()  # -0.0 and 0.0 entries are one C
+def dense_plus_qfi(cov: CovarianceMatrix, split: bool = True) -> float:
+    """The QFI of dephase(|+>^n, C) from eigh of the whole real dephased
+    state (its support is every row), with the rounding floor of fisher and
+    no orbit or block split; the oracle for every route the CLI takes for
+    product-plus.  Once per distinct C and split.
+
+    The state commutes with the spin flip J (m -> dim - 1 - m) and its
+    derivative anticommutes with it, so only pairs across the J-even and
+    J-odd halves carry information.  split takes one eigh of each dim/2-row
+    half, read off the state by index reversal; split=False takes one eigh
+    of the whole state, the full frame that checks the split."""
+    key = ((cov.entries + 0.0).tobytes(), split)  # -0.0 and 0.0 entries are one C
     if key not in _DENSE_PLUS:
         gen = GeneratorSpec.qubits(cov.n)
         rho = dephase(product_plus_state(cov.n), gen, cov).entries
-        lam, vec = np.linalg.eigh(rho)
-        mixed = vec.T @ (np.subtract.outer(gen.energies, gen.energies) * rho) @ vec
-        denom = lam[:, None] + lam[None, :]
-        keep = denom > _rounding_floor(lam.size, lam[-1])
-        _DENSE_PLUS[key] = float(2.0 * np.sum(mixed[keep] ** 2 / denom[keep]))
+        drho = np.subtract.outer(gen.energies, gen.energies) * rho
+        if split:
+            half = rho.shape[0] // 2
+            # rows m < dim/2 against columns m and dim - 1 - m
+            same, flipped = rho[:half, :half], rho[:half, ::-1][:, :half]
+            lam_even, vec_even = np.linalg.eigh(same + flipped)
+            lam_odd, vec_odd = np.linalg.eigh(same - flipped)
+            across = drho[:half, :half] - drho[:half, ::-1][:, :half]
+            mixed = vec_even.T @ across @ vec_odd
+            denom = lam_even[:, None] + lam_odd[None, :]
+            top, pairs = max(lam_even[-1], lam_odd[-1]), 4.0  # (even, odd) and (odd, even)
+        else:
+            lam, vec = np.linalg.eigh(rho)
+            mixed = vec.T @ drho @ vec
+            denom = lam[:, None] + lam[None, :]
+            top, pairs = lam[-1], 2.0
+        keep = denom > _rounding_floor(rho.shape[0], top)
+        _DENSE_PLUS[key] = float(pairs * np.sum(mixed[keep] ** 2 / denom[keep]))
     return _DENSE_PLUS[key]
 
 

@@ -42,7 +42,9 @@ from dephimetry import (
 import dephimetry.bayes
 from dephimetry.bayes import (
     CHUNK_SHOTS,
+    _batch_shots,
     _fold,
+    chunk_rngs,
     _shot_probabilities,
     _state_factor,
     _weighted_moments,
@@ -477,6 +479,50 @@ class TestSimulate:
         assert _state_factor(_support_block(cfg.rho, cfg.gen)[1]).shape == (4, 4)
         self.test_four_chunk_stream_pinned()
 
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_outcomes_invert_each_shots_cdf(self, n):
+        # one compare of each batch's draws against its whole CDF, tallied
+        # in the smallest type that holds the outcome count, against a loop
+        # over the shots: the outcome is the number of normalised CDF sums
+        # below the draw.  n = 9 has 512 outcomes, past an 8-bit tally.
+        cfg, shots, seed = plus_or_ghz_cfg(product_plus_state, n=n), 700, 3
+        res = collect_shots(cfg, shots, seed)
+        (rng_, size), = chunk_rngs(seed, shots)
+        rng_.standard_normal((size, n))
+        draws = rng_.random(size)
+        w = np.exp(-1j * (res.phases @ cfg.gen.site_energy_table))
+        factor = _state_factor(_support_block(cfg.rho, cfg.gen)[1])
+        probs = shot_probabilities(cfg.povm, factor, w)
+        assert probs.shape == (shots, 2**n)
+        cdfs = np.cumsum(probs, axis=1)
+        expected = [np.count_nonzero(draw > cdf / cdf[-1]) for draw, cdf in zip(draws, cdfs)]
+        np.testing.assert_array_equal(res.outcomes, expected)
+
+    @pytest.mark.parametrize("make_state", [ghz_state, product_plus_state])
+    def test_negative_probabilities_clamped_or_refused(self, make_state, monkeypatch):
+        # the first outcome reached, set below zero on every shot: within
+        # the tolerance it is clamped to 0, counted and never drawn; past it
+        # the run is refused
+        cfg, kernel = plus_or_ghz_cfg(make_state), dephimetry.bayes._shot_probabilities
+
+        def first_at(value):
+            def probs(*args):
+                out = kernel(*args)
+                out[0] = value
+                return out
+            return probs
+
+        _, reached = cfg.povm.restrict(_support_block(cfg.rho, cfg.gen)[0])
+        first = np.arange(cfg.povm.outcomes)[reached][0]
+        assert simulate(cfg, 3000, 2).counts[first] > 0
+        monkeypatch.setattr(dephimetry.bayes, "_shot_probabilities", first_at(-1e-13))
+        res = simulate(cfg, 3000, 2)
+        assert res.clamped == 3000 and res.counts.sum() == 3000
+        assert res.counts[first] == 0
+        monkeypatch.setattr(dephimetry.bayes, "_shot_probabilities", first_at(-1e-11))
+        with pytest.raises(NumericalConsistencyError, match="below the clamping tolerance"):
+            simulate(cfg, 3000, 2)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["pure", "mixed", "grouped"])
     def test_shot_probabilities_match_dense(self, case, n):
@@ -560,6 +606,11 @@ class TestSimulate:
             res.estimates_best, np.where(res.outcomes == 0, -estimate, estimate)
         )
 
+    # One _product_weights call per batch over 2^17 shots: 2048-shot batches
+    # on the 8 rows of plus-3, 512-shot batches on the 64 rows of plus-6 and
+    # the 64 rank-8 terms of mixed-3.
+    PRODUCT_BATCHES = {"plus-3": 64, "plus-6": 256, "mixed-3": 256}
+
     @pytest.mark.parametrize("case", ["plus-3", "plus-6", "mixed-3"])
     def test_product_route_draws_the_direct_outcomes(self, case, monkeypatch):
         # A full support takes bayes._product_weights.  Handing the
@@ -580,7 +631,7 @@ class TestSimulate:
         monkeypatch.setattr(dephimetry.bayes, "_product_weights",
                             lambda *args: calls.append(1) or product(*args))
         fast = collect_shots(cfg, shots, 4)
-        assert len(calls) == shots // CHUNK_SHOTS
+        assert len(calls) == self.PRODUCT_BATCHES[case]
 
         def indexed(rho, gen):
             live, block, energy = _support_block(rho, gen)
@@ -589,7 +640,7 @@ class TestSimulate:
 
         monkeypatch.setattr(dephimetry.bayes, "_support_block", indexed)
         direct = collect_shots(cfg, shots, 4)
-        assert len(calls) == shots // CHUNK_SHOTS
+        assert len(calls) == self.PRODUCT_BATCHES[case]
         assert np.unique(fast.outcomes).size > 1
         np.testing.assert_array_equal(fast.outcomes, direct.outcomes)
         np.testing.assert_array_equal(fast.phases, direct.phases)
@@ -621,15 +672,35 @@ class TestSimulate:
         assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 16.0
 
     def test_memory_budget_product_plus_n10(self):
-        # one full chunk on the full 1024-row support; holding the weights,
-        # the rotated factor, the amplitudes and their squares for all 8192
-        # shots at once peaked at 513 MiB
+        # one full chunk on the full 1024-row support: the 16 MiB folded
+        # measurement and two 8 MiB pools of 512-shot batches, 33.0 MiB
+        # traced.  Separate weights, amplitudes and squares peaked at 37.7
+        # MiB, and holding them for all 8192 shots at once at 513 MiB.
         gen = GeneratorSpec.qubits(10)
         cov = build_c2(10, 0.5, 0.5)
         rb = encode_phase(dephase(product_plus_state(10), gen, cov), gen, 0.0)
         cfg = ExperimentConfig(rho=product_plus_state(10), gen=gen, cov=cov,
                                povm=optimal_povm(rb, gen), rho_bar=rb)
-        assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 64.0
+        assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 35.0
+
+    def test_memory_budget_product_plus_n3(self):
+        # one chunk of the benchmark's many-chunk run (product-plus n = 3,
+        # c1): two pools of 2048-shot batches beside the chunk's phases,
+        # uniforms and outcomes, 0.92 MiB traced.  A buffer per temporary,
+        # each for the whole chunk, peaked at 3.52 MiB.
+        gen = GeneratorSpec.qubits(3)
+        cov = build_c1(3, 0.3, 0.5)
+        rb = encode_phase(dephase(product_plus_state(3), gen, cov), gen, 0.0)
+        cfg = ExperimentConfig(rho=product_plus_state(3), gen=gen, cov=cov,
+                               povm=optimal_povm(rb, gen), rho_bar=rb)
+        assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 1.5
+
+    def test_batch_shots_pinned(self):
+        # the fewest shots that fill 2^14 elements of the widest buffer, and
+        # at least 512: a whole chunk on GHZ's 2 rows, 2048 shots on the 8
+        # rows of product-plus n = 3, and 512 on 256 and 1024 rows, where
+        # the 2^19-element cap is 2048 and 512
+        assert [_batch_shots(rows) for rows in (2, 8, 256, 1024)] == [8192, 2048, 512, 512]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's minor page fault count")

@@ -237,6 +237,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_negative_seed_refused_before_the_work(self, tmp_path, monkeypatch, capsys):
+        # numpy refuses a negative seed only as the first chunk is seeded,
+        # after dephase and optimal_povm (2 s and 89 MiB at product-plus
+        # n = 10); the gate beside --shots refuses it before either output
+        # opens
+        def never(*args):
+            raise AssertionError("built the measurement for a negative seed")
+
+        monkeypatch.setattr(cli, "optimal_povm", never)
+        out, per_shot = tmp_path / "sim.json", tmp_path / "shots.csv"
+        out.write_bytes(SENTINEL)
+        assert run(["simulate", "--state", "product-plus", "--n", "10", "--shots", "4",
+                    "--seed", "-1", "--out", str(out), "--per-shot", str(per_shot)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be a nonnegative integer, not -1\n"
+        assert captured.out == ""
+        assert out.read_bytes() == SENTINEL
+        assert not per_shot.exists()
+
     @pytest.mark.parametrize("alias", ["dot-path", "symlink", "hardlink"])
     def test_out_and_per_shot_naming_one_file_refused(self, alias, tmp_path, monkeypatch,
                                                       capsys):

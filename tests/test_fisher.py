@@ -549,8 +549,8 @@ class TestOrbitRoute:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_product_plus_c2_grid(self, n):
         # every c2 point takes the orbit rows, strong nearly collective
-        # noise (2 beta^2 >= 20 at alpha = 0.99) too, and matches one dense
-        # eigh of the whole dephased state
+        # noise (2 beta^2 >= 20 at alpha = 0.99) too, and matches the dense
+        # eigh of the whole dephased state's J-even and J-odd halves
         gen = GeneratorSpec.qubits(n)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             for two_beta2 in (0.01, 0.1, 0.5, 2.0, 5.0, 20.0, 50.0):
@@ -558,6 +558,14 @@ class TestOrbitRoute:
                 value, took = orbit_qfi(product_plus_state(n), gen, cov)
                 assert took, (alpha, two_beta2)
                 assert math.isclose(value, dense_plus_qfi(cov), rel_tol=1e-13), (alpha, two_beta2)
+
+    def test_split_oracle_is_the_full_frame(self):
+        # the halves of dense_plus_qfi against one eigh of the whole 1024-row
+        # state, at the point of the n = 10 grid where the two differ most
+        # (1.3e-14)
+        cov = build_c2(10, 0.1, 0.99)
+        assert math.isclose(dense_plus_qfi(cov), dense_plus_qfi(cov, split=False),
+                            rel_tol=1e-13)
 
     def test_memory_budget_n10(self):
         # the rows of rho-bar at the 272 representatives, a block at a time,
