@@ -37,13 +37,15 @@ is (w * a_k)^T conj(v_c) = w^T (a_k * conj(v_c)), so the probe is folded
 into the measurement once per call (_fold), and a batch of b shots is one
 (r m, s) x (s, b) product.  The folded matrix is not batched: it holds
 r m s complex entries, 16 MiB per rank component at n = 10 (s = m = 1024),
-so a full-rank library probe there would need 16 GiB.  Both named probes
-are pure (r = 1).  The shot weights take one of two routes, both
-written into one complex buffer.  On a full support (product-plus, a
-random mixed state) they are exp(-i phi . (h(m) - h(0))), a Kronecker
-product of per-site factors built from sum_j (d_j - 1) tangents per shot,
-n for qubits (_product_weights); the unit factor exp(i phi . h(0)) they
-drop cancels in every probability.  On a partial support (GHZ, s = 2) they
+so a full-rank library probe there would need 16 GiB.  A fold over
+FOLD_ELEMENTS (2^22 entries, 64 MiB) is refused with a ValueError before it
+is allocated; both named probes are pure (r = 1), 2^20 entries at n = 10.
+The shot weights take one of two routes, both written into one complex
+buffer.  On a full support (product-plus, a random mixed state) they are
+exp(-i phi . (h(m) - h(0))), a Kronecker product of per-site factors
+built from sum_j (d_j - 1) tangents per shot, n for qubits
+(_product_weights); the unit factor exp(i phi . h(0)) they drop cancels in
+every probability.  On a partial support (GHZ, s = 2) they
 are cos and sin of the phase products phi . h(m), 2 s calls per shot
 (_phase_weights).  The CDF is summed down the outcome axis in place and
 inverted with one compare of the draws against all of its rows, the same
@@ -96,6 +98,11 @@ BATCH_MIN_ELEMENTS = 1 << 14
 BATCH_MIN_SHOTS = 512
 # Most shots of one run: the outcome counts are int64.
 MAX_SHOTS = int(np.iinfo(np.int64).max)
+# Most complex entries of simulate's folded measurement (_fold), r m s for a
+# rank-r probe on s support rows and m measurement columns: 64 MiB, four
+# times what a pure probe needs at n = 10 (s = m = 1024).  A larger fold is
+# refused before it is allocated.
+FOLD_ELEMENTS = 1 << 22
 # simulate's per-chunk callback: (phases, outcomes, estimates_best).
 ChunkCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
@@ -473,8 +480,15 @@ def _sample_counts(
     factor = _state_factor(block)
     del block
     povm, reached = cfg.povm.restrict(live)
+    (support, rank), columns = factor.shape, povm.vectors.shape[1]
+    if rank * columns * support > FOLD_ELEMENTS:
+        raise ValueError(
+            f"the folded measurement needs rank {rank} x {columns} columns x {support} rows "
+            f"= {rank * columns * support} complex entries, over the budget of "
+            f"FOLD_ELEMENTS = {FOLD_ELEMENTS}"
+        )
     folded = _fold(povm, factor)
-    support, terms, columns = factor.shape[0], folded.shape[0], povm.vectors.shape[1]
+    terms = folded.shape[0]
     mean = cfg.phi0 + cfg.delta_phi
 
     chunk = min(CHUNK_SHOTS, shots)

@@ -64,14 +64,19 @@ O'] = 1/4 sqrt(|O| |O'|) sum_g chi'(g) (E_p - E_{g p'}) rho-bar[p, g p'],
 chi' = chi times the J sign of g, the character of that J-odd sector.
 Both sums read only the rows of rho-bar at the representatives, about
 2^n / 4 of them, so only those are computed, a block of rows at a time
-from the channel formula (core._channel_factor); each row's four columns
-g p' feed all four sector blocks and both couplings, and each R parity
-gives one frame (2, lam_e, lam_o, V_e^dagger Y V_o) under the global rank
-rule.
-At n = 10 the 272 orbits (240 of size 4, 16 + 16 of size 2) give sectors of
-272, 256, 240 and 256 rows.  Inputs that fail the gate (GHZ's two-row
-support, a random state or covariance) take qfi(dephase(rho, gen, cov),
-gen) through core.dephase, bit for bit.
+from the channel formula (core._channel_factor); each term is weighed
+before the sum over g, taken in the order 1, J, R, JR.  The R parities are
+built one after the other, and neither holds the other's blocks.  For
+each, one pass over the representative rows fills its three blocks; X_e is
+diagonalised and reduces Y to V_e^dagger Y, then X_o is diagonalised, each
+block and V_e freed once used, and the parity gives one frame (2, lam_e,
+lam_o, V_e^dagger Y V_o) under the global rank rule.  The second parity
+computes the rows again: one pass per sector block would hold still less
+(one block beside the first parity's frame), but computes every row six
+times.  At n = 10 the 272 orbits (240 of size 4, 16 + 16 of size 2) give
+sectors of 272, 256, 240 and 256 rows.  Inputs that fail the gate (GHZ's
+two-row support, a random state or covariance) take qfi(dephase(rho, gen,
+cov), gen) through core.dephase, bit for bit.
 
 Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
@@ -114,7 +119,6 @@ rule is taken per sector.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -332,10 +336,9 @@ def _parity_frame(block: np.ndarray, energy: np.ndarray):
 
 def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
     """The frames of dephase(rho, gen, cov) from its rows at one
-    representative per orbit of G = {1, J, R, JR} (see the module
-    docstring): (2, lam_e, lam_o, Y) between the J-even and J-odd sectors
-    of each R parity, the second parity's blocks reduced after the first's;
-    or None when the inputs fail the exact gate."""
+    representative per orbit of G = {1, J, R, JR} (see the module docstring):
+    (2, lam_e, lam_o, V_e^dagger Y V_o) between the J-even and J-odd sectors
+    of each R parity, one parity at a time; or None when the gate fails."""
     dim, energy, entries = gen.dim, gen.energies, rho.entries
     index = np.arange(dim)
     flip, rev = index[::-1], index.reshape(gen.dims).transpose().ravel()
@@ -358,40 +361,41 @@ def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
     moved = images[:, reps]
     fixed = moved == reps
     weight = 1.0 / np.sqrt(fixed.sum(axis=0))
-    # Per R parity: the even and odd blocks X and the coupling Y, each with
-    # the orbits of its rows and columns, its character, and whether it
-    # weighs rho-bar[p, g p'] by E_p - E_{g p'}.
-    parities = []
-    for r in (1.0, -1.0):
+    factor = _channel_factor(gen.site_energy_table, cov.entries)
+
+    def sectors(*specs):
+        """Per spec (rows, cols, chi, coupling), the block sum_g chi(g) rho-bar[p,
+        g p'] on the orbits rows x cols (masks over reps), weighed, and by E_p
+        - E_{g p'} when `coupling`, in the order g = 1, J, R, JR; one pass over
+        the representative rows, each batch row holding about 4 dim entries."""
+        outs = [np.empty((rows.sum(), cols.sum()), dtype=entries.dtype) for rows, cols, *_ in specs]
+        for batch in _row_blocks(reps.size, 4 * dim):
+            p = reps[batch]
+            parts = np.take(factor(p, slice(None)) * entries[p], moved, axis=1)  # C order
+            parts *= np.outer(weight[batch], weight)[:, None, :]
+            for out, (rows, cols, chi, coupling) in zip(outs, specs):
+                terms = parts * (energy[p][:, None, None] - energy[moved]) if coupling else parts
+                total = np.zeros((p.size, reps.size), dtype=entries.dtype)
+                for g, sign in enumerate(chi):
+                    (np.add if sign > 0 else np.subtract)(total, terms[:, g], out=total)
+                lo = np.count_nonzero(rows[:batch.start])
+                out[lo:lo + np.count_nonzero(rows[batch])] = total[rows[batch]][:, cols]
+            del parts, terms  # before the next batch's factor
+        return outs
+
+    def parity(r):
         even, odd = np.array([1.0, 1.0, r, r]), np.array([1.0, -1.0, r, -r])
         keep_e, keep_o = ((~fixed | (chi[:, None] == 1.0)).all(axis=0) for chi in (even, odd))
-        parities.append([
-            (np.empty((rows.sum(), cols.sum()), dtype=entries.dtype), rows, cols, chi, coupling)
-            for rows, cols, chi, coupling in ((keep_e, keep_e, even, False),
-                                              (keep_o, keep_o, odd, False),
-                                              (keep_e, keep_o, odd, True))
-        ])
-    factor = _channel_factor(gen.site_energy_table, cov.entries)
-    for batch in _row_blocks(reps.size, dim):
-        p = reps[batch]
-        parts = (factor(p, slice(None)) * entries[p])[:, moved]
-        parts *= np.outer(weight[batch], weight)[:, None, :]
-        spread = parts * (energy[p][:, None, None] - energy[moved])
-        for out, rows, cols, chi, coupling in itertools.chain(*parities):
-            lo = np.count_nonzero(rows[:batch.start])
-            part = np.einsum("bgo,g->bo", spread if coupling else parts, chi)
-            out[lo:lo + np.count_nonzero(rows[batch])] = part[rows[batch]][:, cols]
-        del parts, spread  # before the next block's factor
-    frames = []
-    while parities:
-        x_e, x_o, y = (out for out, *_ in parities.pop(0))
-        lam_e, vec_e = np.linalg.eigh(x_e)
-        lam_o, vec_o = np.linalg.eigh(x_o)
-        del x_e, x_o
-        mixed = vec_e.conj().T @ y
-        del y
-        frames.append((2, lam_e, lam_o, mixed @ vec_o))
-    return frames
+        # X_e, Y and X_o, each popped and so freed once used.
+        blocks = sectors((keep_e, keep_e, even, False), (keep_e, keep_o, odd, True),
+                         (keep_o, keep_o, odd, False))
+        lam_e, vec_e = np.linalg.eigh(blocks.pop(0))
+        mixed = vec_e.conj().T @ blocks.pop(0)
+        del vec_e
+        lam_o, vec_o = np.linalg.eigh(blocks.pop(0))
+        return 2, lam_e, lam_o, mixed @ vec_o
+
+    return [parity(1.0), parity(-1.0)]
 
 
 def _rounding_floor(size: int, top: float) -> float:

@@ -42,14 +42,17 @@ from dephimetry import (
 import dephimetry.bayes
 from dephimetry.bayes import (
     CHUNK_SHOTS,
+    FOLD_ELEMENTS,
     _batch_shots,
     _fold,
+    _sample_counts,
     chunk_rngs,
     _shot_probabilities,
     _state_factor,
     _weighted_moments,
     map_ordered,
 )
+from dephimetry.core import _trusted
 from dephimetry.dephasing import derivative_state
 from dephimetry.fisher import _support_block
 
@@ -694,6 +697,35 @@ class TestSimulate:
         cfg = ExperimentConfig(rho=product_plus_state(3), gen=gen, cov=cov,
                                povm=optimal_povm(rb, gen), rho_bar=rb)
         assert traced_peak_mb(simulate, cfg, CHUNK_SHOTS, 4) <= 1.5
+
+    def test_oversized_fold_is_refused(self):
+        # a random full-rank probe at n = 10 would fold 1024^3 complex
+        # entries (16 GiB); it is refused from its factor, before the fold:
+        # 24.2 MiB traced, the factor's real eigenvectors, their kept
+        # columns and the scaled factor, 8 MiB each (budget: plus 25%)
+        x = rng(5).normal(size=(1024, 1024))
+        rho = x @ x.T
+        rho /= np.trace(rho)
+        cfg = ExperimentConfig(rho=_trusted(DensityMatrix, rho), gen=GeneratorSpec.qubits(10),
+                               cov=build_c2(10, 0.5, 0.5), povm=Povm.projective(np.eye(1024)))
+
+        def refused():
+            with pytest.raises(ValueError, match=f"FOLD_ELEMENTS = {FOLD_ELEMENTS}"):
+                _sample_counts(cfg, 8, chunk_rngs(1, 8), np.zeros(1024), None)
+
+        assert traced_peak_mb(refused) < 30.5
+
+    def test_rank_two_probe_simulates(self):
+        # a mixed probe folds its rank components side by side: well inside
+        # the budget at n = 3, and every shot is counted
+        r = rng(6)
+        q = np.linalg.qr(r.normal(size=(8, 2)) + 1j * r.normal(size=(8, 2)))[0]
+        rho = DensityMatrix(q @ np.diag([0.7, 0.3]) @ q.conj().T)
+        gen, cov = GeneratorSpec.qubits(3), build_c2(3, 0.5, 0.5)
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov,
+                               povm=optimal_povm(dephase(rho, gen, cov), gen))
+        assert _state_factor(_support_block(rho, gen)[1]).shape[1] == 2
+        assert simulate(cfg, 1000, 3).counts.sum() == 1000
 
     def test_batch_shots_pinned(self):
         # the fewest shots that fill 2^14 elements of the widest buffer, and

@@ -1183,10 +1183,12 @@ def test_trace_names_all_present():
         assert missing == []
 
 
-# Every CLI writer on a small matrix, n <= 3 wherever a state is dense so
-# that the BLAS thread count cannot move a bit.  Each digest is the sha256
-# of the files the command writes under {out}, by name; an output that
-# changes on purpose is re-recorded with golden_digest.
+# Every CLI writer on a small matrix, n <= 3 wherever a state is dense,
+# and the orbit route of fisher.qfi at n = 8 and 10 (the sizes whose memory
+# it bounds); cli.main runs OpenBLAS on one thread, so the thread count
+# cannot move a bit.  Each digest is the sha256 of the files the command
+# writes under {out}, by name; an output that changes on purpose is
+# re-recorded with golden_digest.
 GOLDEN_SWEEP = (
     "state = ghz, product-plus\nfamily = c1, c2, identity\nn = 1, 3, 12\n"
     "alpha = 0, 0.5\ntwo_beta2 = 0, 0.5\n"
@@ -1211,6 +1213,10 @@ GOLDEN_CASES = {
     "qfi-csv": ["qfi", "--state", "product-plus", "--n", "3", "--family", "c2", "--alpha",
                 "0.4", "--format", "csv"],
     "qfi-plain-csv": ["qfi", "--n", "2", "--format", "csv"],
+    "qfi-plus-orbit-csv": ["qfi", "--state", "product-plus", "--n", "8", "--family", "c2",
+                           "--alpha", "0.5", "--format", "csv"],
+    "bound-plus-orbit-json": ["bound", "--state", "product-plus", "--n", "10", "--family", "c2",
+                              "--alpha", "0.5"],
     "dephase-json": ["dephase", "--n", "2", "--family", "c2", "--alpha", "0.4", "--two-beta2",
                      "0.6", "--phi", "0.3"],
     "dephase-csv": ["dephase", "--state", "product-plus", "--n", "2", "--family", "c1",
@@ -1238,6 +1244,7 @@ GOLDEN_DIGESTS = {
     "bound-json": "73397fb1eaf347107e22881a3924583a205092a890b861f8371b9d45bbbeef8f",
     "bound-plus-empty-csv": "8601a6a911f0956d90466a8fdd953357ef707c5bce1248b8ffa77014a6ce66cb",
     "bound-plus-empty-json": "f9e82d7bdc1b337517a7ce401bb01b7c9944ad32b6a3b06f2764d4b14065981d",
+    "bound-plus-orbit-json": "ca13dc844ab7994cf35c51bbd311cb2b73a89700d916bd35a102508d9eeb85e9",
     "bound-zero-noise-csv": "da5651f20107840ef4a74206a362752de7a14ea6703aba595beec2ed0ed04ac7",
     "bound-zero-noise-json": "5fd6cde9fd4ca7c9d69e212a6298ce23035b68b55934b0aae2ed1deffe34be7b",
     "dephase-csv": "9191a0492840013430d5b119b8148606630690e92aab01b101c3fc8aa058e7cc",
@@ -1248,6 +1255,7 @@ GOLDEN_DIGESTS = {
     "qfi-csv": "9b09e729e8a9477a4f0d408bf404effec579be1377b6db2349e7f583f5cfe335",
     "qfi-json": "4559a37651aea084f48ed2bb20f468d972308f18c2931c15d9f7a167d1e88d72",
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
+    "qfi-plus-orbit-csv": "c504268832d3c6f758a78811c3ca57bfa42f8f3babd851f710047cf60dce10aa",
     "simulate-ghz": "be4f1fb8e506a3b52164409c0634f498d6e35c5fe9ee15ce3c37081f4280015a",
     "simulate-plus": "64470b06d0a2f6fa6d1f538e674e3136a3b2531f044e91404cac2e215740ab4d",
     "sweep": "d4fdaca92bd2f1cf57e7878385ca57ca817a31dbeaa3d58289c9f1c14b6b943e",

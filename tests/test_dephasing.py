@@ -227,15 +227,15 @@ class TestRealDenseRoute:
         # is and scans it a block of rows at a time (13 KiB; 1 MiB through a
         # whole-block mask); on the dephased state it holds the parity frame
         # (8.2 MiB), and from the probe and the covariance, the CLI's dense
-        # route, the orbit sectors (4.7 MiB).  Each budget is the measured
-        # peak plus 25%.
+        # route, the orbit sectors of one R parity at a time (2.7 MiB).  Each
+        # budget is the measured peak plus 25%.
         gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
         assert traced_peak_mb(product_plus_state, 10) < 1 / 16
         assert traced_peak_mb(lambda: dephase(product_plus_state(10), gen, cov)) < 12.2
         rho = dephase(product_plus_state(10), gen, cov)
         assert traced_peak_mb(_support_block, rho, gen) < 1 / 16
         assert traced_peak_mb(qfi, rho, gen) < 10.2
-        assert traced_peak_mb(qfi, product_plus_state(10), gen, cov) < 5.8
+        assert traced_peak_mb(qfi, product_plus_state(10), gen, cov) < 3.4
 
 
 class TestCovarianceSqrt:

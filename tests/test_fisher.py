@@ -568,13 +568,14 @@ class TestOrbitRoute:
                             rel_tol=1e-13)
 
     def test_memory_budget_n10(self):
-        # the rows of rho-bar at the 272 representatives, a block at a time,
-        # and the six sector blocks: 4.7 MiB traced, where one 2^n x 2^n
-        # float array alone is 8 MiB (the dephased state and its frames
-        # peaked at 12.75 MiB); no eigh sees more than a sector
+        # the rows of rho-bar at the 272 representatives, 16 at a time, and
+        # the three sector blocks of one R parity, each freed once reduced,
+        # beside the first parity's frame: 2.7 MiB traced (the measured peak
+        # plus 25% is the budget), where one 2^n x 2^n float array alone is
+        # 8 MiB; no eigh sees more than a sector
         gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
         probe = product_plus_state(10)
-        assert traced_peak_mb(qfi, probe, gen, cov) < 6.0
+        assert traced_peak_mb(qfi, probe, gen, cov) < 3.4
         make, sizes = dephimetry.fisher._channel_factor, []
 
         def spy(table, c):
