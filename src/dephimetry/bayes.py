@@ -38,8 +38,9 @@ into the measurement once per call (_fold), and a batch of b shots is one
 (r m, s) x (s, b) product.  The folded matrix is not batched: it holds
 r m s complex entries, 16 MiB per rank component at n = 10 (s = m = 1024),
 so a full-rank library probe there would need 16 GiB.  A fold over
-FOLD_ELEMENTS (2^22 entries, 64 MiB) is refused with a ValueError before it
-is allocated; both named probes are pure (r = 1), 2^20 entries at n = 10.
+FOLD_ELEMENTS (2^22 entries, 64 MiB) is refused with a ValueError from the
+probe's factor, before the fold and the estimator table are built; both
+named probes are pure (r = 1), 2^20 entries at n = 10.
 The shot weights take one of two routes, both written into one complex
 buffer.  On a full support (product-plus, a random mixed state) they are
 exp(-i phi . (h(m) - h(0))), a Kronecker product of per-site factors
@@ -228,7 +229,10 @@ def _state_factor(block: np.ndarray) -> np.ndarray:
     (fisher._kept_pairs) applies the same floor to pairs lam_k + lam_l."""
     lam, vec = np.linalg.eigh(block)
     keep = lam > _rounding_floor(lam.size, lam[-1])
-    return vec[:, keep] * np.sqrt(lam[keep])
+    if not keep.all():
+        vec = vec[:, keep]
+    vec *= np.sqrt(lam[keep])
+    return vec
 
 
 def _fold(povm: Povm, factor: np.ndarray) -> np.ndarray:
@@ -464,18 +468,13 @@ def map_ordered(fn: Callable, items: Iterable) -> None:
         fn(item)
 
 
-def _sample_counts(
-    cfg: ExperimentConfig, shots: int, jobs: Iterator, best: np.ndarray,
-    on_chunk: Optional[ChunkCallback],
-) -> tuple[np.ndarray, int]:
-    """(counts, clamped): how often each outcome of cfg.povm fired over the
-    chunks `jobs` of chunk_rngs(seed, shots), and how many probabilities were
-    clamped to 0; see simulate.  Every work buffer is sized for one chunk or
-    one batch and allocated here, once, and freed on return."""
-    nsites = cfg.cov.n
-    root = covariance_sqrt(cfg.cov)
-    # Sample on the support of the probe: the other rows of every encoded
-    # state are zero, and only the outcomes `reached` there can fire.
+def _sampled_probe(cfg: ExperimentConfig):
+    """(live, factor, povm, reached): the support of the probe, its factor
+    there (_state_factor), the measurement restricted to it and the outcomes
+    that reach it (Povm.restrict).  Sampling works on that support: the other
+    rows of every encoded state are zero, and only the outcomes `reached`
+    can fire.  A fold of the factor into the measurement over FOLD_ELEMENTS
+    is refused with a ValueError."""
     live, block, _ = _support_block(cfg.rho, cfg.gen)
     factor = _state_factor(block)
     del block
@@ -487,6 +486,22 @@ def _sample_counts(
             f"= {rank * columns * support} complex entries, over the budget of "
             f"FOLD_ELEMENTS = {FOLD_ELEMENTS}"
         )
+    return live, factor, povm, reached
+
+
+def _sample_counts(
+    cfg: ExperimentConfig, probe, shots: int, jobs: Iterator, best: np.ndarray,
+    on_chunk: Optional[ChunkCallback],
+) -> tuple[np.ndarray, int]:
+    """(counts, clamped): how often each outcome of cfg.povm fired over the
+    chunks `jobs` of chunk_rngs(seed, shots), and how many probabilities were
+    clamped to 0, for the probe as _sampled_probe gives it; see simulate.
+    Every work buffer is sized for one chunk or one batch and allocated
+    here, once, and freed on return."""
+    nsites = cfg.cov.n
+    root = covariance_sqrt(cfg.cov)
+    live, factor, povm, reached = probe
+    support, columns = factor.shape[0], povm.vectors.shape[1]
     folded = _fold(povm, factor)
     terms = folded.shape[0]
     mean = cfg.phi0 + cfg.delta_phi
@@ -633,8 +648,9 @@ def simulate(
     work buffers, valid only during the call.
     """
     jobs = chunk_rngs(seed, shots)
+    probe = _sampled_probe(cfg)  # refuses an oversized fold before the table
     table = best_estimator(cfg)
-    counts, clamped = _sample_counts(cfg, shots, jobs, table.best, on_chunk)
+    counts, clamped = _sample_counts(cfg, probe, shots, jobs, table.best, on_chunk)
     empirical_mean, mean_stderr = _weighted_moments(counts, table.best)
     squares = np.subtract(table.best, cfg.phi0)
     with np.errstate(over="ignore"):  # an inf square makes the MSE inf

@@ -7,8 +7,8 @@ of copies * sum |M_kl|^2 / (lam_k + lam'_l).  The rank rule lives in
 _kept_pairs alone: a pair is kept when lam_k + lam'_l exceeds the rounding
 floor _rounding_floor(size, top) = size * eps * top, with top the largest
 eigenvalue over all frames of the state and size = sum of copies * len(lam),
-the rows of the support the frames tile (s for the full frame, 2h for the
-parity frame, 2^n for the orbit sectors and the Schur-Weyl blocks); a
+the rows of the support the frames tile (s for the full frame, 2^n for the
+orbit sectors of qubits and the Schur-Weyl blocks); a
 frame with an empty spectrum (an empty sector) adds nothing to top.  An
 eigensolver on such a support resolves eigenvalues to about that level, so
 the floor drops only pairs it cannot tell from zero.  A dropped pair costs at most 2 (lam_k +
@@ -26,57 +26,45 @@ basis vector as an eigenvector of eigenvalue 0, and -i [H, rho] is
 entrywise in rho, so its row is zero too and adds no term.  When rho is
 real (every imaginary part zero) the frame is computed in real arithmetic.
 
-qfi takes a parity frame instead when the state allows it.  Let J reverse
-the order of the support rows, p -> s - 1 - p on a block of s = 2h rows.
-When h >= 2, the block equals its own reversal entry for entry (J B J = B),
-and the energies of its rows pair up from both ends to one constant
-(E_p + E_{s-1-p} = c), the block commutes with J and g anticommutes with
-it.  On a support closed under index reversal m -> dim - 1 - m, J is the
-global spin flip X^N (every site's level flipped), and the energy rule
-holds for sigma_z / 2 and any site spectrum symmetric about its centre;
-both probes and every Gaussian dephasing channel keep that symmetry.  With
-a = block[:h, :h] and b = block[:h, ::-1][:, :h], the J-even half of the
-block is a + b, the J-odd half is a - b, and g only couples the two,
-through G_ik = (E_i - E_k) a_ik - (E_i - E_{s-1-k}) b_ik.  Two h x h eigh
-calls replace one 2h x 2h call, and the frame is (2, lam_e, lam_o,
-V_e^dagger G V_o): even-odd and odd-even pairs add alike.  This is a change
-of basis, and every test of J is exact equality, so the split is exact too;
-any other state (phase-rotated, random, an asymmetric generator, an odd
-support) takes the full frame, and so do sld and optimal_povm.  A two-row
-support (a dephased GHZ state) keeps the 2 x 2 frame: the split would save
-nothing there and would move the last bits of its QFI.
-
-qfi(rho, gen, cov) is the QFI of rho-bar = dephase(rho, gen, cov), and it
-never builds rho-bar when the inputs are invariant under the Klein group G =
-{1, J, R, JR}: J the spin flip (m -> dim - 1 - m on the whole basis) and R
-the site reversal (site j to site N + 1 - j).  The gate is exact and reads
-the inputs only: a full support, site spectra that read the same reversed
-(R commutes with H), E + E[::-1] constant (E_{Jq} = c - E_q), C equal to
-C[::-1, ::-1] (every c1, c2 and identity covariance, at any noise), and rho
-equal to J rho J and R rho R entry for entry, compared a block of rows at a
-time.  Then rho-bar[g p, g q] = rho-bar[p, q].  Take a character chi of G,
-P_chi = 1/4 sum_g chi(g) g, and for each orbit O whose stabiliser chi is 1
-on, its representative p (its least index) and the unit vector sqrt(|O|)
-P_chi e_p.  In that basis the sector block is X_chi[O, O'] = 1/4 sqrt(|O|
-|O'|) sum_g chi(g) rho-bar[p, g p'].  [H, rho-bar] maps each J-even
-sector to the J-odd one of the same R parity (E_{Rq} = E_q) through Y[O,
-O'] = 1/4 sqrt(|O| |O'|) sum_g chi'(g) (E_p - E_{g p'}) rho-bar[p, g p'],
-chi' = chi times the J sign of g, the character of that J-odd sector.
-Both sums read only the rows of rho-bar at the representatives, about
-2^n / 4 of them, so only those are computed, a block of rows at a time
-from the channel formula (core._channel_factor); each term is weighed
-before the sum over g, taken in the order 1, J, R, JR.  The R parities are
-built one after the other, and neither holds the other's blocks.  For
-each, one pass over the representative rows fills its three blocks; X_e is
-diagonalised and reduces Y to V_e^dagger Y, then X_o is diagonalised, each
-block and V_e freed once used, and the parity gives one frame (2, lam_e,
-lam_o, V_e^dagger Y V_o) under the global rank rule.  The second parity
-computes the rows again: one pass per sector block would hold still less
-(one block beside the first parity's frame), but computes every row six
-times.  At n = 10 the 272 orbits (240 of size 4, 16 + 16 of size 2) give
-sectors of 272, 256, 240 and 256 rows.  Inputs that fail the gate (GHZ's
-two-row support, a random state or covariance) take qfi(dephase(rho, gen,
-cov), gen) through core.dephase, bit for bit.
+qfi(rho, gen, cov) is the QFI of rho-bar = dephase(rho, gen, cov), and
+qfi(rho, gen) that of rho-bar = rho.  It never builds a dephased state, and
+diagonalises only sectors of about a quarter of the basis, when the inputs
+are invariant under the Klein group G = {1, J, R, JR}: J the spin flip (m
+-> dim - 1 - m on the whole basis) and R the site reversal (site j to site
+N + 1 - j).  The gate is exact and reads the inputs only: a full support,
+site spectra that read the same reversed (R commutes with H), E + E[::-1]
+constant (E_{Jq} = c - E_q, as for sigma_z / 2 or any site spectrum
+symmetric about its centre), given a covariance C equal to C[::-1, ::-1]
+(every c1, c2 and identity covariance, at any noise), and rho equal to J
+rho J and R rho R entry for entry, compared a block of rows at a time.  Then
+rho-bar[g p, g q] = rho-bar[p, q].  Take a character chi of G, P_chi = 1/4
+sum_g chi(g) g, and for each orbit O whose stabiliser chi is 1 on, its
+representative p (its least index) and the unit vector sqrt(|O|) P_chi e_p.
+In that basis the sector block is X_chi[O, O'] = 1/4 sqrt(|O| |O'|) sum_g
+chi(g) rho-bar[p, g p'].  [H, rho-bar] maps each J-even sector to the J-odd
+one of the same R parity (E_{Rq} = E_q) through Y[O, O'] = 1/4 sqrt(|O|
+|O'|) sum_g chi'(g) (E_p - E_{g p'}) rho-bar[p, g p'], chi' = chi times the
+J sign of g, the character of that J-odd sector.  Both sums read only the
+rows of rho-bar at the representatives, about 2^n / 4 of them, so only
+those are computed, a block of rows at a time from the channel formula
+(core._channel_factor), or read off rho without a covariance; each term is
+weighed before the sum over g, taken in the order 1, J, R, JR.  The R
+parities are built one after the other, and neither holds the other's
+blocks.  For each, one pass over the representative rows fills its three
+blocks; X_e is diagonalised and reduces Y to V_e^dagger Y, then X_o is
+diagonalised, each block and V_e freed once used, and the parity gives one
+frame (2, lam_e, lam_o, V_e^dagger Y V_o) under the global rank rule.  The
+second parity computes the rows again: one pass per sector block would hold
+still less (one block beside the first parity's frame), but computes every
+row six times.  At n = 10 the 272 orbits (240 of size 4, 16 + 16 of size 2)
+give sectors of 272, 256, 240 and 256 rows.  Inputs that fail the gate
+(GHZ's two-row support, a phase-rotated or random state, a random
+covariance) take the full frame of rho-bar, built by core.dephase given a
+covariance.  A dephased state passes the gate only where its rounded entries
+still equal their R images, which core.dephase's rounding of the channel
+exponent does not keep at every noise level, so qfi(dephase(rho, gen, cov),
+gen) may take the full frame; it agrees with qfi(rho, gen, cov) to
+rounding, not bit for bit.
 
 Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
@@ -306,45 +294,18 @@ def _eig_frame(block: np.ndarray, energy: np.ndarray):
     return lam, vec, mixed @ vec
 
 
-def _parity_frame(block: np.ndarray, energy: np.ndarray):
-    """The parity frame (2, lam_e, lam_o, V_e^dagger G V_o) between the even
-    half a + b and the odd half a - b of a support block that equals its
-    own reversal J (see the module docstring), or None when the block is
-    not one.  The J tests are exact; the block is compared a block of rows
-    at a time."""
-    size = block.shape[0]
-    half = size // 2
-    if size % 2 or half < 2:
-        return None
-    level = energy + energy[::-1]
-    if not (level == level[0]).all() or not all(
-        np.array_equal(block[rows], block[::-1, ::-1][rows]) for rows in _row_blocks(size, size)
-    ):
-        return None
-    a = block[:half, :half]
-    b = block[:half, ::-1][:, :half]
-    # Each half is freed once diagonalized, and G before the second product.
-    lam_e, vec_e = np.linalg.eigh(a + b)
-    lam_o, vec_o = np.linalg.eigh(a - b)
-    upper = energy[:half]
-    cross = np.subtract.outer(upper, upper) * a
-    cross -= np.subtract.outer(upper, energy[::-1][:half]) * b
-    mixed = vec_e.conj().T @ cross
-    del cross
-    return 2, lam_e, lam_o, mixed @ vec_o
-
-
 def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
-    """The frames of dephase(rho, gen, cov) from its rows at one
-    representative per orbit of G = {1, J, R, JR} (see the module docstring):
-    (2, lam_e, lam_o, V_e^dagger Y V_o) between the J-even and J-odd sectors
-    of each R parity, one parity at a time; or None when the gate fails."""
+    """The frames of rho, or of dephase(rho, gen, cov) given a covariance,
+    from its rows at one representative per orbit of G = {1, J, R, JR} (see
+    the module docstring): (2, lam_e, lam_o, V_e^dagger Y V_o) between the
+    J-even and J-odd sectors of each R parity, one parity at a time; or None
+    when the gate fails."""
     dim, energy, entries = gen.dim, gen.energies, rho.entries
     index = np.arange(dim)
     flip, rev = index[::-1], index.reshape(gen.dims).transpose().ravel()
     level = energy + energy[::-1]
     if (gen.sites != gen.sites[::-1] or not (level == level[0]).all()
-            or not np.array_equal(cov.entries, cov.entries[::-1, ::-1])
+            or (cov is not None and not np.array_equal(cov.entries, cov.entries[::-1, ::-1]))
             or not isinstance(_support(entries), slice)):
         return None
     for rows in _row_blocks(dim, dim):
@@ -361,17 +322,20 @@ def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
     moved = images[:, reps]
     fixed = moved == reps
     weight = 1.0 / np.sqrt(fixed.sum(axis=0))
-    factor = _channel_factor(gen.site_energy_table, cov.entries)
+    factor = None if cov is None else _channel_factor(gen.site_energy_table, cov.entries)
 
     def sectors(*specs):
         """Per spec (rows, cols, chi, coupling), the block sum_g chi(g) rho-bar[p,
         g p'] on the orbits rows x cols (masks over reps), weighed, and by E_p
         - E_{g p'} when `coupling`, in the order g = 1, J, R, JR; one pass over
-        the representative rows, each batch row holding about 4 dim entries."""
+        the representative rows, each batch row holding about 4 dim entries.
+        Without a covariance rho-bar is rho, its rows read as they are."""
         outs = [np.empty((rows.sum(), cols.sum()), dtype=entries.dtype) for rows, cols, *_ in specs]
         for batch in _row_blocks(reps.size, 4 * dim):
             p = reps[batch]
-            parts = np.take(factor(p, slice(None)) * entries[p], moved, axis=1)  # C order
+            bar = entries[p] if factor is None else factor(p, slice(None)) * entries[p]
+            parts = np.take(bar, moved, axis=1)  # C order
+            del bar
             parts *= np.outer(weight[batch], weight)[:, None, :]
             for out, (rows, cols, chi, coupling) in zip(outs, specs):
                 terms = parts * (energy[p][:, None, None] - energy[moved]) if coupling else parts
@@ -460,17 +424,16 @@ def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
 def qfi(rho: DensityMatrix, gen: GeneratorSpec, cov=None) -> float:
     """Quantum Fisher information of the encoded family at rho or, given a
     covariance, at dephase(rho, gen, cov): from its orbit rows when the
-    inputs pass the gate of _orbit_frames, else from the dephased state."""
-    if cov is not None:
-        _check_pairing(rho, gen, cov)
-        frames = _orbit_frames(rho, gen, cov)
-        return qfi(dephase(rho, gen, cov), gen) if frames is None else _frame_qfi(frames)
-    _, block, energy = _support_block(rho, gen)
-    frame = _parity_frame(block, energy)
-    if frame is None:
+    inputs pass the gate of _orbit_frames, else from the full frame of the
+    support block of that state."""
+    _check_pairing(rho, gen, cov)
+    frames = _orbit_frames(rho, gen, cov)
+    if frames is None:
+        state = rho if cov is None else dephase(rho, gen, cov)
+        _, block, energy = _support_block(state, gen)
         lam, _, mixed = _eig_frame(block, energy)
-        frame = (1, lam, lam, mixed)
-    return _frame_qfi([frame])
+        frames = [(1, lam, lam, mixed)]
+    return _frame_qfi(frames)
 
 
 def _product_plus_qfi(n: int, collective: float, local: float) -> float:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ from dephimetry.bayes import (
     FOLD_ELEMENTS,
     _batch_shots,
     _fold,
-    _sample_counts,
     chunk_rngs,
     _shot_probabilities,
     _state_factor,
@@ -700,9 +700,11 @@ class TestSimulate:
 
     def test_oversized_fold_is_refused(self):
         # a random full-rank probe at n = 10 would fold 1024^3 complex
-        # entries (16 GiB); it is refused from its factor, before the fold:
-        # 24.2 MiB traced, the factor's real eigenvectors, their kept
-        # columns and the scaled factor, 8 MiB each (budget: plus 25%)
+        # entries (16 GiB); simulate refuses it from the probe's factor,
+        # before the fold and before the estimator table (whose
+        # computational-basis measurement has no local information and
+        # would raise first): 8.2 MiB traced, the factor's real eigenvectors
+        # scaled in place (budget: plus 25%)
         x = rng(5).normal(size=(1024, 1024))
         rho = x @ x.T
         rho /= np.trace(rho)
@@ -711,9 +713,11 @@ class TestSimulate:
 
         def refused():
             with pytest.raises(ValueError, match=f"FOLD_ELEMENTS = {FOLD_ELEMENTS}"):
-                _sample_counts(cfg, 8, chunk_rngs(1, 8), np.zeros(1024), None)
+                simulate(cfg, 8, 1)
 
-        assert traced_peak_mb(refused) < 30.5
+        with mock.patch.object(dephimetry.bayes, "best_estimator") as table:
+            assert traced_peak_mb(refused) < 10.3
+        table.assert_not_called()
 
     def test_rank_two_probe_simulates(self):
         # a mixed probe folds its rank components side by side: well inside

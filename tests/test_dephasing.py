@@ -225,16 +225,16 @@ class TestRealDenseRoute:
         # rows: 9.8 MiB traced (the complex, whole-factor channel peaked at
         # 40 MiB, the full probe at 18 MiB).  qfi takes the real block as it
         # is and scans it a block of rows at a time (13 KiB; 1 MiB through a
-        # whole-block mask); on the dephased state it holds the parity frame
-        # (8.2 MiB), and from the probe and the covariance, the CLI's dense
-        # route, the orbit sectors of one R parity at a time (2.7 MiB).  Each
-        # budget is the measured peak plus 25%.
+        # whole-block mask); on the dephased state (2.5 MiB), and from the
+        # probe and the covariance, the CLI's dense route (2.6 MiB), it holds
+        # the orbit sectors of one R parity at a time.  Each budget is the
+        # measured peak plus 25%.
         gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
         assert traced_peak_mb(product_plus_state, 10) < 1 / 16
         assert traced_peak_mb(lambda: dephase(product_plus_state(10), gen, cov)) < 12.2
         rho = dephase(product_plus_state(10), gen, cov)
         assert traced_peak_mb(_support_block, rho, gen) < 1 / 16
-        assert traced_peak_mb(qfi, rho, gen) < 10.2
+        assert traced_peak_mb(qfi, rho, gen) < 3.4
         assert traced_peak_mb(qfi, product_plus_state(10), gen, cov) < 3.4
 
 

@@ -25,6 +25,7 @@ from dephimetry import (
     qfi,
     sld,
     variance,
+    verify_bound,
 )
 import dephimetry.fisher
 from dephimetry.core import ROW_BLOCK_ELEMENTS, _support
@@ -41,7 +42,6 @@ from helpers import (
     dense_traces,
     embedded_case,
     frame_case,
-    ginibre,
     measurement_case,
     random_density,
     random_projective_povm,
@@ -295,20 +295,12 @@ class TestSupportFrame:
         assert traced_peak_mb(qfi, rho, gen) <= 16.0
 
     def test_memory_budget_dephased_plus_n10(self):
-        # full real support: the 1024 x 1024 block alone is 8 MiB, and
-        # holding every frame temporary at once peaked at 49 MiB
+        # full real support: the 1024 x 1024 block alone is 8 MiB, and one
+        # full real frame holds 26 MiB; this state passes the orbit gate
+        # and holds 2.5 MiB
         gen = GeneratorSpec.qubits(10)
         rho = dephase(product_plus_state(10), gen, build_c1(10, 0.5, 0.5))
         assert traced_peak_mb(qfi, rho, gen) <= 16.0
-
-
-def frame_calls(rho, gen):
-    """(qfi, the number of full support frames it diagonalized): 0 when the
-    parity split was taken, 1 when it fell back to the full frame."""
-    frame = dephimetry.fisher._eig_frame
-    with mock.patch.object(dephimetry.fisher, "_eig_frame", wraps=frame) as spy:
-        value = qfi(rho, gen)
-    return value, spy.call_count
 
 
 SPECTRA = {"qubit": (0.5, -0.5), "qutrit": (1.0, 0.0, -1.0)}
@@ -343,119 +335,19 @@ def flip_symmetric_state(seed, gen, kind, real):
     return DensityMatrix(entries)
 
 
-class TestParitySplit:
-    @given(
-        seed=st.integers(0, 10_000),
-        sites=st.sampled_from([("qubit", 2), ("qubit", 3), ("qubit", 4),
-                               ("qutrit", 2), ("qutrit", 3)]),
-        kind=st.sampled_from(["pure", "mixed", "deficient"]),
-        real=st.booleans(),
-    )
-    def test_matches_dense_frame(self, seed, sites, kind, real):
-        spectrum, nsites = sites
-        gen = GeneratorSpec((SPECTRA[spectrum],) * nsites)
-        rho = flip_symmetric_state(seed, gen, kind, real)
-        value, calls = frame_calls(rho, gen)
-        assert calls == 0
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
-
-    def test_support_need_not_be_closed(self):
-        # rows 0, 1, 4, 5 of 3 qubits: reversed in block order they pair
-        # energies 3/2 + -1/2 and 1/2 + 1/2, though the global flip would
-        # map them to rows 7, 6, 3, 2
-        gen = GeneratorSpec.qubits(3)
-        live = np.array([0, 1, 4, 5])
-        g = ginibre(rng(12), 4, 8)
-        block = g @ g.conj().T
-        block = (block + block[::-1, ::-1]) / 2
-        entries = np.zeros((8, 8), dtype=np.complex128)
-        entries[np.ix_(live, live)] = block / np.trace(block).real
-        rho = DensityMatrix(entries)
-        value, calls = frame_calls(rho, gen)
-        assert calls == 0
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
-
-    @pytest.mark.parametrize("heavy", ["odd", "even"])
-    def test_rank_rule_spans_both_halves(self, heavy):
-        # nearly all weight on one vector of one half and 1e-15 on a vector
-        # of the other: the pairs of the light vector with the empty modes
-        # of the heavy half sum to 1e-15, below the floor 8 eps of the
-        # largest eigenvalue, so they are dropped as in the full frame and
-        # only the 4 pairs of the heavy vector stay; a floor set by the
-        # light half's own top would keep them too
-        gen = GeneratorSpec.qubits(3)
-        r = rng(13)
-        x, y = ginibre(r, 8, 1)[:, 0], ginibre(r, 8, 1)[:, 0]
-        odd, even = x - x[::-1], y + y[::-1]
-        big, small = (odd, even) if heavy == "odd" else (even, odd)
-        eps = 1e-15
-        entries = (1 - eps) * np.outer(big, big.conj()) / np.vdot(big, big).real
-        entries += eps * np.outer(small, small.conj()) / np.vdot(small, small).real
-        rho = DensityMatrix(entries)
-        rule = dephimetry.fisher._kept_pairs
-        masks = []
-
-        def spy(spectra):
-            for denom, keep in rule(spectra):
-                masks.append(keep)
-                yield denom, keep
-
-        with mock.patch.object(dephimetry.fisher, "_kept_pairs", spy):
-            value, calls = frame_calls(rho, gen)
-        assert calls == 0
-        assert len(masks) == 1 and masks[0].sum() == 4
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-13)
-
-    def fallback(self, rho, gen):
-        value, calls = frame_calls(rho, gen)
-        assert calls == 1
-        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
-
-    def test_phase_rotated_state_falls_back(self):
-        gen = GeneratorSpec.qubits(4)
-        rho = dephase(product_plus_state(4), gen, build_c2(4, 0.5, 0.5))
-        assert frame_calls(rho, gen)[1] == 0
-        self.fallback(encode_phase(rho, gen, 0.3), gen)
-
-    def test_random_state_falls_back(self):
-        self.fallback(random_density(rng(8), 16), GeneratorSpec.qubits(4))
-
-    def test_asymmetric_spectrum_falls_back(self):
-        # reversal swaps levels 0 and 3, whose energies do not pair up
-        gen = GeneratorSpec(((0.0, 1.0, 3.0),) * 2)
-        self.fallback(flip_symmetric_state(3, gen, "mixed", real=False), gen)
-
-    def test_odd_support_falls_back(self):
-        # qutrits with a full support keep the middle row, its own reversal
-        gen = GeneratorSpec((SPECTRA["qutrit"],) * 2)
-        g = rng(4).normal(size=(9, 18))
-        block = g @ g.T
-        block = (block + block[::-1, ::-1]) / 2
-        self.fallback(DensityMatrix(block / np.trace(block)), gen)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("family", [
-        lambda n: CovarianceMatrix(0.5 * np.eye(n)),
-        lambda n: build_c1(n, 0.5, 0.5),
-        lambda n: build_c2(n, 0.5, 0.5),
-    ], ids=["identity", "c1", "c2"])
-    def test_dephased_probes_take_split(self, family, n):
-        # product-plus splits from n = 2; a two-row support (GHZ at every
-        # n, product-plus at n = 1) keeps the 2 x 2 frame, so its outputs
-        # keep their last bits
-        gen = GeneratorSpec.qubits(n)
-        cov = family(n)
-        assert frame_calls(dephase(product_plus_state(n), gen, cov), gen)[1] == (n == 1)
-        assert frame_calls(dephase(ghz_state(n), gen, cov), gen)[1] == 1
-
-
-def orbit_qfi(rho, gen, cov):
-    """(qfi(rho, gen, cov), whether it took the orbit rows): every other
-    input goes through the dephased state."""
+def orbit_route(fn, *args):
+    """(fn(*args), whether every qfi it ran took the orbit rows): every
+    other input diagonalises one full frame, of the dephased state given a
+    covariance."""
     fisher = dephimetry.fisher
-    with mock.patch.object(fisher, "dephase", wraps=fisher.dephase) as spy:
-        value = qfi(rho, gen, cov)
-    return value, spy.call_count == 0
+    with mock.patch.object(fisher, "dephase", wraps=fisher.dephase) as dephased, \
+            mock.patch.object(fisher, "_eig_frame", wraps=fisher._eig_frame) as framed:
+        value = fn(*args)
+    return value, dephased.call_count == framed.call_count == 0
+
+
+def orbit_qfi(rho, gen, cov=None):
+    return orbit_route(qfi, rho, gen, cov)
 
 
 def klein_state(seed, gen, real=True, group=("flip", "reversal")):
@@ -476,6 +368,16 @@ def klein_state(seed, gen, real=True, group=("flip", "reversal")):
     return DensityMatrix(m / np.trace(m).real)
 
 
+def klein_vector(seed, gen, flip, reversal):
+    """A random complex vector with J v = flip v and R v = reversal v entry
+    for entry (each sign +1 or -1): x symmetrised under J, then under R, as
+    sums of two entries, which read the same in either order."""
+    r = rng(seed)
+    x = r.normal(size=gen.dim) + 1j * r.normal(size=gen.dim)
+    x = x + flip * x[::-1]
+    return x + reversal * x[np.arange(gen.dim).reshape(gen.dims).transpose().ravel()]
+
+
 def persymmetric_cov(seed, n):
     """A random covariance equal to its site reversal C[::-1, ::-1]."""
     c = random_psd_cov(rng(seed), n).entries
@@ -486,14 +388,73 @@ def dense_dephased_qfi(rho, gen, cov):
     return dense_qfi(dephase(rho, gen, cov), gen)
 
 
+NOISE_FAMILIES = {
+    "identity": lambda n, b2: CovarianceMatrix(b2 * np.eye(n)),
+    "c1": lambda n, b2: build_c1(n, b2, 0.5),
+    "c2": lambda n, b2: build_c2(n, b2, 0.5),
+}
+
+
+class TestFullFrame:
+    @given(
+        seed=st.integers(0, 10_000),
+        sites=st.sampled_from([("qubit", 3), ("qubit", 4), ("qutrit", 2), ("qutrit", 3)]),
+        kind=st.sampled_from(["pure", "mixed", "deficient"]),
+        real=st.booleans(),
+    )
+    def test_flip_symmetric_states(self, seed, sites, kind, real):
+        # equal to their spin flip but not to their site reversal, on
+        # partial supports too: the gate fails, and one frame of the
+        # support block is exact (on two qubits every flip-even or flip-odd
+        # vector is also even or odd under the site reversal)
+        spectrum, nsites = sites
+        gen = GeneratorSpec((SPECTRA[spectrum],) * nsites)
+        rho = flip_symmetric_state(seed, gen, kind, real)
+        value, took = orbit_qfi(rho, gen)
+        assert not took
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("case", ["rotated", "random", "levels", "ghz"])
+    def test_gate_falls_back(self, case):
+        # a phase-rotated Klein state (J maps E to c - E, so the phases
+        # break J), a random state, level energies that do not pair up under
+        # J, and GHZ's two-row support
+        gen = GeneratorSpec.qubits(4)
+        rho = klein_state(9, gen)
+        if case == "rotated":
+            rho = encode_phase(rho, gen, 0.3)
+        elif case == "random":
+            rho = random_density(rng(8), 16)
+        elif case == "levels":
+            gen = GeneratorSpec(((0.0, 1.0, 3.0),) * 2)
+            rho = klein_state(3, gen)
+        elif case == "ghz":
+            rho = dephase(ghz_state(4), gen, build_c2(4, 0.5, 0.5))
+        value, took = orbit_qfi(rho, gen)
+        assert not took
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
+
+
 class TestOrbitRoute:
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 4), real=st.booleans())
-    def test_matches_dense_frame(self, seed, n, real):
-        gen = GeneratorSpec.qubits(n)
-        rho, cov = klein_state(seed, gen, real), persymmetric_cov(seed + 1, n)
+    @given(
+        seed=st.integers(0, 10_000),
+        sites=st.sampled_from([("qubit", n) for n in range(1, 5)] + [("qutrit", 2), ("qutrit", 3)]),
+        real=st.booleans(),
+        noise=st.booleans(),
+    )
+    def test_matches_dense_frame(self, seed, sites, real, noise):
+        # the sectors of rho itself without a covariance, of the dephased
+        # state with one
+        spectrum, nsites = sites
+        gen = GeneratorSpec((SPECTRA[spectrum],) * nsites)
+        rho = klein_state(seed, gen, real)
+        cov = persymmetric_cov(seed + 1, nsites) if noise else None
         value, took = orbit_qfi(rho, gen, cov)
         assert took
-        assert math.isclose(value, dense_dephased_qfi(rho, gen, cov), rel_tol=1e-13)
+        if noise:
+            assert math.isclose(value, dense_dephased_qfi(rho, gen, cov), rel_tol=1e-13)
+        else:
+            assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-12)
 
     @pytest.mark.parametrize("sites", [
         ((0.5, -0.5),), ((1.0, 0.0, -1.0),) * 2, ((1.0, 0.0, -1.0),) * 3,
@@ -545,6 +506,67 @@ class TestOrbitRoute:
         value, took = orbit_qfi(rho, gen, cov)
         assert not took
         assert value == qfi(dephase(rho, gen, cov), gen)
+
+    @pytest.mark.parametrize("heavy", ["even", "odd"])
+    def test_rank_rule_spans_both_parities(self, heavy):
+        # nearly all weight on a J-even vector of one R parity and 1e-15 on
+        # a J-odd vector of the other: the light vector's pairs with the
+        # empty J-even modes of its parity sum to 1e-15, below the floor 8
+        # eps of the largest eigenvalue over both frames, so they are
+        # dropped as in the full frame, and only the heavy vector's pairs
+        # with the J-odd modes of its own parity stay (3 rows for R-even, 1
+        # for R-odd at n = 3); a floor set by the light frame's own top
+        # would keep them too
+        gen = GeneratorSpec.qubits(3)
+        sign = {"even": 1.0, "odd": -1.0}[heavy]
+        big = klein_vector(13, gen, flip=1.0, reversal=sign)
+        small = klein_vector(14, gen, flip=-1.0, reversal=-sign)
+        eps = 1e-15
+        entries = (1 - eps) * np.outer(big, big.conj()) / np.vdot(big, big).real
+        entries += eps * np.outer(small, small.conj()) / np.vdot(small, small).real
+        rho = DensityMatrix(entries)
+        rule = dephimetry.fisher._kept_pairs
+        masks = []
+
+        def spy(spectra):
+            for denom, keep in rule(spectra):
+                masks.append(keep)
+                yield denom, keep
+
+        with mock.patch.object(dephimetry.fisher, "_kept_pairs", spy):
+            value, took = orbit_qfi(rho, gen)
+        assert took
+        assert [mask.sum() for mask in masks] == ([3, 0] if heavy == "even" else [0, 1])
+        assert math.isclose(value, dense_qfi(rho, gen), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dephased_state_or_probe_and_covariance(self, n, family):
+        # the probe with a covariance takes the orbit rows at every point;
+        # the dephased state takes them where its rounded entries are still
+        # equal to their R images (at 2 beta^2 = 0.01 and 0.1 from n = 4 on
+        # they are not, and it takes the full frame).  Either way the two
+        # agree to rounding (6.5e-15 measured), not bit for bit.
+        gen = GeneratorSpec.qubits(n)
+        probe = product_plus_state(n)
+        for two_beta2 in (0.01, 0.1, 0.5, 2.0, 5.0, 50.0):
+            cov = NOISE_FAMILIES[family](n, two_beta2)
+            direct, took = orbit_qfi(probe, gen, cov)
+            assert took
+            state = qfi(dephase(probe, gen, cov), gen)
+            assert math.isclose(state, direct, rel_tol=1e-13), two_beta2
+
+    def test_verify_bound_takes_orbit_rows(self):
+        # both of its qfi calls, F_rho of the probe and F_rho-bar, each
+        # diagonalising the four sectors and nothing larger
+        gen, cov = GeneratorSpec.qubits(10), build_c2(10, 0.5, 0.5)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            report, took = orbit_route(verify_bound, product_plus_state(10), gen, cov)
+        assert took
+        assert sorted(call.args[0].shape[0] for call in eigh.call_args_list) == \
+            sorted([240, 256, 256, 272] * 2)
+        assert math.isclose(report.f_rho, 10.0, rel_tol=1e-13)
+        assert math.isclose(report.f_rho_bar, dense_plus_qfi(cov), rel_tol=1e-13)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_product_plus_c2_grid(self, n):
@@ -719,17 +741,17 @@ class TestRoundingFloorLoss:
 
 def rank_rule_routes():
     """Each route to a kept-pair sum, with the number of frames it feeds the
-    rank rule: qfi on a full frame, on the parity frame and on the orbit
-    sectors (one frame per R parity), the Schur-Weyl blocks (spins 2, 1, 0
-    at n = 4) and the SLD."""
+    rank rule: qfi on a full frame and on the orbit sectors (one frame per R
+    parity) of a state or of a probe and a covariance, the Schur-Weyl blocks
+    (spins 2, 1, 0 at n = 4) and the SLD."""
     gen = GeneratorSpec.qubits(4)
     cov = build_c2(4, 0.5, 0.5)
     plus = dephase(product_plus_state(4), gen, cov)
     rotated = encode_phase(plus, gen, 0.3)
-    assert frame_calls(plus, gen)[1] == 0 and frame_calls(rotated, gen)[1] == 1
+    assert orbit_qfi(plus, gen)[1] and not orbit_qfi(rotated, gen)[1]
     return {
         "qfi-full": (lambda: qfi(rotated, gen), 1),
-        "qfi-parity": (lambda: qfi(plus, gen), 1),
+        "qfi-orbit-state": (lambda: qfi(plus, gen), 2),
         "qfi-orbit": (lambda: qfi(product_plus_state(4), gen, cov), 2),
         "product-plus-blocks": (lambda: dephimetry.fisher._product_plus_qfi(4, 0.25, 0.25), 3),
         "sld": (lambda: sld(rotated, gen).entries, 1),
@@ -737,7 +759,7 @@ def rank_rule_routes():
 
 
 class TestRankRule:
-    @pytest.mark.parametrize("route", ["qfi-full", "qfi-parity", "qfi-orbit",
+    @pytest.mark.parametrize("route", ["qfi-full", "qfi-orbit-state", "qfi-orbit",
                                        "product-plus-blocks", "sld"])
     def test_every_route_takes_its_pairs_from_one_rule(self, route):
         value, frames = rank_rule_routes()[route]
