@@ -74,15 +74,14 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import DensityMatrix, GeneratorSpec, encode_phase
+from .core import DensityMatrix, GeneratorSpec, dephase, encode_phase
 from .covariance import CovarianceMatrix, delta2_c, weights
-from .dephasing import dephase
 from .errors import (
     DegenerateMeasurementError,
     NumericalConsistencyError,
     UninformativeMeasurementError,
 )
-from .fisher import PROB_FLOOR, Povm, _rounding_floor, _support_block, qfi
+from .fisher import PROB_FLOOR, Povm, _psd_factor, _support_block, qfi
 
 _PROB_SUM_TOL = 1e-10
 _NEGATIVE_PROB_TOL = -1e-12
@@ -225,14 +224,9 @@ def _state_factor(block: np.ndarray) -> np.ndarray:
     """(s, r) factor A with block = A A^dagger, for the block of rho on its
     support (fisher._support_block: real when rho is, and every other row of
     rho is zero), keeping the eigenvalues above the rounding floor
-    fisher._rounding_floor(s, lam_max).  The SLD's rank rule
-    (fisher._kept_pairs) applies the same floor to pairs lam_k + lam_l."""
-    lam, vec = np.linalg.eigh(block)
-    keep = lam > _rounding_floor(lam.size, lam[-1])
-    if not keep.all():
-        vec = vec[:, keep]
-    vec *= np.sqrt(lam[keep])
-    return vec
+    (fisher._psd_factor).  The SLD's rank rule (fisher._kept_pairs) applies
+    the same floor to pairs lam_k + lam_l."""
+    return _psd_factor(*np.linalg.eigh(block))
 
 
 def _fold(povm: Povm, factor: np.ndarray) -> np.ndarray:

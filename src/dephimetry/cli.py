@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds
 from .bounds import _fmt
 from .bayes import ExperimentConfig, _check_shots, simulate
-from .core import GeneratorSpec, encode_phase, ghz_state, product_plus_state
+from .core import GeneratorSpec, dephase, encode_phase, ghz_state, product_plus_state
 from .covariance import (
     CovarianceMatrix,
     build_c1,
@@ -38,7 +38,6 @@ from .covariance import (
     delta2_c2_closed,
     mass_c2_closed,
 )
-from .dephasing import dephase
 from .errors import BoundViolationError, NumericalConsistencyError
 from .fisher import _product_plus_qfi, classical_fi, optimal_povm, qfi  # noqa: F401
 

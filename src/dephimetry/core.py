@@ -14,9 +14,9 @@ The public constructors store complex128 entries.  The named probes are
 real and stored as float64: GHZ as one real copy, product-plus as one
 read-only broadcast value (every entry is 2^-n, so no 2^n x 2^n array is
 held).  Dephasing keeps the dtype of its input; phase encoding, the SLD
-and -i [H, rho] are complex.  The dephasing channel itself (dephase, which
-the dephasing module exports) lives here with the other entrywise maps, so
-that fisher can take the QFI of a dephased state without it.
+and -i [H, rho] are complex.  The dephasing channel (dephase) and the
+generator -i [H, rho] of the encoded family (derivative_state) live here
+with the other entrywise maps.
 """
 from __future__ import annotations
 
@@ -271,6 +271,14 @@ def encode_phase(rho: DensityMatrix, gen: GeneratorSpec, phi: float) -> DensityM
     # opposite signs, which the CLI prints as "0" and "-0"; averaging the
     # pair settles one sign.
     return _trusted(DensityMatrix, _embed((out + out.conj().T) / 2, live, rho.dim))
+
+
+def derivative_state(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
+    """-i [H, rho], the generator of the encoded family; traceless Hermitian."""
+    _check_pairing(rho, gen)
+    energy = gen.energies
+    d = -1j * (energy[:, None] - energy[None, :]) * rho.entries
+    return _trusted(HermitianOperator, (d + d.conj().T) / 2)
 
 
 def dephase(rho: DensityMatrix, gen: GeneratorSpec, cov) -> DensityMatrix:

@@ -12,6 +12,12 @@ smallest eigenvalue is at most SINGULAR_TOL times its largest.  A
 covariance whose absolute entries sum past the float range is refused: that
 sum bounds 1^T C 1 and delta^T C delta for every |delta_j| <= 1, so no
 qubit channel or mass derived from an accepted one overflows.
+
+The conditional state given a fixed value of the weighted average phase is
+again of product form: dephasing with the Schur-complement covariance
+C' = C - delta2_c * ones (conditional_covariance) followed by a rigid
+rotation by the conditioned value (conditional_dephased_state), so
+d rho'_phi / d phi = -i [H, rho'_phi] exactly.
 """
 from __future__ import annotations
 
@@ -21,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _readonly
-from .errors import SingularCovarianceError
+from .core import DensityMatrix, GeneratorSpec, _readonly, dephase, encode_phase
+from .errors import NumericalConsistencyError, SingularCovarianceError
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -148,6 +154,32 @@ def delta2_c(cov: CovarianceMatrix) -> float:
 def weights(cov: CovarianceMatrix) -> WeightVector:
     """Variance-minimizing averaging weights gamma = delta2_c * C^{-1} 1."""
     return cov._averaging[1]
+
+
+def conditional_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
+    """Schur complement C' = C - delta2_c * ones, the residual phase
+    covariance once the weighted average phase is fixed."""
+    d2 = delta2_c(cov)
+    residual = cov.entries - d2
+    lam = np.linalg.eigvalsh((residual + residual.T) / 2)
+    if lam[0] < -1e-10 * max(1.0, float(np.abs(cov.entries).max())):
+        raise NumericalConsistencyError("conditional covariance lost positivity")
+    return CovarianceMatrix(residual)
+
+
+def conditional_dephased_state(
+    rho: DensityMatrix,
+    gen: GeneratorSpec,
+    cov: CovarianceMatrix,
+    phi: float,
+) -> DensityMatrix:
+    """State conditioned on the weighted average phase taking the value phi.
+
+    Equals encode_phase(dephase(rho, C'), phi) with C' from
+    conditional_covariance.
+    """
+    reduced = dephase(rho, gen, conditional_covariance(cov))
+    return encode_phase(reduced, gen, phi)
 
 
 def delta2_c1_closed(n: int, two_beta2: float, alpha: float) -> float:

@@ -13,8 +13,8 @@ frame with an empty spectrum (an empty sector) adds nothing to top.  An
 eigensolver on such a support resolves eigenvalues to about that level, so
 the floor drops only pairs it cannot tell from zero.  A dropped pair costs at most 2 (lam_k +
 lam'_l) |H~_kl|^2 with H~ = V^dagger H V, since M_kl = (lam'_l - lam_k)
-H~_kl.  The same floor sets the rank of the probe factor
-(bayes._state_factor) and of each effect of a Povm.
+H~_kl.  The same floor sets the rank of every PSD factor (_psd_factor):
+the probe factor that bayes samples and each effect of a Povm.
 
 The full frame is (1, lam, lam, V^dagger g V), with rho = V diag(lam)
 V^dagger and drho = -i g.  It also gives the SLD, L_kl = 2 (V^dagger drho
@@ -174,9 +174,8 @@ class Povm:
             lam, vec = np.linalg.eigh(a)
             if lam[0] < _EFFECT_PSD_TOL:
                 raise ValueError(f"effect {k} has a negative eigenvalue beyond tolerance")
-            keep = lam > _rounding_floor(dim, lam[-1])
-            columns.append(vec[:, keep] * np.sqrt(lam[keep]))
-            labels.extend([k] * int(keep.sum()))
+            columns.append(_psd_factor(lam, vec))
+            labels.extend([k] * columns[-1].shape[1])
             cleaned.append(a)
         total = sum(cleaned)
         if np.abs(total - np.eye(dim)).max() > _COMPLETENESS_TOL:
@@ -367,6 +366,18 @@ def _rounding_floor(size: int, top: float) -> float:
     two) of a size-row Hermitian matrix with largest eigenvalue top is
     rounding, the only eigenvalue floor of fisher and bayes."""
     return size * np.finfo(float).eps * top
+
+
+def _psd_factor(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(s, r) factor A with A A^dagger = vec diag(lam) vec^dagger, from an
+    ascending eigendecomposition of an s-row PSD matrix: the columns of vec
+    whose eigenvalue exceeds _rounding_floor(s, lam[-1]), each scaled by
+    sqrt(lam).  vec is scaled in place when every column is kept."""
+    keep = lam > _rounding_floor(lam.size, lam[-1])
+    if not keep.all():
+        vec = vec[:, keep]
+    vec *= np.sqrt(lam[keep])
+    return vec
 
 
 def _kept_pairs(spectra):

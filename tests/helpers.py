@@ -21,7 +21,7 @@ from dephimetry import (
     weights,
 )
 from dephimetry.bayes import SimulationResult, chunk_rngs, covariance_sqrt
-from dephimetry.dephasing import derivative_state
+from dephimetry.core import derivative_state
 from dephimetry.fisher import _rounding_floor
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)

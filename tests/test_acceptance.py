@@ -41,7 +41,8 @@ from dephimetry import (
     variance,
     verify_bound,
 )
-from dephimetry.dephasing import conditional_dephased_state, derivative_state
+from dephimetry.core import derivative_state
+from dephimetry.covariance import conditional_dephased_state
 
 from helpers import (
     random_density,

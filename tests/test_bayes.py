@@ -52,8 +52,7 @@ from dephimetry.bayes import (
     _weighted_moments,
     map_ordered,
 )
-from dephimetry.core import _trusted
-from dephimetry.dephasing import derivative_state
+from dephimetry.core import _trusted, derivative_state
 from dephimetry.fisher import _support_block
 
 from helpers import (

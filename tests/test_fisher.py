@@ -17,6 +17,9 @@ from dephimetry import (
     build_c1,
     build_c2,
     classical_fi,
+    conditional_covariance,
+    conditional_dephased_state,
+    delta2_c,
     dephase,
     encode_phase,
     ghz_state,
@@ -28,8 +31,7 @@ from dephimetry import (
     verify_bound,
 )
 import dephimetry.fisher
-from dephimetry.core import ROW_BLOCK_ELEMENTS, _support
-from dephimetry.dephasing import derivative_state
+from dephimetry.core import ROW_BLOCK_ELEMENTS, _support, derivative_state
 
 from helpers import (
     SIGMA_Y,
@@ -555,6 +557,35 @@ class TestOrbitRoute:
             assert took
             state = qfi(dephase(probe, gen, cov), gen)
             assert math.isclose(state, direct, rel_tol=1e-13), two_beta2
+
+    # F_rho-bar (Delta^2_C + 1 / F_rho') for the conditional bound, at the
+    # points of ROADMAP item 2's table
+    CONDITIONAL_RATIOS = {(4, "identity"): 0.933527, (8, "identity"): 0.962399,
+                          (8, "c2"): 0.969111}
+
+    @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_conditional_covariance(self, n, family):
+        # C' = C - Delta^2_C 11^T stays persymmetric, so F_rho' takes the orbit
+        # rows too, and agrees with the QFI of the conditional state (2.5e-15
+        # measured); dephasing by C' loses less than by C, and nothing is
+        # above the noiseless n
+        gen, probe = GeneratorSpec.qubits(n), product_plus_state(n)
+        cov = NOISE_FAMILIES[family](n, 0.5)
+        residual = conditional_covariance(cov)
+        f_bar, took_bar = orbit_qfi(probe, gen, cov)
+        f_cond, took_cond = orbit_qfi(probe, gen, residual)
+        assert took_bar and took_cond
+        assert f_bar <= f_cond * (1 + 1e-12)
+        assert f_cond <= n * (1 + 1e-12)
+        state = qfi(conditional_dephased_state(probe, gen, cov, 0.0), gen)
+        assert math.isclose(f_cond, state, rel_tol=1e-13)
+        if family != "c2":  # uniform weights: 1 is in the null space of C'
+            ones = np.ones(n)
+            assert abs(ones @ residual.entries @ ones) <= 1e-14 * (ones @ cov.entries @ ones)
+        ratio = self.CONDITIONAL_RATIOS.get((n, family))
+        if ratio is not None:
+            assert round(f_bar * (delta2_c(cov) + 1 / f_cond), 6) == ratio
 
     def test_verify_bound_takes_orbit_rows(self):
         # both of its qfi calls, F_rho of the probe and F_rho-bar, each

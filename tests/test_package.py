@@ -1,4 +1,7 @@
 import ast
+import graphlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,24 +26,19 @@ def test_star_import_exports_all():
         assert namespace[name] is getattr(dephimetry, name)
 
 
+def test_exports_come_from_their_defining_module():
+    # each exported function and class is bound to the one object of the
+    # module that defines it
+    for name in dephimetry.__all__:
+        obj = getattr(dephimetry, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
 def module_tree(name: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{name}.py").read_text())
 
 
-def names_imported_from(tree: ast.Module, source: str) -> set[str]:
-    """Names a module takes from the package module `source`, by any import
-    form; the module itself counts as the name `source`."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.split(".")[-1] == source:
-                names.update(alias.name for alias in node.names)
-            elif module in ("", "dephimetry"):
-                names.update(a.name for a in node.names if a.name == source)
-        elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names if a.name.split(".")[-1] == source)
-    return names
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
 def top_level_names(tree: ast.Module) -> set[str]:
@@ -54,14 +52,59 @@ def top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_module_boundaries():
-    # fisher needs nothing of the channel; bayes takes only the channel from
-    # dephasing and owns its sampler; dephasing keeps none of the sampler
-    assert names_imported_from(module_tree("fisher"), "dephasing") == set()
-    assert names_imported_from(module_tree("bayes"), "dephasing") == {"dephase"}
-    assert top_level_names(module_tree("dephasing")) & SAMPLER_NAMES == set()
-    assert top_level_names(module_tree("bayes")) >= SAMPLER_NAMES
+def package_imports(tree: ast.Module) -> dict[str, set[str]]:
+    """{package module: names taken from it} for a module's imports:
+    `from .m import x` takes x from m, and `from . import m` takes the
+    module m itself (the name m from __init__ when m is no module)."""
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "dephimetry":
+            continue
+        source = module.split(".")[-1] if module not in ("", "dephimetry") else "__init__"
+        for alias in node.names:
+            if source == "__init__" and alias.name in MODULES:
+                taken.setdefault(alias.name, set())
+            else:
+                taken.setdefault(source, set()).add(alias.name)
+    return taken
+
+
+IMPORTS = {name: package_imports(module_tree(name)) for name in MODULES}
+
+
+def test_imports_are_layered():
+    # a cycle, or a module that imports from one that re-exports, would let
+    # a name live in two places; a function-level import could hide a cycle
+    graph = {name: set(IMPORTS[name]) for name in MODULES}
+    graphlib.TopologicalSorter(graph).static_order()  # raises CycleError
+    assert graph["core"] == set()
+    for name in MODULES:
+        tree = module_tree(name)
+        nested = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert all(node in tree.body for node in nested), name
+        if name == "__init__":
+            continue
+        for source, names in IMPORTS[name].items():
+            assert names <= top_level_names(module_tree(source)), (name, source)
+
+
+def test_sampler_lives_in_bayes():
+    for name in MODULES:
+        defined = top_level_names(module_tree(name)) & SAMPLER_NAMES
+        assert defined == (SAMPLER_NAMES if name == "bayes" else set()), name
     assert not hasattr(dephimetry.Povm, "traces")
+
+
+def test_readme_layout_lists_each_module():
+    # README's Layout block names every package module once, and no other
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+\.py) ", block, flags=re.MULTILINE)
+    expected = [f"{name}.py" for name in MODULES if name not in ("__init__", "__main__")]
+    assert sorted(listed) == expected
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
