@@ -84,8 +84,6 @@ from .errors import (
 from .fisher import PROB_FLOOR, Povm, _psd_factor, _support_block, qfi
 
 _PROB_SUM_TOL = 1e-10
-_NEGATIVE_PROB_TOL = -1e-12
-_SQRT_PSD_TOL = -1e-10
 CHUNK_SHOTS = 8192
 # The one Monte Carlo sampler, simulate, weighs a chunk in batches of shots
 # (_batch_shots).  Each batch repacks the folded measurement in its matrix
@@ -180,10 +178,6 @@ class EstimatorTable:
         if np.abs(combo - self.estimates).max() > 1e-12:
             raise NumericalConsistencyError("estimates drifted from the weighted combination")
 
-    @property
-    def outcomes(self) -> int:
-        return self.probs.size
-
 
 @dataclass(frozen=True, eq=False)
 class QbcrReport:
@@ -198,8 +192,7 @@ class QbcrReport:
 class SimulationResult:
     """A sampled run.  counts[x] is how often outcome x of the measurement
     fired; the empirical moments follow from it exactly.  chunks is the
-    number of chunks of chunk_rngs, clamped the number of probabilities
-    clamped to 0 over all shots, and excluded the number of outcomes the
+    number of chunks of chunk_rngs, and excluded the number of outcomes the
     estimator table pins to phi0 (EstimatorTable.excluded).  predicted_mse
     is the local error of est_best, delta2_c^2 / local_error of the
     estimator table, which equals 1 / classical_fi of the measurement
@@ -215,7 +208,6 @@ class SimulationResult:
     mean_stderr: Optional[float]
     counts: np.ndarray
     chunks: int
-    clamped: int
     excluded: int
     predicted_mse: float
 
@@ -336,10 +328,10 @@ def qbcr_gap(cfg: ExperimentConfig) -> QbcrReport:
 
 
 def covariance_sqrt(cov: CovarianceMatrix) -> np.ndarray:
-    """Symmetric PSD square root of C, used for Gaussian phase sampling."""
+    """Symmetric PSD square root of C, used for Gaussian phase sampling.
+    CovarianceMatrix has checked C's positivity; eigenvalues that rounding
+    leaves below 0 are taken as 0."""
     lam, vec = np.linalg.eigh(cov.entries)
-    if lam[0] < _SQRT_PSD_TOL * max(1.0, lam[-1]):
-        raise NumericalConsistencyError("covariance is not PSD within tolerance")
     root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
     return (root + root.T) / 2
 
@@ -486,12 +478,11 @@ def _sampled_probe(cfg: ExperimentConfig):
 def _sample_counts(
     cfg: ExperimentConfig, probe, shots: int, jobs: Iterator, best: np.ndarray,
     on_chunk: Optional[ChunkCallback],
-) -> tuple[np.ndarray, int]:
-    """(counts, clamped): how often each outcome of cfg.povm fired over the
-    chunks `jobs` of chunk_rngs(seed, shots), and how many probabilities were
-    clamped to 0, for the probe as _sampled_probe gives it; see simulate.
-    Every work buffer is sized for one chunk or one batch and allocated
-    here, once, and freed on return."""
+) -> np.ndarray:
+    """How often each outcome of cfg.povm fired over the chunks `jobs` of
+    chunk_rngs(seed, shots), for the probe as _sampled_probe gives it; see
+    simulate.  Every work buffer is sized for one chunk or one batch and
+    allocated here, once, and freed on return."""
     nsites = cfg.cov.n
     root = covariance_sqrt(cfg.cov)
     live, factor, povm, reached = probe
@@ -542,10 +533,8 @@ def _sample_counts(
 
     full = views(batch)
     counts = np.zeros(cfg.povm.outcomes, dtype=np.int64)
-    clamped = 0
 
     def run_chunk(job):
-        nonlocal clamped
         rng, size = job
         z = _shaped(pool_a, size, nsites)
         rng.standard_normal(out=z)
@@ -558,15 +547,6 @@ def _sample_counts(
             probs = _shot_probabilities(
                 povm, folded, weigh(phases[lo : lo + b], scratch, w), amplitudes, squares
             )
-            # A -0.0 left unclipped sums and compares as 0.0 does.
-            worst = probs.min()
-            if worst < 0.0:
-                if worst < _NEGATIVE_PROB_TOL:
-                    raise NumericalConsistencyError(
-                        f"outcome probability {worst:.3e} below the clamping tolerance"
-                    )
-                clamped += int(np.count_nonzero(probs < 0.0))
-                np.clip(probs, 0.0, None, out=probs)
             # The CDF down axis 0 in place, one row at a time: the same
             # additions as np.cumsum, which is ten times slower on this axis.
             cdf = probs
@@ -587,7 +567,7 @@ def _sample_counts(
             on_chunk(phases[:size], fired, best[fired])
 
     map_ordered(run_chunk, jobs)
-    return counts, clamped
+    return counts
 
 
 def _weighted_moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, Optional[float]]:
@@ -632,9 +612,9 @@ def simulate(
     """Sample phases ~ N((phi0 + delta_phi) 1, C), draw one outcome per shot
     from the exactly encoded state, and apply the locally unbiased estimator.
 
-    Outcome sampling inverts the per-shot CDF; probabilities are clamped at
-    zero and renormalized when the worst negative stays above -1e-12, else a
-    NumericalConsistencyError is raised.  The run keeps only how often each
+    Outcome sampling inverts the per-shot CDF, normalised by its last entry.
+    Each probability is a sum of squares (_shot_probabilities), so none is
+    negative and none needs clamping.  The run keeps only how often each
     outcome fired; the summary is computed from those counts exactly (see
     _weighted_moments).  on_chunk, when given, is called after each chunk
     with (phases, outcomes, estimates_best): the chunk's (size, nsites)
@@ -644,7 +624,7 @@ def simulate(
     jobs = chunk_rngs(seed, shots)
     probe = _sampled_probe(cfg)  # refuses an oversized fold before the table
     table = best_estimator(cfg)
-    counts, clamped = _sample_counts(cfg, probe, shots, jobs, table.best, on_chunk)
+    counts = _sample_counts(cfg, probe, shots, jobs, table.best, on_chunk)
     empirical_mean, mean_stderr = _weighted_moments(counts, table.best)
     squares = np.subtract(table.best, cfg.phi0)
     with np.errstate(over="ignore"):  # an inf square makes the MSE inf
@@ -665,7 +645,6 @@ def simulate(
         mean_stderr=mean_stderr,
         counts=counts,
         chunks=-(-shots // CHUNK_SHOTS),
-        clamped=clamped,
         excluded=len(table.excluded),
         predicted_mse=square / le if normal else (table.delta2 * s) ** 2 / scaled,
     )

@@ -350,7 +350,6 @@ def cmd_simulate(args) -> int:
             z_score=z_score,
             undefined_variance=undefined,
             chunks=result.chunks,
-            clamped=result.clamped,
             excluded=result.excluded,
         )
         _write_text(_json_text(payload), out)

@@ -7,11 +7,16 @@ gamma = delta2_c * C^{-1} 1.  Two analytic families are provided: constant
 off-diagonal correlation (build_c1) and exponentially decaying correlation
 (build_c2).  The fully correlated limit C = c * ones is singular and is
 handled as a declared special case (delta2_c = c, uniform weights) rather
-than through a pseudo-inverse.  A covariance counts as singular when its
-smallest eigenvalue is at most SINGULAR_TOL times its largest.  A
-covariance whose absolute entries sum past the float range is refused: that
-sum bounds 1^T C 1 and delta^T C delta for every |delta_j| <= 1, so no
-qubit channel or mass derived from an accepted one overflows.
+than through a pseudo-inverse.  Both invariants of a covariance are checked
+once, in CovarianceMatrix, relative to its scale, since rounding errors in
+its entries and computed eigenvalues grow with it: it is refused when
+max|C - C^T| exceeds SYMMETRY_TOL * max(1, max|C_jk|), or when its smallest
+eigenvalue falls below PSD_TOL * max(1, largest eigenvalue).  A covariance
+counts as singular when its smallest eigenvalue is at most SINGULAR_TOL
+times its largest.  A covariance whose absolute entries sum past the float
+range is refused: that sum bounds 1^T C 1 and delta^T C delta for every
+|delta_j| <= 1, so no qubit channel or mass derived from an accepted one
+overflows.
 
 The conditional state given a fixed value of the weighted average phase is
 again of product form: dephasing with the Schur-complement covariance
@@ -28,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DensityMatrix, GeneratorSpec, _readonly, dephase, encode_phase
-from .errors import NumericalConsistencyError, SingularCovarianceError
+from .errors import SingularCovarianceError
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -46,18 +51,20 @@ class CovarianceMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("covariance must be a square matrix")
+        if a.size == 0:
+            raise ValueError("covariance must be a nonempty matrix")
         if not np.isfinite(a).all():
             raise ValueError("covariance has non-finite entries")
         with np.errstate(over="ignore"):
-            dev = np.abs(a - a.T).max() if a.size else 0.0
-            if dev > SYMMETRY_TOL:
+            dev = np.abs(a - a.T).max()
+            if dev > SYMMETRY_TOL * max(1.0, np.abs(a).max()):
                 raise ValueError(f"covariance deviates from symmetry by {dev:.3e}")
             a = a / 2 + a.T / 2  # (a + a.T) / 2 without overflow
             reach = np.abs(a).sum()
         if not np.isfinite(reach):
             raise ValueError("covariance entries sum past the float range")
         lam = np.linalg.eigvalsh(a)
-        if lam[0] < PSD_TOL:
+        if lam[0] < PSD_TOL * max(1.0, lam[-1]):
             raise ValueError("covariance has a negative eigenvalue beyond tolerance")
         object.__setattr__(self, "entries", _readonly(a))
         object.__setattr__(self, "_spectrum_edges", (float(lam[0]), float(lam[-1])))
@@ -158,13 +165,10 @@ def weights(cov: CovarianceMatrix) -> WeightVector:
 
 def conditional_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
     """Schur complement C' = C - delta2_c * ones, the residual phase
-    covariance once the weighted average phase is fixed."""
-    d2 = delta2_c(cov)
-    residual = cov.entries - d2
-    lam = np.linalg.eigvalsh((residual + residual.T) / 2)
-    if lam[0] < -1e-10 * max(1.0, float(np.abs(cov.entries).max())):
-        raise NumericalConsistencyError("conditional covariance lost positivity")
-    return CovarianceMatrix(residual)
+    covariance once the weighted average phase is fixed.  Where the
+    subtraction cancels most of C's scale, its rounding can leave C' outside
+    CovarianceMatrix's tolerances, which refuse it with a ValueError."""
+    return CovarianceMatrix(cov.entries - delta2_c(cov))
 
 
 def conditional_dephased_state(

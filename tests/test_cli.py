@@ -824,10 +824,10 @@ class TestSimulate:
             "state", "n", "family", "alpha", "two_beta2", "phi0", "delta_phi",
             "shots", "seed", "predicted_mse", "empirical_mse_best", "mse_stderr",
             "empirical_mean", "mean_stderr", "z_score", "undefined_variance",
-            "chunks", "clamped", "excluded",
+            "chunks", "excluded",
         ]
         assert payload["seed"] == 7
-        assert (payload["chunks"], payload["clamped"], payload["excluded"]) == (1, 0, 0)
+        assert (payload["chunks"], payload["excluded"]) == (1, 0)
         assert payload["undefined_variance"] is False
         assert abs(payload["z_score"]) <= 3.0
 
@@ -1235,8 +1235,9 @@ GOLDEN_CASES = {
 # qfi-csv, qfi-json and sweep hold product-plus c2 values from the orbit
 # sectors of fisher.qfi(rho, gen, cov), within 7e-16 relative of 40-digit
 # values (1.5393064974731467 and 1.4732360049949254 against
-# 1.53930649747314736 and 1.47323600499492607); every other entry keeps
-# its bytes.
+# 1.53930649747314736 and 1.47323600499492607).  simulate-ghz and
+# simulate-plus differ from their previous bytes only by the JSON's removed
+# "clamped": 0 line.  Every other entry keeps its bytes.
 GOLDEN_DIGESTS = {
     "bound-csv": "2c0cf06cbfa2c32f293aa79860b84c9b426810f1f68c53bfa8b534fedf4cc78f",
     "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
@@ -1256,8 +1257,8 @@ GOLDEN_DIGESTS = {
     "qfi-json": "4559a37651aea084f48ed2bb20f468d972308f18c2931c15d9f7a167d1e88d72",
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
     "qfi-plus-orbit-csv": "c504268832d3c6f758a78811c3ca57bfa42f8f3babd851f710047cf60dce10aa",
-    "simulate-ghz": "be4f1fb8e506a3b52164409c0634f498d6e35c5fe9ee15ce3c37081f4280015a",
-    "simulate-plus": "64470b06d0a2f6fa6d1f538e674e3136a3b2531f044e91404cac2e215740ab4d",
+    "simulate-ghz": "5dde3b85295cbb98649ea4c5a0a211a341bfb867cb00b2eb8109e9e7c6e69b51",
+    "simulate-plus": "a7785d3dc0ee80391886be2d0fcffcb6342511fccf2817b702e820273cab7b91",
     "sweep": "d4fdaca92bd2f1cf57e7878385ca57ca817a31dbeaa3d58289c9f1c14b6b943e",
 }
 

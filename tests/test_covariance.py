@@ -12,6 +12,7 @@ from dephimetry import (
     WeightVector,
     build_c1,
     build_c2,
+    conditional_covariance,
     delta2_c,
     delta2_c1_closed,
     delta2_c2_closed,
@@ -21,19 +22,50 @@ from dephimetry import (
 from helpers import collective_and_local, delta2_brute, random_psd_cov, rng
 
 
+def rebuilt_from_eigh(cov: CovarianceMatrix) -> np.ndarray:
+    """(v * lam) @ v.T from the matrix's own eigh: C again, asymmetric at
+    the rounding level of its scale."""
+    lam, vec = np.linalg.eigh(cov.entries)
+    return (vec * lam) @ vec.T
+
+
+# Both invariants are relative to the scale s: these stay refused at every s.
+SCALES = [1.0, 1e4, 1e8]
+
+
 class TestCovarianceMatrix:
-    def test_symmetrizes_small_deviation(self):
-        a = np.array([[1.0, 0.3 + 1e-14], [0.3, 1.0]])
+    @pytest.mark.parametrize("a", [
+        pytest.param(np.array([[1.0, 0.3 + 1e-14], [0.3, 1.0]]), id="unit"),
+        # asymmetric by 7.3e-12, smallest eigenvalue 8967
+        pytest.param(rebuilt_from_eigh(build_c2(12, 5e4, 0.7)), id="c2-eigh-rebuilt-5e4"),
+    ])
+    def test_symmetrizes_small_deviation(self, a):
         cov = CovarianceMatrix(a)
         assert np.abs(cov.entries - cov.entries.T).max() == 0.0
 
-    def test_rejects_asymmetry(self):
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_rejects_asymmetry(self, scale):
         with pytest.raises(ValueError, match="symmetry"):
-            CovarianceMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))
+            CovarianceMatrix(scale * np.array([[1.0, 0.5], [0.1, 1.0]]))
 
-    def test_rejects_negative_definite(self):
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_rejects_negative_definite(self, scale):
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            CovarianceMatrix(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            CovarianceMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("family, n, two_beta2, alpha", [
+        (build_c1, 200, 1e4, 0.5), (build_c2, 10, 1e6, 0.5), (build_c1, 500, 1e6, 0.9),
+    ], ids=["c1-n200-1e4", "c2-n10-1e6", "c1-n500-1e6"])
+    def test_conditional_covariance_accepted_at_scale(self, family, n, two_beta2, alpha):
+        # C - delta2_c 11^T keeps C's rounding, of order eps |C|, in its
+        # smallest eigenvalue
+        cov = family(n, two_beta2, alpha)
+        residual = conditional_covariance(cov)
+        np.testing.assert_array_equal(residual.entries, cov.entries - delta2_c(cov))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -97,9 +129,14 @@ class TestFamilies:
             atol=1e-15,
         )
 
-    def test_alpha_one_is_collective(self):
-        assert build_c1(4, 0.5, 1.0).is_collective
-        assert build_c2(4, 0.5, 1.0).is_collective
+    @pytest.mark.parametrize("n, two_beta2", [(4, 0.5), (1000, 709.0)])
+    def test_alpha_one_is_collective(self, n, two_beta2):
+        # rank one: at n = 1000 the computed smallest eigenvalue is about
+        # -eps times the largest, n * two_beta2
+        for family in (build_c1, build_c2):
+            cov = family(n, two_beta2, 1.0)
+            assert cov.is_collective
+            assert delta2_c(cov) == two_beta2
 
     def test_alpha_zero_is_diagonal(self):
         np.testing.assert_array_equal(build_c2(3, 0.4, 0.0).entries, 0.4 * np.eye(3))

@@ -141,3 +141,33 @@ def test_no_unused_imports(path):
     # __init__ imports to re-export; every other module imports to use
     unused = {(path.stem, name) for name in unused_imports(ast.parse(path.read_text()))}
     assert unused <= UNUSED_IMPORTS_ALLOWED
+
+
+def module_constants(tree: ast.Module) -> set[str]:
+    """The UPPER_CASE names (an optional leading underscore) bound at the
+    module's top level."""
+    return {name for name in top_level_names(tree) if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare (x) or as an attribute (m.x)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_no_unused_module_constants():
+    # a check deleted without its tolerance would leave the constant behind;
+    # a constant is read in its own module or in one that imports from it
+    read = {name: read_names(module_tree(name)) for name in MODULES}
+    unread = set()
+    for name in MODULES:
+        readers = [name] + [m for m in MODULES if name in IMPORTS[m]]
+        for constant in module_constants(module_tree(name)):
+            if not any(constant in read[m] for m in readers):
+                unread.add((name, constant))
+    assert unread == set()
