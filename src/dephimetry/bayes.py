@@ -20,8 +20,8 @@ Cramer-Rao bound 1/F for the chosen POVM.
 simulate draws phases, samples an outcome from the exactly encoded state,
 and applies est_best, using the fixed chunk partition of chunk_rngs so
 runs are a deterministic function of (seed, shots).  It samples on the
-support of the probe only, over the outcomes whose columns touch it; the
-others have probability 0 at every phase (see the fisher module).  Every
+support of the probe only, over the outcomes that reach it (Povm.restrict);
+the others have probability 0 at every phase (see the fisher module).  Every
 number it reports depends only on how often each outcome fired, so a run
 keeps one int64 count per outcome and no per-shot array: its memory does
 not grow with the shot count.  The empirical mean and MSE of est_best and

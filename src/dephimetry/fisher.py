@@ -72,13 +72,17 @@ with j off the support is an eigenvector of the SLD with eigenvalue 0, and
 of the diagonal H with eigenvalue E_j.  An SLD eigenbasis is therefore the
 eigenbasis of the live block of the SLD, completed by those e_j.  H maps
 the live subspace to itself, so the tie-break by H rotates block columns
-only, and one stable sort orders both parts (optimal_povm).  Dephasing and
-phase encoding act entrywise, so the support of rho is the support of
-every state derived from it, and a measurement column that is zero on the
-support has probability 0 at every phase.  Probabilities, the classical
-Fisher information and the estimator table (each one Povm.statistics
-pass), and sampling too, use only the columns that touch the support
-(Povm.restrict).
+only, and one stable sort orders both parts (optimal_povm).  The
+measurement keeps the block columns alone, on the rows of the support, and
+each e_j off it as a unit outcome by index, (row j, outcome), so a basis
+for a state on s rows holds s columns, not dim.  Dephasing and phase
+encoding act entrywise, so the support of rho is the support of every state
+derived from it, and a measurement column that is zero on the support has
+probability 0 at every phase, as has a unit outcome off it.
+Probabilities, the classical Fisher information and the estimator table
+(each one Povm.statistics pass), and sampling too, use only the columns
+that touch the support, and the units on it as unit columns
+(Povm.restrict), so they serve a state of any support.
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
@@ -138,17 +142,26 @@ _DEGENERACY_TOL = 1e-8
 class Povm:
     """A finite measurement: PSD effects summing to the identity.
 
-    Stored factored as a (dim, m) column matrix `vectors` and an outcome
-    label per column, Pi_x = sum over columns k with labels[k] == x of
-    v_k v_k^dagger, so no dense effect is kept.  `Povm(effects)` validates
-    dense effects and factors each one by its eigendecomposition, keeping
-    eigenvalues above rounding level; `Povm.projective(basis)` keeps the
-    basis itself as the columns.
+    Stored factored as a (dim, m) column matrix `vectors` with an outcome
+    label per column, the columns in outcome order, and unit outcomes, one
+    per basis row `unit_rows[i]` with outcome `unit_labels[i]`: Pi_x = sum
+    over columns k with labels[k] == x of v_k v_k^dagger, plus e_j
+    e_j^dagger for each unit (j, x).  No dense effect is kept, and no unit
+    vector either: optimal_povm keeps the basis vectors off the support of
+    its state as units, so its measurement of a state on s rows holds s
+    columns, not dim.  `Povm(effects)` validates dense effects and factors
+    each one by its eigendecomposition, keeping eigenvalues above rounding
+    level; `Povm.projective(basis)` keeps the basis itself as the columns.
+    Neither has units.  restrict turns the units on a state's support into
+    unit columns and drops the others, so every measurement it returns, the
+    one statistics and the sampler read, is all columns.
     """
 
     vectors: np.ndarray
     labels: np.ndarray
     outcomes: int
+    unit_rows: np.ndarray
+    unit_labels: np.ndarray
 
     def __init__(self, effects):
         if len(effects) == 0:
@@ -196,30 +209,44 @@ class Povm:
         return cls._from_columns(b, np.arange(b.shape[1]), b.shape[1])
 
     @classmethod
-    def _from_columns(cls, vectors: np.ndarray, labels: np.ndarray, outcomes: int) -> "Povm":
-        """Wrap columns the package built to resolve the identity without
-        checking them again; `vectors` must be a fresh array."""
+    def _from_columns(
+        cls, vectors: np.ndarray, labels: np.ndarray, outcomes: int,
+        unit_rows: Optional[np.ndarray] = None, unit_labels: Optional[np.ndarray] = None,
+    ) -> "Povm":
+        """Wrap columns (and units) the package built to resolve the
+        identity without checking them again; the arrays must be fresh."""
         povm = cls.__new__(cls)
-        povm._store(vectors, labels, outcomes)
+        povm._store(vectors, labels, outcomes, unit_rows, unit_labels)
         return povm
 
-    def _store(self, vectors: np.ndarray, labels: np.ndarray, outcomes: int) -> None:
+    def _store(self, vectors, labels, outcomes, unit_rows=None, unit_labels=None) -> None:
+        if unit_rows is None:
+            unit_rows = unit_labels = np.empty(0, dtype=np.intp)
         membership = None
-        if not np.array_equal(labels, np.arange(outcomes)):
+        # A measurement with units is restricted before it is read (collect).
+        if not unit_rows.size and not np.array_equal(labels, np.arange(outcomes)):
             membership = np.zeros((labels.size, outcomes))
             membership[np.arange(labels.size), labels] = 1.0
             membership = _readonly(membership)
-        object.__setattr__(self, "vectors", _readonly(vectors))
-        object.__setattr__(self, "labels", _readonly(labels))
+        for name, value in (("vectors", vectors), ("labels", labels),
+                            ("unit_rows", unit_rows), ("unit_labels", unit_labels)):
+            object.__setattr__(self, name, _readonly(value))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "_membership", membership)
+
+    def __reduce__(self):
+        # Rebuilt through _store, so a copy's arrays are read-only too.
+        return Povm._from_columns, (
+            self.vectors, self.labels, self.outcomes, self.unit_rows, self.unit_labels
+        )
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
 
     def collect(self, terms: np.ndarray) -> np.ndarray:
-        """Sum per-column terms (last axis, m columns) into per-outcome totals."""
+        """Sum per-column terms (last axis, m columns) into per-outcome
+        totals, for a measurement with no units (one restrict returns)."""
         if self._membership is None:
             return terms
         return terms @ self._membership
@@ -227,16 +254,32 @@ class Povm:
     def restrict(self, live) -> tuple["Povm", "np.ndarray | slice"]:
         """The measurement seen by states supported on the rows `live` (see
         core._support): the rows `live` of the columns that are not zero
-        there, as a POVM on that subspace (it resolves the identity there),
-        and the ascending outcome indices those columns belong to.  Every
-        other outcome has probability 0 on such a state.  A full support
-        returns this POVM and slice(None), with no copy."""
+        there, and a unit column for each unit whose row is in `live`, in
+        outcome order, as a POVM on that subspace with no units (it resolves
+        the identity there), and the ascending outcome indices those columns
+        belong to.  Every other outcome has probability 0 on such a state.
+        A full support returns this POVM and slice(None), with no copy, when
+        it has no units."""
         if isinstance(live, slice):
-            return self, live
+            if not self.unit_rows.size:
+                return self, live
+            live = np.arange(self.dim)
         rows = self.vectors[live]
         touched = np.flatnonzero((rows != 0).any(axis=0))
-        reached, labels = np.unique(self.labels[touched], return_inverse=True)
-        return Povm._from_columns(rows[:, touched], labels, reached.size), reached
+        columns, owners = rows[:, touched], self.labels[touched]
+        # The position in `live` of each unit's row, or -1 off it.
+        where = np.full(self.dim, -1)
+        where[live] = np.arange(live.size)
+        at = where[self.unit_rows]
+        hit = np.flatnonzero(at >= 0)
+        if hit.size:
+            units = np.zeros((live.size, hit.size), dtype=np.complex128)
+            units[at[hit], np.arange(hit.size)] = 1.0
+            owners = np.concatenate([owners, self.unit_labels[hit]])
+            order = np.argsort(owners, kind="stable")
+            columns, owners = np.concatenate([columns, units], axis=1)[:, order], owners[order]
+        reached, labels = np.unique(owners, return_inverse=True)
+        return Povm._from_columns(columns, labels, reached.size), reached
 
     def statistics(self, rho: DensityMatrix, h: Optional[np.ndarray] = None):
         """(p, dp) per outcome from one product on the support of rho, terms
@@ -498,7 +541,9 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
     gaps at most _DEGENERACY_TOL * max(1, max |ell|); in each group of two or
     more, the block vectors are rotated to diagonalize H on their span.  The
     outcomes follow one stable sort, by group and then by energy (that H
-    eigenvalue, or E_j), so ties keep the order above: deterministic.
+    eigenvalue, or E_j), so ties keep the order above: deterministic.  On
+    a partial support the POVM holds the block vectors as columns and the
+    e_j as unit outcomes (Povm), with no dim x dim array.
     """
     live, block = _sld_frame(rho, gen)
     ell, basis = np.linalg.eigh(block)
@@ -527,7 +572,9 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
         # Only block columns, each group at ascending levels: the sort keeps them in place.
         return Povm._from_columns(basis, np.arange(dim), dim)
     place = np.argsort(np.lexsort((levels, group)))  # the outcome of each column
-    vectors = np.zeros((dim, dim), dtype=np.complex128)
-    vectors[np.ix_(live, place[:size])] = basis
-    vectors[off, place[size:]] = 1.0
-    return Povm._from_columns(vectors, np.arange(dim), dim)
+    # The block columns on the rows `live`, in outcome order; each e_j off
+    # the support is a unit outcome.
+    order = np.argsort(place[:size])
+    vectors = np.zeros((dim, size), dtype=np.complex128)
+    vectors[live] = basis[:, order]
+    return Povm._from_columns(vectors, place[:size][order], dim, off, place[size:])

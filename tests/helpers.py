@@ -196,9 +196,23 @@ def dense_plus_qfi(cov: CovarianceMatrix, split: bool = True) -> float:
 
 
 def dense_effects(povm: Povm) -> list[np.ndarray]:
-    """Dense effects Pi_x rebuilt from the POVM's columns, one per outcome."""
+    """Dense effects Pi_x rebuilt from the POVM's columns and its unit
+    outcomes, one per outcome."""
     blocks = [povm.vectors[:, povm.labels == x] for x in range(povm.outcomes)]
-    return [b @ b.conj().T for b in blocks]
+    effects = [b @ b.conj().T for b in blocks]
+    for j, x in zip(povm.unit_rows, povm.unit_labels):
+        effects[x][j, j] += 1.0
+    return effects
+
+
+def dense_basis(povm: Povm) -> np.ndarray:
+    """The (dim, outcomes) basis of a projective POVM, column x the vector
+    of outcome x: its own column or its unit vector e_j."""
+    assert povm.labels.size + povm.unit_rows.size == povm.outcomes
+    basis = np.zeros((povm.dim, povm.outcomes), dtype=np.complex128)
+    basis[:, povm.labels] = povm.vectors
+    basis[povm.unit_rows, povm.unit_labels] = 1.0
+    return basis
 
 
 def dephase_monte_carlo(

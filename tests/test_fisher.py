@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from dephimetry import (
     CovarianceMatrix,
     DensityMatrix,
+    ExperimentConfig,
     GeneratorSpec,
     Povm,
+    bayes_estimators,
     build_c1,
     build_c2,
     classical_fi,
@@ -36,6 +38,7 @@ from dephimetry.core import ROW_BLOCK_ELEMENTS, _support, derivative_state
 from helpers import (
     SIGMA_Y,
     collective_and_local,
+    dense_basis,
     dense_effects,
     dense_optimal_basis,
     dense_plus_qfi,
@@ -865,7 +868,7 @@ def assert_dense_order(rho, gen):
     the order of the dense path."""
     ell = dense_sld(rho, gen)
     h = np.diag(gen.energies)
-    built = optimal_povm(rho, gen).vectors
+    built = dense_basis(optimal_povm(rho, gen))
     dense = dense_optimal_basis(rho, gen)
     for op in (ell, h):
         np.testing.assert_allclose(
@@ -873,6 +876,15 @@ def assert_dense_order(rho, gen):
             np.einsum("ik,ij,jk->k", dense.conj(), op, dense).real,
             rtol=0, atol=1e-9,
         )
+
+
+def compact_povms():
+    """(POVM, n, support) for the optimal measurements of two states on a
+    strict support: degenerate_on_support() and GHZ n = 3 under c2."""
+    rho, live = degenerate_on_support()
+    yield optimal_povm(rho, GeneratorSpec.qubits(4)), 4, live
+    gen = GeneratorSpec.qubits(3)
+    yield optimal_povm(dephase(ghz_state(3), gen, build_c2(3, 0.5, 0.5)), gen), 3, np.array([0, 7])
 
 
 class TestOptimalPovm:
@@ -921,7 +933,7 @@ class TestOptimalPovm:
             for e in dense_effects(povm):
                 assert np.abs(e @ h - h @ e).max() < 1e-12
             if rows is not None:
-                np.testing.assert_array_equal(np.abs(povm.vectors).argmax(axis=0), rows)
+                np.testing.assert_array_equal(np.abs(dense_basis(povm)).argmax(axis=0), rows)
 
     def test_single_qubit_plus_state_basis(self):
         # SLD of |+> under sigma_z/2 encoding is proportional to sigma_y
@@ -933,17 +945,20 @@ class TestOptimalPovm:
             assert np.abs(e @ SIGMA_Y - SIGMA_Y @ e).max() < 1e-12
 
     def test_memory_budget_ghz_n8(self):
-        # 256 outcomes at dim 256: dense projectors alone would take 256 MiB
+        # 256 outcomes at dim 256, 2 of them columns: 0.03 MiB traced.
+        # Dense projectors would take 256 MiB, and a (256, 256) complex
+        # basis with the 254 e_j as columns took 1.02 MiB.
         gen = GeneratorSpec.qubits(8)
         rho = dephase(ghz_state(8), gen, build_c2(8, 0.5, 0.5))
-        assert traced_peak_mb(optimal_povm, rho, gen) <= 32.0
+        assert traced_peak_mb(optimal_povm, rho, gen) <= 0.25
 
     def test_memory_budget_ghz_n10(self):
-        # the returned (1024, 1024) complex basis alone is 16 MiB; a dense
-        # SLD eigendecomposition peaked at 96 MiB
+        # 2 columns and 1022 unit outcomes: 0.09 MiB traced.  A (1024,
+        # 1024) complex basis took 16.08 MiB, and a dense SLD
+        # eigendecomposition peaked at 96 MiB.
         gen = GeneratorSpec.qubits(10)
         rho = dephase(ghz_state(10), gen, build_c2(10, 0.5, 0.5))
-        assert traced_peak_mb(optimal_povm, rho, gen) <= 40.0
+        assert traced_peak_mb(optimal_povm, rho, gen) <= 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", FRAME_CASES)
@@ -960,7 +975,7 @@ class TestOptimalPovm:
         rho, live = degenerate_on_support()
         ell = sld(rho, gen).entries
         assert (np.abs(np.linalg.eigvalsh(ell[np.ix_(live, live)])) < 1e-8).sum() >= 4
-        basis = optimal_povm(rho, gen).vectors
+        basis = dense_basis(optimal_povm(rho, gen))
         np.testing.assert_allclose(basis @ basis.conj().T, np.eye(16), rtol=0, atol=1e-12)
         for e in dense_effects(optimal_povm(rho, gen)):
             assert np.abs(e @ ell - ell @ e).max() < 1e-8
@@ -972,6 +987,19 @@ class TestOptimalPovm:
         np.testing.assert_array_equal(np.sort(np.abs(standard).argmax(axis=0)), off)
         np.testing.assert_array_equal(np.abs(standard).max(axis=0), 1.0)
 
+    def test_compact_on_strict_support(self):
+        # the block columns on the support rows, in outcome order, and one
+        # unit outcome per row off it, index arrays only
+        for povm, n, live in compact_povms():
+            dim, off = 2**n, np.setdiff1d(np.arange(2**n), live)
+            assert povm.vectors.shape == (dim, live.size)
+            np.testing.assert_array_equal(povm.vectors[off], 0.0)
+            assert (np.diff(povm.labels) > 0).all()
+            np.testing.assert_array_equal(povm.unit_rows, off)
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([povm.labels, povm.unit_labels])), np.arange(dim)
+            )
+
     def test_attains_qfi_for_pure_states(self):
         gen = GeneratorSpec.qubits(2)
         for seed in range(5):
@@ -981,3 +1009,57 @@ class TestOptimalPovm:
             assert math.isclose(
                 classical_fi(rho, gen, povm), f, rel_tol=1e-7, abs_tol=1e-9
             )
+
+
+class TestCompactPovm:
+    """The unit outcomes of a compact measurement (one from optimal_povm on
+    a strict support) become unit columns on any state whose support
+    reaches their rows: every reader matches the dense traces.  "subset" is
+    a state on a random half of the basis, reaching some units only."""
+
+    @pytest.mark.parametrize("probe", ["plus", "random", "subset"])
+    @pytest.mark.parametrize("case", [0, 1], ids=["degenerate", "ghz"])
+    def test_other_supports_match_dense(self, case, probe):
+        povm, n, _ = list(compact_povms())[case]
+        assert povm.unit_rows.size
+        gen, cov = GeneratorSpec.qubits(n), build_c2(n, 0.5, 0.5)
+        if probe == "plus":
+            rho = encode_phase(product_plus_state(n), gen, 0.3)
+        elif probe == "random":
+            rho = random_density(rng(n), 2**n)
+        else:
+            rho = frame_case("subset", n, seed=n)
+        effects = dense_effects(povm)
+        p = dense_traces(rho.entries, effects)
+        dp = dense_traces(derivative_state(rho, gen).entries, effects)
+        np.testing.assert_allclose(povm.probabilities(rho), p, rtol=0, atol=1e-13)
+        got_p, got_dp = povm.statistics(rho, gen.energies)
+        np.testing.assert_allclose(got_p, p, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got_dp, dp, rtol=0, atol=1e-13)
+        fired = p > 1e-12
+        expected = float(np.sum(dp[fired] ** 2 / p[fired]))
+        assert math.isclose(classical_fi(rho, gen, povm), expected, rel_tol=1e-13)
+        cfg = ExperimentConfig(rho=rho, gen=gen, cov=cov, povm=povm)
+        rb = cfg.averaged_state.entries
+        table = bayes_estimators(cfg)
+        probs = dense_traces(rb, effects)
+        traces = np.array([
+            dense_traces(-1j * np.subtract.outer(h, h) * rb, effects) for h in gen.site_energy_table
+        ])
+        included = probs > 1e-12
+        assert table.excluded == tuple(np.flatnonzero(~included))
+        ratios = np.where(included, traces / np.where(included, probs, 1.0), 0.0)
+        np.testing.assert_allclose(table.probs, probs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(table.site_estimates, (cov.entries @ ratios).T, rtol=0, atol=1e-13)
+
+    def test_pickle_and_copy_round_trip(self):
+        povm, n, _ = next(compact_povms())
+        rho = random_density(rng(9), 2**n)
+        for clone in (povm, pickle.loads(pickle.dumps(povm)), copy.copy(povm), copy.deepcopy(povm)):
+            for name in ("vectors", "labels", "unit_rows", "unit_labels"):
+                np.testing.assert_array_equal(getattr(clone, name), getattr(povm, name))
+                assert not getattr(clone, name).flags.writeable, name
+            assert clone.outcomes == povm.outcomes
+            np.testing.assert_array_equal(clone.probabilities(rho), povm.probabilities(rho))
+        with pytest.raises(ValueError, match="read-only"):
+            povm.unit_rows[0] = 0
