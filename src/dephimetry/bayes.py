@@ -20,8 +20,8 @@ Cramer-Rao bound 1/F for the chosen POVM.
 simulate draws phases, samples an outcome from the exactly encoded state,
 and applies est_best, using the fixed chunk partition of chunk_rngs so
 runs are a deterministic function of (seed, shots).  It samples on the
-support of the probe only, over the outcomes that reach it (Povm.restrict);
-the others have probability 0 at every phase (see the fisher module).  Every
+support of the probe only, over the columns that reach it (Povm.restrict),
+and a shot counts for the label of its column, its outcome.  Every
 number it reports depends only on how often each outcome fired, so a run
 keeps one int64 count per outcome and no per-shot array: its memory does
 not grow with the shot count.  The empirical mean and MSE of est_best and
@@ -48,11 +48,11 @@ built from sum_j (d_j - 1) tangents per shot, n for qubits
 (_product_weights); the unit factor exp(i phi . h(0)) they drop cancels in
 every probability.  On a partial support (GHZ, s = 2) they
 are cos and sin of the phase products phi . h(m), 2 s calls per shot
-(_phase_weights).  The CDF is summed down the outcome axis in place and
+(_phase_weights).  The CDF is summed down the column axis in place and
 inverted with one compare of the draws against all of its rows, the same
-comparisons a shots-first kernel makes; the outcome of a shot is the sum of
-its flags.  Each chunk draws its normals, then its uniforms, into
-buffers of the chunk's size, so the streams are those of
+comparisons a shots-first kernel makes; the column of a shot is the sum of
+its flags, its label the outcome.  Each chunk draws its normals, then its
+uniforms, into buffers of the chunk's size, so the streams are those of
 standard_normal((size, n)) and random(size).  A chunk runs in batches of
 shots (_batch_shots), the fewest that pay for the product repacking the
 folded matrix on every batch: BATCH_MIN_ELEMENTS (2^14) elements in the
@@ -60,7 +60,7 @@ widest buffer, max(s, r m) rows, and at least BATCH_MIN_SHOTS (512), capped
 at BATCH_ELEMENTS (2^19) elements and one chunk.  That is 8192 shots on
 GHZ's 2 rows, 2048 on 8 rows and 512 on 256 or 1024 rows.  The work
 buffers are allocated once per call: the chunk's phases, uniforms and
-outcomes, and two float64 pools that every other temporary of a chunk or a
+columns, and two float64 pools that every other temporary of a chunk or a
 batch is a view of, sized for the route the weights take.  Batches draw
 nothing, so the seeded streams do not depend on the batch size.
 """
@@ -235,13 +235,13 @@ def _fold(povm: Povm, factor: np.ndarray) -> np.ndarray:
 
 
 def _shot_probabilities(
-    povm: Povm, folded: np.ndarray, w: np.ndarray, amplitudes: np.ndarray, squares: np.ndarray
+    folded: np.ndarray, w: np.ndarray, amplitudes: np.ndarray, squares: np.ndarray
 ) -> np.ndarray:
-    """(outcomes, b) probabilities of diag(w_s) A A^dagger diag(w_s)^dagger
-    per column w_s of the (s, b) phase weights w: the sum over the rank of
-    |folded @ w|^2, with folded = _fold(povm, A).  Shots run along the last
-    axis.  amplitudes (r * m, b) complex and squares (m, b) real are
-    overwritten; for a projective povm the result is a view of squares."""
+    """(m, b) probabilities of diag(w_s) A A^dagger diag(w_s)^dagger per
+    measurement column (an outcome sums the rows it labels) and per column
+    w_s of the (s, b) phase weights w: the sum over the rank of |folded @
+    w|^2, folded = _fold(povm, A), shots along the last axis.  amplitudes
+    (r * m, b) complex is overwritten and squares (m, b) real returned."""
     m = squares.shape[0]
     np.matmul(folded, w, out=amplitudes)
     parts = amplitudes.view(np.float64)  # the real and imaginary parts, interleaved
@@ -251,7 +251,7 @@ def _shot_probabilities(
     for k in range(m, amplitudes.shape[0], m):
         np.add(re[k : k + m], im[k : k + m], out=re[k : k + m])
         squares += re[k : k + m]
-    return povm.collect(squares.T).T
+    return squares
 
 
 def averaged_probabilities(cfg: ExperimentConfig, phi: float) -> np.ndarray:
@@ -455,16 +455,16 @@ def map_ordered(fn: Callable, items: Iterable) -> None:
 
 
 def _sampled_probe(cfg: ExperimentConfig):
-    """(live, factor, povm, reached): the support of the probe, its factor
-    there (_state_factor), the measurement restricted to it and the outcomes
-    that reach it (Povm.restrict).  Sampling works on that support: the other
-    rows of every encoded state are zero, and only the outcomes `reached`
-    can fire.  A fold of the factor into the measurement over FOLD_ELEMENTS
+    """(live, factor, povm): the support of the probe, its factor there
+    (_state_factor) and the measurement restricted to it (Povm.restrict).
+    Sampling works on that support: the other rows of every encoded state
+    are zero, and only the outcomes that label a restricted column can
+    fire.  A fold of the factor into the measurement over FOLD_ELEMENTS
     is refused with a ValueError."""
     live, block, _ = _support_block(cfg.rho, cfg.gen)
     factor = _state_factor(block)
     del block
-    povm, reached = cfg.povm.restrict(live)
+    povm = cfg.povm.restrict(live)
     (support, rank), columns = factor.shape, povm.vectors.shape[1]
     if rank * columns * support > FOLD_ELEMENTS:
         raise ValueError(
@@ -472,7 +472,7 @@ def _sampled_probe(cfg: ExperimentConfig):
             f"= {rank * columns * support} complex entries, over the budget of "
             f"FOLD_ELEMENTS = {FOLD_ELEMENTS}"
         )
-    return live, factor, povm, reached
+    return live, factor, povm
 
 
 def _sample_counts(
@@ -485,7 +485,7 @@ def _sample_counts(
     allocated here, once, and freed on return."""
     nsites = cfg.cov.n
     root = covariance_sqrt(cfg.cov)
-    live, factor, povm, reached = probe
+    live, factor, povm = probe
     support, columns = factor.shape[0], povm.vectors.shape[1]
     folded = _fold(povm, factor)
     terms = folded.shape[0]
@@ -493,8 +493,8 @@ def _sample_counts(
 
     chunk = min(CHUNK_SHOTS, shots)
     batch = min(chunk, _batch_shots(max(support, terms)))
-    # The phases, uniforms and outcomes of a chunk live through all of its
-    # batches, and on_chunk reads the phases and outcomes.  Every other
+    # The phases, uniforms and columns of a chunk live through all of its
+    # batches, and on_chunk reads the phases and their outcomes.  Every other
     # temporary is a view of one of two float64 pools, and the uses of a
     # pool never overlap.  Pool a holds the chunk's normals until the
     # phases are made, then in each batch the weights' scratch, the
@@ -519,8 +519,7 @@ def _sample_counts(
 
     pool_a = np.empty(max(chunk * nsites, scratch_rows * batch, 2 * terms * batch))
     pool_b = np.empty(max(2 * support * batch, columns * batch))
-    outcomes = povm.outcomes
-    tally_type = np.min_scalar_type(outcomes)
+    tally_type = np.min_scalar_type(columns)
 
     def views(b):
         """The pool views of a batch of b shots: the weights' scratch, the
@@ -528,11 +527,11 @@ def _sample_counts(
         return (
             _shaped(pool_a, scratch_rows, b), _shaped(pool_b, support, b, np.complex128),
             _shaped(pool_a, terms, b, np.complex128), _shaped(pool_b, columns, b),
-            _shaped(pool_a, outcomes - 1, b, np.uint8), _shaped(pool_b, 1, b, tally_type)[0],
+            _shaped(pool_a, columns - 1, b, np.uint8), _shaped(pool_b, 1, b, tally_type)[0],
         )
 
     full = views(batch)
-    counts = np.zeros(cfg.povm.outcomes, dtype=np.int64)
+    counts = np.zeros(povm.outcomes, dtype=np.int64)
 
     def run_chunk(job):
         rng, size = job
@@ -545,25 +544,25 @@ def _sample_counts(
             b = min(batch, size - lo)
             scratch, w, amplitudes, squares, flags, tally = full if b == batch else views(b)
             probs = _shot_probabilities(
-                povm, folded, weigh(phases[lo : lo + b], scratch, w), amplitudes, squares
+                folded, weigh(phases[lo : lo + b], scratch, w), amplitudes, squares
             )
             # The CDF down axis 0 in place, one row at a time: the same
             # additions as np.cumsum, which is ten times slower on this axis.
             cdf = probs
-            for k in range(1, outcomes):
+            for k in range(1, columns):
                 np.add(cdf[k - 1], cdf[k], out=cdf[k])
-            # The outcome is the number of normalised CDF rows below the
-            # draw, tallied in the smallest unsigned type that holds the
-            # outcome count.  The last row is left out: it normalises to 1
-            # (x / x), or to nan, and no draw in [0, 1) passes either.
+            # The column, whose label is the outcome, is the number of normalised
+            # CDF rows below the draw, tallied in the smallest unsigned type that
+            # holds the column count.  The last row is left out: it normalises to
+            # 1 (x / x), or to nan, and no draw in [0, 1) passes either.
             cdf = cdf[:-1]
             np.divide(cdf, probs[-1], out=cdf)
             np.greater(draws[lo : lo + b], cdf, out=flags.view(np.bool_))
             np.add.reduce(flags, axis=0, dtype=tally_type, out=tally)
             np.copyto(found[lo : lo + b], tally)
-        counts[reached] += np.bincount(found[:size], minlength=outcomes)
+        fired = povm.labels[found[:size]]
+        np.add(counts, np.bincount(fired, minlength=counts.size), out=counts)
         if on_chunk is not None:
-            fired = found[:size] if isinstance(reached, slice) else reached[found[:size]]
             on_chunk(phases[:size], fired, best[fired])
 
     map_ordered(run_chunk, jobs)

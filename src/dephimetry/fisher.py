@@ -82,7 +82,9 @@ probability 0 at every phase, as has a unit outcome off it.
 Probabilities, the classical Fisher information and the estimator table
 (each one Povm.statistics pass), and sampling too, use only the columns
 that touch the support, and the units on it as unit columns
-(Povm.restrict), so they serve a state of any support.
+(Povm.restrict), so they serve a state of any support.  A column's label
+is its outcome: restrict keeps the labels and the outcome count, and the
+columns of one outcome are summed by label.
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
@@ -142,8 +144,8 @@ _DEGENERACY_TOL = 1e-8
 class Povm:
     """A finite measurement: PSD effects summing to the identity.
 
-    Stored factored as a (dim, m) column matrix `vectors` with an outcome
-    label per column, the columns in outcome order, and unit outcomes, one
+    Stored factored as a (dim, m) column matrix `vectors` in outcome order,
+    each column's label its outcome, and unit outcomes, one
     per basis row `unit_rows[i]` with outcome `unit_labels[i]`: Pi_x = sum
     over columns k with labels[k] == x of v_k v_k^dagger, plus e_j
     e_j^dagger for each unit (j, x).  No dense effect is kept, and no unit
@@ -154,7 +156,7 @@ class Povm:
     level; `Povm.projective(basis)` keeps the basis itself as the columns.
     Neither has units.  restrict turns the units on a state's support into
     unit columns and drops the others, so every measurement it returns, the
-    one statistics and the sampler read, is all columns.
+    one statistics and the sampler read, is all columns, labels kept.
     """
 
     vectors: np.ndarray
@@ -222,17 +224,10 @@ class Povm:
     def _store(self, vectors, labels, outcomes, unit_rows=None, unit_labels=None) -> None:
         if unit_rows is None:
             unit_rows = unit_labels = np.empty(0, dtype=np.intp)
-        membership = None
-        # A measurement with units is restricted before it is read (collect).
-        if not unit_rows.size and not np.array_equal(labels, np.arange(outcomes)):
-            membership = np.zeros((labels.size, outcomes))
-            membership[np.arange(labels.size), labels] = 1.0
-            membership = _readonly(membership)
         for name, value in (("vectors", vectors), ("labels", labels),
                             ("unit_rows", unit_rows), ("unit_labels", unit_labels)):
             object.__setattr__(self, name, _readonly(value))
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "_membership", membership)
 
     def __reduce__(self):
         # Rebuilt through _store, so a copy's arrays are read-only too.
@@ -244,29 +239,22 @@ class Povm:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def collect(self, terms: np.ndarray) -> np.ndarray:
-        """Sum per-column terms (last axis, m columns) into per-outcome
-        totals, for a measurement with no units (one restrict returns)."""
-        if self._membership is None:
-            return terms
-        return terms @ self._membership
-
-    def restrict(self, live) -> tuple["Povm", "np.ndarray | slice"]:
+    def restrict(self, live) -> "Povm":
         """The measurement seen by states supported on the rows `live` (see
         core._support): the rows `live` of the columns that are not zero
         there, and a unit column for each unit whose row is in `live`, in
         outcome order, as a POVM on that subspace with no units (it resolves
-        the identity there), and the ascending outcome indices those columns
-        belong to.  Every other outcome has probability 0 on such a state.
-        A full support returns this POVM and slice(None), with no copy, when
-        it has no units."""
+        the identity there).  Each column keeps its label, its outcome, and
+        the POVM keeps the outcome count; an outcome with no column left has
+        probability 0 on such a state.  A full support returns this POVM,
+        with no copy, when it has no units."""
         if isinstance(live, slice):
             if not self.unit_rows.size:
-                return self, live
+                return self
             live = np.arange(self.dim)
         rows = self.vectors[live]
         touched = np.flatnonzero((rows != 0).any(axis=0))
-        columns, owners = rows[:, touched], self.labels[touched]
+        columns, labels = rows[:, touched], self.labels[touched]
         # The position in `live` of each unit's row, or -1 off it.
         where = np.full(self.dim, -1)
         where[live] = np.arange(live.size)
@@ -275,37 +263,35 @@ class Povm:
         if hit.size:
             units = np.zeros((live.size, hit.size), dtype=np.complex128)
             units[at[hit], np.arange(hit.size)] = 1.0
-            owners = np.concatenate([owners, self.unit_labels[hit]])
-            order = np.argsort(owners, kind="stable")
-            columns, owners = np.concatenate([columns, units], axis=1)[:, order], owners[order]
-        reached, labels = np.unique(owners, return_inverse=True)
-        return Povm._from_columns(columns, labels, reached.size), reached
+            labels = np.concatenate([labels, self.unit_labels[hit]])
+            order = np.argsort(labels, kind="stable")
+            columns, labels = np.concatenate([columns, units], axis=1)[:, order], labels[order]
+        return Povm._from_columns(columns, labels, self.outcomes)
 
     def statistics(self, rho: DensityMatrix, h: Optional[np.ndarray] = None):
         """(p, dp) per outcome from one product on the support of rho, terms
         = conj(v) * (rho v) over its rows and the columns v that reach it
         (restrict).  p(x) = Tr(rho Pi_x) sums terms over both, for the
-        columns of x.  For rows h over the basis, (dim,) or (k, dim), dp(x)
-        = 2 Im(h @ terms) summed over the columns of x, which is Tr(-i
-        [diag(h), rho] Pi_x) per row.  Outcomes the support does not reach
-        get 0; dp is None without h."""
+        columns labelled x.  For rows h over the basis, (dim,) or (k, dim),
+        dp(x) = 2 Im(h @ terms) over the same columns, Tr(-i [diag(h), rho]
+        Pi_x) per row.  One bincount over (row, label) sums the columns, so
+        an outcome with no column there gets 0; dp is None without h."""
         if rho.dim != self.dim:
             raise ValueError("POVM and state dimensions differ")
         live = _support(rho.entries)
-        sub, reached = self.restrict(live)
+        sub = self.restrict(live)
         v = sub.vectors
         terms = v.conj() * (rho.entries[_grid(live)] @ v)
 
-        def spread(values):
-            values = sub.collect(values)
-            if isinstance(reached, slice):
-                return values
-            out = np.zeros(values.shape[:-1] + (self.outcomes,))
-            out[..., reached] = values
-            return out
+        def by_outcome(values):
+            rows = values.shape[:-1]
+            index = np.arange(math.prod(rows))[:, None] * self.outcomes + sub.labels
+            total = np.bincount(index.ravel(), weights=values.ravel(),
+                                minlength=index.shape[0] * self.outcomes)
+            return total.reshape(rows + (self.outcomes,))
 
-        p = spread(terms.sum(axis=0).real)
-        return p, None if h is None else spread(2.0 * (h[..., live] @ terms).imag)
+        p = by_outcome(terms.sum(axis=0).real)
+        return p, None if h is None else by_outcome(2.0 * (h[..., live] @ terms).imag)
 
     def probabilities(self, rho: DensityMatrix) -> np.ndarray:
         return self.statistics(rho)[0]

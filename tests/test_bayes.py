@@ -93,11 +93,13 @@ def plus_or_ghz_cfg(make_state, n: int = 3, **phases) -> ExperimentConfig:
 
 
 def shot_probabilities(povm: Povm, factor: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(shots, outcomes) from the shots-last kernel, for shots-first weights w."""
+    """(shots, outcomes) from the shots-last kernel, for shots-first weights
+    w: its per-column rows summed by label, 0 for an outcome with no column."""
     folded = _fold(povm, factor)
     amplitudes = np.empty((folded.shape[0], w.shape[0]), dtype=np.complex128)
     squares = np.empty((povm.vectors.shape[1], w.shape[0]))
-    return _shot_probabilities(povm, folded, np.ascontiguousarray(w.T), amplitudes, squares).T
+    columns = _shot_probabilities(folded, np.ascontiguousarray(w.T), amplitudes, squares)
+    return np.stack([columns[povm.labels == x].sum(axis=0) for x in range(povm.outcomes)], axis=1)
 
 
 class TestExperimentConfig:
@@ -513,8 +515,8 @@ class TestSimulate:
         else:
             assert factor.shape[1] > 1
         probs = shot_probabilities(povm, factor, w)
-        # sums of squares, collected by a 0/1 membership matrix: the
-        # sampler needs no clamp
+        # sums of squares, per column and summed by label: the sampler
+        # needs no clamp
         assert probs.min() >= 0.0
         np.testing.assert_allclose(
             probs, dense_shot_probabilities(w, rho.entries, effects), rtol=0, atol=1e-13,
@@ -528,17 +530,15 @@ class TestSimulate:
         live, block, _ = _support_block(rho, GeneratorSpec.qubits(n + 1))
         factor = _state_factor(block)
         assert factor.shape[0] == live.size == rho.dim // 2
-        sub, reached = povm.restrict(live)
+        sub = povm.restrict(live)
         phases = rng(n).normal(size=(64, n + 1))
         w = np.exp(-1j * (phases @ GeneratorSpec.qubits(n + 1).site_energy_table))
-        # the kernel gives the outcomes reached on the support; the dense
-        # probabilities of every other outcome are 0
+        # the kernel on the support gives every outcome by its label; one
+        # with no column there is 0, as is its dense probability
         dense = dense_shot_probabilities(w, rho.entries, effects)
         np.testing.assert_allclose(
-            shot_probabilities(sub, factor, w[:, live]), dense[:, reached], rtol=0, atol=1e-13
+            shot_probabilities(sub, factor, w[:, live]), dense, rtol=0, atol=1e-13
         )
-        unreached = np.setdiff1d(np.arange(povm.outcomes), reached)
-        np.testing.assert_allclose(dense[:, unreached], 0.0, rtol=0, atol=1e-13)
 
     # Seeded GHZ runs at c2(0.5, 0.5), pinned from the dense sampler: the
     # support sampler must draw the same outcomes under the same labels.
@@ -899,16 +899,26 @@ class TestAveragedProbabilities:
         hi = (1.0 + 0.7788007830714049) / 2
         np.testing.assert_allclose(np.sort(p), [1.0 - hi, hi], atol=1e-14)
 
-    def test_matches_simulated_frequencies(self):
+    @pytest.mark.parametrize("case", ["tilted", "grouped", "embedded"])
+    def test_matches_simulated_frequencies(self, case):
+        # the sampler draws a column and counts its label: an outcome that
+        # owns several columns (grouped, also on a partial support when
+        # embedded) fires at its averaged probability too
+        if case == "tilted":
+            rho, povm = product_plus_state(1), Povm.projective(tilted_qubit_basis(0.7))
+        else:
+            rho, povm, _ = (measurement_case if case == "grouped" else embedded_case)("grouped", 2)
+            assert np.bincount(povm.labels).max() > 1
+        sites = rho.dim.bit_length() - 1
         cfg = ExperimentConfig(
-            rho=product_plus_state(1), gen=GeneratorSpec.qubits(1),
-            cov=CovarianceMatrix(np.array([[0.4]])),
-            povm=Povm.projective(tilted_qubit_basis(0.7)), phi0=0.2,
+            rho=rho, gen=GeneratorSpec.qubits(sites),
+            cov=CovarianceMatrix(0.2 * (np.eye(sites) + np.ones((sites, sites)))),
+            povm=povm, phi0=0.2,
         )
         shots = 100_000
         result = simulate(cfg, shots=shots, seed=31)
         p = averaged_probabilities(cfg, cfg.phi0)
-        for k in range(2):
+        for k in range(povm.outcomes):
             freq = result.counts[k] / shots
             se = math.sqrt(p[k] * (1 - p[k]) / shots)
             assert abs(freq - p[k]) <= 3.5 * se

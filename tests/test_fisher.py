@@ -109,6 +109,14 @@ class TestPovm:
         assert povm.vectors.shape == (64, 64)
         np.testing.assert_array_equal(povm.labels, np.arange(64))
 
+    def test_grouped_columns_allocate_nothing_per_outcome(self):
+        # two columns per outcome are summed by label when they are read, so
+        # building the measurement allocates nothing of size columns x
+        # outcomes (a 0/1 membership matrix here would be 16 MiB)
+        dim = 1024
+        vectors, labels = np.zeros((dim, 2 * dim), dtype=np.complex128), np.arange(2 * dim) // 2
+        assert traced_peak_mb(Povm._from_columns, vectors, labels, dim) < 0.1
+
     @pytest.mark.parametrize("case", ["pure", "grouped"])
     def test_pickle_and_copy_round_trip(self, case):
         rho, povm, _ = measurement_case(case, 2, seed=5)
@@ -158,10 +166,11 @@ class TestPovm:
         rho, povm, effects = embedded_case(case, n, seed=10 * n, mixing=mixing)
         live = _support(rho.entries)
         assert live.size == rho.dim // 2
-        sub, reached = povm.restrict(live)
+        sub = povm.restrict(live)
+        assert sub.outcomes == povm.outcomes
         np.testing.assert_allclose(sum(dense_effects(sub)), np.eye(live.size), rtol=0, atol=1e-12)
         if not mixing:
-            assert len(reached) < povm.outcomes
+            assert np.unique(sub.labels).size < povm.outcomes
         p = dense_traces(rho.entries, effects)
         np.testing.assert_allclose(povm.probabilities(rho), p, rtol=0, atol=1e-13)
         dp = dense_traces(derivative_state(rho, gen).entries, effects)
@@ -180,9 +189,7 @@ class TestPovm:
 
     def test_restrict_full_support_keeps_povm(self):
         povm = random_projective_povm(rng(3), 4)
-        sub, reached = povm.restrict(slice(None))
-        assert sub is povm
-        assert reached == slice(None)
+        assert povm.restrict(slice(None)) is povm
 
 
 class TestSld:

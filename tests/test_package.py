@@ -96,6 +96,8 @@ def test_sampler_lives_in_bayes():
         defined = top_level_names(module_tree(name)) & SAMPLER_NAMES
         assert defined == (SAMPLER_NAMES if name == "bayes" else set()), name
     assert not hasattr(dephimetry.Povm, "traces")
+    # one outcome numbering: a column's label is its outcome
+    assert not hasattr(dephimetry.Povm, "collect")
 
 
 def test_readme_layout_lists_each_module():
