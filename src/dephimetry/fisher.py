@@ -86,6 +86,27 @@ that touch the support, and the units on it as unit columns
 is its outcome: restrict keeps the labels and the outcome count, and the
 columns of one outcome are summed by label.
 
+The block SLD's eigenpairs are taken in real arithmetic when the block
+passes an exact spin-flip gate: it is real, of even size s, equal to its
+reversal block[::-1, ::-1] entry for entry, on a support closed under J (so
+J reverses the sorted support rows), with E + E[::-1] constant there.  Then
+rho commutes with J and g anticommutes with it.  With h = s/2, the J-even
+and J-odd sectors, on (e_k +- e_{s-1-k}) / sqrt 2 for k < h, hold rho as
+top +- cross, top = rho[:h, :h] and cross = rho[:h, ::-1][:, :h], each
+diagonalised by one real eigh (lam_e, V_e and lam_o, V_o), and g maps
+even to odd through G_eo = g[:h, :h] - g[:h, ::-1][:, :h].  In that frame
+the SLD is -i [[0, F], [-F^T, 0]], F = 2 V_e^T G_eo V_o / (lam_e + lam_o)
+on the pairs _kept_pairs keeps (one floor over both spectra, size s).
+Conjugated by diag(1, -i) it is the real Jordan-Wielandt matrix [[0, -F],
+[-F^T, 0]], so one real eigh of s rows gives its eigenvalues, and an
+eigenvector (y_e, y_o) gives the SLD eigenvector e^{i pi/4} (Q_e u_e - i
+Q_o u_o), u_e = V_e y_e and u_o = V_o y_o: ((u_e + u_o) + i (u_e - u_o)) /
+2 on row k < h and ((u_e - u_o) + i (u_e + u_o)) / 2 on row s - 1 - k.
+On GHZ's two rows u_e = +-u_o, so with that phase every entry is purely
+real or imaginary, as a complex eigensolver returns it, and the
+probabilities round the same.  Any other block (complex, phase-rotated,
+of odd size) diagonalises the SLD of its full frame in complex arithmetic.
+
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
 which is identity noise, every c1, and c2 at alpha in {0, 1} or n <= 2
@@ -322,6 +343,25 @@ def _eig_frame(block: np.ndarray, energy: np.ndarray):
     return lam, vec, mixed @ vec
 
 
+def _flip_symmetric(a: np.ndarray, energy: np.ndarray, rev=None) -> bool:
+    """Whether energy + energy[::-1] is constant and `a` equals its reversal
+    a[::-1, ::-1], and its image a[rev][:, rev] under the permutation `rev`
+    when given, entry for entry, compared a block of rows at a time.  An
+    array whose strides are all 0, one broadcast value, equals every
+    permutation of itself."""
+    level = energy + energy[::-1]
+    if not (level == level[0]).all():
+        return False
+    if not any(a.strides):
+        return True
+    for rows in _row_blocks(*a.shape):
+        head = a[rows]
+        if not (np.array_equal(head, a[::-1, ::-1][rows])
+                and (rev is None or np.array_equal(head, a[np.ix_(rev[rows], rev)]))):
+            return False
+    return True
+
+
 def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
     """The frames of rho, or of dephase(rho, gen, cov) given a covariance,
     from its rows at one representative per orbit of G = {1, J, R, JR} (see
@@ -331,16 +371,11 @@ def _orbit_frames(rho: DensityMatrix, gen: GeneratorSpec, cov):
     dim, energy, entries = gen.dim, gen.energies, rho.entries
     index = np.arange(dim)
     flip, rev = index[::-1], index.reshape(gen.dims).transpose().ravel()
-    level = energy + energy[::-1]
-    if (gen.sites != gen.sites[::-1] or not (level == level[0]).all()
+    if (gen.sites != gen.sites[::-1]
             or (cov is not None and not np.array_equal(cov.entries, cov.entries[::-1, ::-1]))
-            or not isinstance(_support(entries), slice)):
+            or not isinstance(_support(entries), slice)
+            or not _flip_symmetric(entries, energy, rev)):
         return None
-    for rows in _row_blocks(dim, dim):
-        head = entries[rows]
-        if not (np.array_equal(head, entries[::-1, ::-1][rows])
-                and np.array_equal(head, entries[np.ix_(rev[rows], rev)])):
-            return None
     if np.iscomplexobj(entries) and not entries.imag.any():
         entries = entries.real
     # Row g of `moved` holds g p for g = 1, J, R, JR and each representative
@@ -447,17 +482,34 @@ def _sld_block(lam, vec, mixed) -> np.ndarray:
     return (block + block.conj().T) / 2
 
 
-def _sld_frame(rho: DensityMatrix, gen: GeneratorSpec):
-    """(live, SLD block): the SLD of rho on its support, from the full frame."""
-    live, block, energy = _support_block(rho, gen)
-    return live, _sld_block(*_eig_frame(block, energy))
+def _flip_sld_eigh(block: np.ndarray, energy: np.ndarray):
+    """(ell, basis): the eigenpairs of the SLD on a real support block of
+    even size that equals its reversal, with energy + energy[::-1]
+    constant, from its spin-flip sectors in real arithmetic (see the
+    module docstring)."""
+    h = block.shape[0] // 2
+    top, cross = block[:h, :h], block[:h, ::-1][:, :h]
+    lam_e, vec_e = np.linalg.eigh(top + cross)
+    lam_o, vec_o = np.linalg.eigh(top - cross)
+    g = block[:h] * np.subtract.outer(energy[:h], energy)
+    mixed = vec_e.T @ (g[:, :h] - g[:, ::-1][:, :h]) @ vec_o
+    ((denom, keep),) = _kept_pairs([(2, lam_e, lam_o)])
+    flux = np.where(keep, 2.0 * mixed / np.where(keep, denom, 1.0), 0.0)
+    zero = np.zeros((h, h))
+    ell, pairs = np.linalg.eigh(np.block([[zero, -flux], [-flux.T, zero]]))
+    u_e, u_o = vec_e @ pairs[:h], vec_o @ pairs[h:]
+    plus, minus = (u_e + u_o) / 2, (u_e - u_o) / 2
+    basis = np.empty(pairs.shape, dtype=np.complex128)
+    basis[:h].real, basis[:h].imag = plus, minus
+    basis[::-1][:h].real, basis[::-1][:h].imag = minus, plus
+    return ell, basis
 
 
 def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     """Symmetric logarithmic derivative of the encoded family at rho."""
-    live, block = _sld_frame(rho, gen)
+    live, block, energy = _support_block(rho, gen)
     out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    out[_grid(live)] = block
+    out[_grid(live)] = _sld_block(*_eig_frame(block, energy))
     return _trusted(HermitianOperator, out)
 
 
@@ -524,16 +576,25 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
     vectors e_j off the support (see the module docstring): the block
     eigenvectors, then the e_j in ascending j, at eigenvalue 0.  The
     degenerate groups are the runs of the stably sorted eigenvalues with
-    gaps at most _DEGENERACY_TOL * max(1, max |ell|); in each group of two or
-    more, the block vectors are rotated to diagonalize H on their span.  The
+    gaps at most _DEGENERACY_TOL * max |ell|, relative to the SLD's own
+    scale, so a small SLD (strong dephasing) keeps its eigenvalues apart and
+    an all-zero one groups by exact equality; in each group of two or more,
+    the block vectors are rotated to diagonalize H on their span (a complex
+    eigh on either route; see the module docstring for the two routes to
+    the block eigenpairs).  The
     outcomes follow one stable sort, by group and then by energy (that H
     eigenvalue, or E_j), so ties keep the order above: deterministic.  On
     a partial support the POVM holds the block vectors as columns and the
     e_j as unit outcomes (Povm), with no dim x dim array.
     """
-    live, block = _sld_frame(rho, gen)
-    ell, basis = np.linalg.eigh(block)
-    dim, size = rho.dim, ell.size
+    live, block, energy = _support_block(rho, gen)
+    dim, size = rho.dim, block.shape[0]
+    if (block.dtype.kind == "f" and size % 2 == 0
+            and (isinstance(live, slice) or np.array_equal(live[::-1], dim - 1 - live))
+            and _flip_symmetric(block, energy)):
+        ell, basis = _flip_sld_eigh(block, energy)
+    else:
+        ell, basis = np.linalg.eigh(_sld_block(*_eig_frame(block, energy)))
     outside = np.ones(dim, dtype=bool)
     outside[live] = False
     off = np.flatnonzero(outside)
@@ -543,17 +604,17 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
     ranked = np.argsort(values, kind="stable")
     steps = np.diff(values[ranked], prepend=values[ranked[0]])
     group = np.empty(dim, dtype=np.intp)
-    group[ranked] = np.cumsum(steps > _DEGENERACY_TOL * max(1.0, float(np.abs(ell).max())))
+    group[ranked] = np.cumsum(steps > _DEGENERACY_TOL * float(np.abs(ell).max()))
     members = np.bincount(group)
     blocks = np.bincount(group[:size], minlength=members.size)  # consecutive, as ell ascends
     ends = np.cumsum(blocks)
     for g in np.flatnonzero((blocks > 0) & (members > 1)):
         cols = slice(ends[g] - blocks[g], ends[g])
-        block = basis[:, cols]
-        restricted = block.conj().T @ (gen.energies[live][:, None] * block)
+        span = basis[:, cols]
+        restricted = span.conj().T @ (energy[:, None] * span)
         restricted = (restricted + restricted.conj().T) / 2
         levels[cols], rot = np.linalg.eigh(restricted)
-        basis[:, cols] = block @ rot
+        basis[:, cols] = span @ rot
     if not off.size:
         # Only block columns, each group at ascending levels: the sort keeps them in place.
         return Povm._from_columns(basis, np.arange(dim), dim)

@@ -400,7 +400,7 @@ def dense_optimal_basis(rho: DensityMatrix, gen: GeneratorSpec) -> np.ndarray:
     """Eigenbasis of the dense SLD with degenerate eigenspaces resolved by
     H, as columns; reference for the support path of fisher.optimal_povm."""
     ell, vec = np.linalg.eigh(dense_sld(rho, gen))
-    scale = max(1.0, float(np.abs(ell).max()))
+    scale = float(np.abs(ell).max())
     start = 0
     for stop in range(1, len(ell) + 1):
         if stop < len(ell) and ell[stop] - ell[stop - 1] <= 1e-8 * scale:

@@ -863,7 +863,7 @@ class TestSimulate:
                     "--shots", "10", "--seed", "1", "--out", str(out)]) == 0
         assert abs(read_json(out)["predicted_mse"] - 0.25) <= 1e-12
 
-    @pytest.mark.parametrize("two_beta2", ["640", "660"])
+    @pytest.mark.parametrize("two_beta2", ["710", "715"])
     def test_square_past_float_range_refused(self, two_beta2, tmp_path, capsys):
         # est_best^2 passes the float range, so the MSE is inf, which the
         # JSON cannot hold: exit 1 with one error line and no output left

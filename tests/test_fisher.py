@@ -1018,6 +1018,114 @@ class TestOptimalPovm:
             )
 
 
+def flip_route(rho, gen):
+    """(optimal_povm(rho, gen), whether it took the real spin-flip sectors)."""
+    fisher = dephimetry.fisher
+    with mock.patch.object(fisher, "_flip_sld_eigh", wraps=fisher._flip_sld_eigh) as split:
+        povm = optimal_povm(rho, gen)
+    return povm, split.call_count == 1
+
+
+def flip_case(case, n):
+    """Real states equal to their spin flip J entry for entry on n qubits:
+    the probes dephased by c2(0.5, 0.5) at phi = 0; "flip", a random real
+    state summed with its J image, which is not equal to its site reversal;
+    "strict", a full-rank real state on the even rows of the lower half
+    of the basis and their J images (n >= 2)."""
+    gen = GeneratorSpec.qubits(n)
+    if case in ("ghz", "plus"):
+        probe = ghz_state(n) if case == "ghz" else product_plus_state(n)
+        return dephase(probe, gen, build_c2(n, 0.5, 0.5))
+    if case == "flip":
+        return klein_state(3 * n, gen, group=("flip",))
+    half = np.arange(0, gen.dim // 2, 2)
+    live = np.concatenate([half, gen.dim - 1 - half[::-1]])
+    x = rng(n).normal(size=(live.size, 2 * live.size))
+    block = x @ x.T
+    entries = np.zeros((gen.dim, gen.dim))
+    entries[np.ix_(live, live)] = block + block[::-1, ::-1]
+    return DensityMatrix(entries / np.trace(entries))
+
+
+class TestFlipRoute:
+    """optimal_povm on a real block equal to its spin flip takes the real
+    sectors; every other block the complex full frame.  Either way the
+    outcomes list the dense path's SLD eigenvalues and H levels, and the
+    measurement attains the QFI."""
+
+    @pytest.mark.parametrize("case, n", [
+        (case, n) for case in ("ghz", "plus", "flip", "strict") for n in (1, 2, 3, 4)
+        if case != "strict" or n > 1
+    ])
+    def test_split_matches_dense(self, case, n):
+        gen, rho = GeneratorSpec.qubits(n), flip_case(case, n)
+        povm, took = flip_route(rho, gen)
+        assert took
+        if case == "strict":
+            assert povm.unit_rows.size
+        assert_dense_order(rho, gen)
+        assert math.isclose(classical_fi(rho, gen, povm), qfi(rho, gen), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("case", ["real", "complex", "ghz", "plus"])
+    def test_gate_failing_blocks_take_the_full_frame(self, case):
+        # a real state that is not J-symmetric, a complex one, and the
+        # probes rotated by phi = 0.3
+        gen, rho = GeneratorSpec.qubits(3), frame_case(case, 3, seed=21)
+        povm, took = flip_route(rho, gen)
+        assert not took
+        assert_dense_order(rho, gen)
+        assert math.isclose(classical_fi(rho, gen, povm), qfi(rho, gen), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    def test_odd_support_takes_the_full_frame(self, sites):
+        # J fixes the middle level of a qutrit, so 3^sites rows have one
+        # J-even row more than J-odd ones: such blocks stay complex
+        gen = GeneratorSpec((SPECTRA["qutrit"],) * sites)
+        rho = klein_state(sites, gen, group=("flip",))
+        povm, took = flip_route(rho, gen)
+        assert not took
+        assert_dense_order(rho, gen)
+        assert math.isclose(classical_fi(rho, gen, povm), qfi(rho, gen), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("probe, n, two_beta2, tol", [
+        ("ghz", n, t, 1e-12) for n in (1, 2, 3) for t in (20.0, 40.0)
+    ] + [("ghz", 1, 640.0, 1e-12)] + [("plus", n, 40.0, 1e-6) for n in (2, 3)])
+    def test_strong_dephasing_attains_qfi(self, probe, n, two_beta2, tol):
+        # the degeneracy gap is relative to the SLD's scale: an absolute
+        # 1e-8 put every eigenvalue of a small SLD in one group, which the
+        # H tie-break turned into the energy basis, CFI/QFI ~ 1e-33
+        gen = GeneratorSpec.qubits(n)
+        state = ghz_state(n) if probe == "ghz" else product_plus_state(n)
+        rho = dephase(state, gen, build_c2(n, two_beta2, 0.5))
+        f = qfi(rho, gen)
+        assert f > 0
+        assert math.isclose(classical_fi(rho, gen, optimal_povm(rho, gen)), f, rel_tol=tol)
+
+    @pytest.mark.parametrize("n", [2, 6, 8, 10])
+    def test_ghz_takes_no_complex_eigensolver(self, n, monkeypatch):
+        # the CLI's state: dephased, then encoded at phi0 = 0
+        gen = GeneratorSpec.qubits(n)
+        rho = encode_phase(dephase(ghz_state(n), gen, build_c2(n, 0.5, 0.5)), gen, 0.0)
+        solve, kinds = np.linalg.eigh, []
+
+        def spy(a, *args, **kwargs):
+            kinds.append(a.dtype.kind)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        optimal_povm(rho, gen)
+        assert kinds and "c" not in kinds
+
+    def test_product_plus_n10_attains_qfi_within_budget(self):
+        # 56.3 MiB traced; the SLD of the complex full frame took 89.1 MiB
+        gen = GeneratorSpec.qubits(10)
+        rho = dephase(product_plus_state(10), gen, build_c2(10, 0.5, 0.5))
+        assert traced_peak_mb(optimal_povm, rho, gen) <= 64.0
+        povm, took = flip_route(rho, gen)
+        assert took
+        assert math.isclose(classical_fi(rho, gen, povm), qfi(rho, gen), rel_tol=1e-12)
+
+
 class TestCompactPovm:
     """The unit outcomes of a compact measurement (one from optimal_povm on
     a strict support) become unit columns on any state whose support
