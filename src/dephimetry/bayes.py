@@ -623,6 +623,9 @@ def simulate(
     jobs = chunk_rngs(seed, shots)
     probe = _sampled_probe(cfg)  # refuses an oversized fold before the table
     table = best_estimator(cfg)
+    loose = np.flatnonzero(~np.isfinite(table.best))
+    if loose.size:
+        raise ValueError(f"est_best[{loose[0]}] = {table.best[loose[0]]} is past the float range")
     counts = _sample_counts(cfg, probe, shots, jobs, table.best, on_chunk)
     empirical_mean, mean_stderr = _weighted_moments(counts, table.best)
     squares = np.subtract(table.best, cfg.phi0)

@@ -319,8 +319,9 @@ def cmd_simulate(args) -> int:
         if seed is None:
             seed = int.from_bytes(os.urandom(8), "big")
             print(f"drawn seed: {seed}", file=sys.stderr)
-        averaged = encode_phase(dephase(rho, gen, route.cov), gen, args.phi0)
-        povm = optimal_povm(averaged, gen)
+        dephased = dephase(rho, gen, route.cov)
+        averaged = encode_phase(dephased, gen, args.phi0)
+        povm = optimal_povm(dephased, gen, args.phi0)
         cfg = ExperimentConfig(
             rho=rho, gen=gen, cov=route.cov, povm=povm, phi0=args.phi0, delta_phi=args.delta_phi,
             rho_bar=averaged,

@@ -106,6 +106,9 @@ On GHZ's two rows u_e = +-u_o, so with that phase every entry is purely
 real or imaginary, as a complex eigensolver returns it, and the
 probabilities round the same.  Any other block (complex, phase-rotated,
 of odd size) diagonalises the SLD of its full frame in complex arithmetic.
+The H tie-break is real on both routes (_hermitian_eigh), and the SLD at
+phi is U L U^dagger, U = e^{-i phi H}, with the same tie-break, as U commutes
+with H: optimal_povm(rho, gen, phi) multiplies the basis rows by e^{-i phi E}.
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
 no 2^n-dim matrix: |+>^n on n qubits (H = J_z) under C = a 11^T + b I,
@@ -505,6 +508,28 @@ def _flip_sld_eigh(block: np.ndarray, energy: np.ndarray):
     return ell, basis
 
 
+def _hermitian_eigh(h: np.ndarray, tol: float):
+    """(levels, vec): the ascending eigenpairs of a Hermitian h from one
+    real eigh of [[Re h, -Im h], [Im h, Re h]], which has each level of h
+    twice, eigenvectors (x, y) and (-y, x) per eigenvector x + iy.  Levels
+    apart by at most tol form one cluster of 2m vectors, m of them kept by
+    pivoted Gram-Schmidt against every kept (x, y) and (-y, x): orthonormal."""
+    k = h.shape[0]
+    if 2 * np.linalg.norm(h - h[0, 0] * np.eye(k)) <= tol:  # bounds the spread: one cluster
+        return np.full(k, h[0, 0].real), np.eye(k)
+    mu, w = np.linalg.eigh(np.block([[h.real, -h.imag], [h.imag, h.real]]))
+    kept = np.empty((2 * k, 2 * k))  # each kept vector, then its (-y, x)
+    for cluster in np.split(np.arange(k), np.flatnonzero(np.diff(mu)[1::2] > tol) + 1):
+        done, cand = kept[:, :2 * cluster[0]], w[:, 2 * cluster[0]:2 * cluster[-1] + 2]
+        cand = cand - done @ (done.T @ cand)
+        for t in cluster:
+            v, pair = cand[:, np.argmax((cand * cand).sum(axis=0))], kept[:, 2 * t:2 * t + 2]
+            pair[:, 0] = v / np.sqrt(v @ v)
+            pair[:k, 1], pair[k:, 1] = -pair[k:, 0], pair[:k, 0]
+            cand = cand - pair @ (pair.T @ cand)
+    return mu[::2], kept[:k, ::2] + 1j * kept[k:, ::2]
+
+
 def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
     """Symmetric logarithmic derivative of the encoded family at rho."""
     live, block, energy = _support_block(rho, gen)
@@ -569,8 +594,8 @@ def classical_fi(rho: DensityMatrix, gen: GeneratorSpec, povm: Povm) -> float:
     return float(np.sum(dp[fired] ** 2 / p[fired]))
 
 
-def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
-    """Projective measurement in an eigenbasis of the SLD.
+def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec, phi: float = 0.0) -> Povm:
+    """Projective measurement in an SLD eigenbasis of encode_phase(rho, gen, phi).
 
     The SLD is diagonalized on the support block and completed by the basis
     vectors e_j off the support (see the module docstring): the block
@@ -579,14 +604,15 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
     gaps at most _DEGENERACY_TOL * max |ell|, relative to the SLD's own
     scale, so a small SLD (strong dephasing) keeps its eigenvalues apart and
     an all-zero one groups by exact equality; in each group of two or more,
-    the block vectors are rotated to diagonalize H on their span (a complex
-    eigh on either route; see the module docstring for the two routes to
-    the block eigenpairs).  The
+    the block vectors are rotated to diagonalize H on their span
+    (_hermitian_eigh, levels within _DEGENERACY_TOL * max |E| tied).  The
     outcomes follow one stable sort, by group and then by energy (that H
-    eigenvalue, or E_j), so ties keep the order above: deterministic.  On
-    a partial support the POVM holds the block vectors as columns and the
-    e_j as unit outcomes (Povm), with no dim x dim array.
+    eigenvalue, or E_j), so ties keep the order above.  On a partial support
+    the POVM holds the block vectors as columns and the e_j as unit outcomes
+    (Povm), with no dim x dim array.
     """
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
     live, block, energy = _support_block(rho, gen)
     dim, size = rho.dim, block.shape[0]
     if (block.dtype.kind == "f" and size % 2 == 0
@@ -595,9 +621,7 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
         ell, basis = _flip_sld_eigh(block, energy)
     else:
         ell, basis = np.linalg.eigh(_sld_block(*_eig_frame(block, energy)))
-    outside = np.ones(dim, dtype=bool)
-    outside[live] = False
-    off = np.flatnonzero(outside)
+    off = np.delete(np.arange(dim), live)
     # Column k < size is block column k; column size + i is e_{off[i]}.
     values = np.concatenate([ell, np.zeros(off.size)])
     levels = np.concatenate([np.zeros(size), gen.energies[off]])
@@ -613,8 +637,10 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec) -> Povm:
         span = basis[:, cols]
         restricted = span.conj().T @ (energy[:, None] * span)
         restricted = (restricted + restricted.conj().T) / 2
-        levels[cols], rot = np.linalg.eigh(restricted)
+        levels[cols], rot = _hermitian_eigh(restricted, _DEGENERACY_TOL * np.abs(energy).max())
         basis[:, cols] = span @ rot
+    if phi:
+        basis *= np.exp(-1j * phi * energy)[:, None]
     if not off.size:
         # Only block columns, each group at ascending levels: the sort keeps them in place.
         return Povm._from_columns(basis, np.arange(dim), dim)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import tracemalloc
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -345,6 +346,22 @@ def traced_peak_mb(fn, *args, **kwargs) -> float:
     finally:
         tracemalloc.stop()
     return (peak - base) / 2**20
+
+
+def eigensolver_kinds(fn, *args):
+    """(fn(*args), the dtype kinds of the arrays it passes to np.linalg.eigh
+    and eigvalsh)."""
+    kinds = set()
+
+    def spy(solve):
+        def call(a, *rest, **kwargs):
+            kinds.add(np.asarray(a).dtype.kind)
+            return solve(a, *rest, **kwargs)
+        return call
+
+    with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
+            mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
+        return fn(*args), kinds
 
 
 class Shots(NamedTuple):

@@ -28,7 +28,7 @@ from dephimetry.core import _trusted
 from dephimetry.errors import NumericalConsistencyError
 from dephimetry.fisher import _product_plus_qfi
 
-from helpers import collect_shots, collective_and_local, dense_plus_qfi
+from helpers import collect_shots, collective_and_local, dense_plus_qfi, eigensolver_kinds
 
 
 def run(args):
@@ -874,6 +874,30 @@ class TestSimulate:
         assert err == "error: Out of range float values are not JSON compliant: inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("two_beta2", ["717", "720", "740"])
+    def test_non_finite_estimate_refused(self, two_beta2, tmp_path, capsys):
+        # est_best itself is -inf and inf: refused before sampling with one
+        # error line naming it, and no RuntimeWarning, which the suite's
+        # filter would raise from inf - inf in the shot sums
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--n", "1", "--two-beta2", two_beta2, "--shots", "10",
+                    "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: est_best[0] = -inf is past the float range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--state", "product-plus", "--n", "3", "--family", "c1", "--alpha", "0.3"],
+        ["--state", "product-plus", "--n", "3", "--family", "c1", "--alpha", "0.3",
+         "--phi0", "0.2"],
+        ["--n", "8", "--family", "c2", "--alpha", "0.5", "--phi0", "0.2"],
+    ], ids=["plus", "plus-phi0", "ghz-phi0"])
+    def test_real_probes_run_no_complex_eigensolver(self, args, tmp_path):
+        # the measurement is taken at phi0 = 0 and rotated, so real probes
+        # stay real at any phi0, H tie-break included
+        assert eigensolver_kinds(run, ["simulate", *args, "--shots", "100", "--seed", "3",
+                                       "--out", str(tmp_path / "sim.json")]) == (0, {"f"})
+
     def test_large_constant_square_has_zero_stderr(self, tmp_path):
         # the squares (about 1e206) are one constant; a float variance of
         # them overflowed, where the exact one is 0
@@ -1237,7 +1261,14 @@ GOLDEN_CASES = {
 # values (1.5393064974731467 and 1.4732360049949254 against
 # 1.53930649747314736 and 1.47323600499492607).  simulate-ghz and
 # simulate-plus differ from their previous bytes only by the JSON's removed
-# "clamped": 0 line.  Every other entry keeps its bytes.
+# "clamped": 0 line.  simulate-plus (phi0 = 0.2) then moved to the
+# measurement taken at phi0 = 0 and rotated: every phase is unchanged,
+# every other float within 5e-14 relative, and 11 of its 200 shots swap
+# labels inside the 2-fold SLD groups {1, 2} and {5, 6}.  Their H
+# restriction is 0 in exact arithmetic, so no tie-break rule fixes a basis
+# there (the old one was the eigenbasis of its rounding); each group's
+# count and its one estimate are unchanged.  Every other entry keeps its
+# bytes.
 GOLDEN_DIGESTS = {
     "bound-csv": "2c0cf06cbfa2c32f293aa79860b84c9b426810f1f68c53bfa8b534fedf4cc78f",
     "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
@@ -1258,7 +1289,7 @@ GOLDEN_DIGESTS = {
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
     "qfi-plus-orbit-csv": "c504268832d3c6f758a78811c3ca57bfa42f8f3babd851f710047cf60dce10aa",
     "simulate-ghz": "5dde3b85295cbb98649ea4c5a0a211a341bfb867cb00b2eb8109e9e7c6e69b51",
-    "simulate-plus": "a7785d3dc0ee80391886be2d0fcffcb6342511fccf2817b702e820273cab7b91",
+    "simulate-plus": "a32e8ba05b626b6f7066497c49d62b5c8dab01c4d9bfa462f89e448d5fc983d0",
     "sweep": "d4fdaca92bd2f1cf57e7878385ca57ca817a31dbeaa3d58289c9f1c14b6b943e",
 }
 
@@ -1284,10 +1315,10 @@ def test_golden_bytes(case, tmp_path):
 
 # sha256 of the shots.csv each simulate golden writes, recorded while the
 # run still kept every shot in memory: the per-shot rows streamed from each
-# chunk are the same bytes.
+# chunk are the same bytes.  simulate-plus re-pinned with GOLDEN_DIGESTS.
 GOLDEN_SHOTS = {
     "simulate-ghz": "66b3dc2a5c5d7697fe85d1e00f88ffb27160c5849dbb70a7c468611066d8b866",
-    "simulate-plus": "0e1e82c44de866b2258cda4f421018ad7c67ef60a9b07caa6d5fd7ab9f186991",
+    "simulate-plus": "40536135fdd142344c3826df133460c9a0c8e3e5148df9901f98f0c07da1e337",
 }
 
 

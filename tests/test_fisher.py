@@ -45,6 +45,7 @@ from helpers import (
     dense_qfi,
     dense_sld,
     dense_traces,
+    eigensolver_kinds,
     embedded_case,
     frame_case,
     measurement_case,
@@ -869,20 +870,29 @@ def degenerate_on_support():
     return DensityMatrix(entries / np.trace(entries).real), live
 
 
+def outcome_levels(basis, rho, gen):
+    """(SLD eigenvalue, H level) of each column of an optimal basis at rho."""
+    return [np.einsum("ik,ij,jk->k", basis.conj(), op, basis).real
+            for op in (dense_sld(rho, gen), np.diag(gen.energies))]
+
+
 def assert_dense_order(rho, gen):
     """Per outcome, the SLD eigenvalue and the H level inside its degenerate
     eigenspace are basis-independent, so the support path must list them in
     the order of the dense path."""
-    ell = dense_sld(rho, gen)
-    h = np.diag(gen.energies)
-    built = dense_basis(optimal_povm(rho, gen))
-    dense = dense_optimal_basis(rho, gen)
-    for op in (ell, h):
-        np.testing.assert_allclose(
-            np.einsum("ik,ij,jk->k", built.conj(), op, built).real,
-            np.einsum("ik,ij,jk->k", dense.conj(), op, dense).real,
-            rtol=0, atol=1e-9,
-        )
+    built = outcome_levels(dense_basis(optimal_povm(rho, gen)), rho, gen)
+    dense = outcome_levels(dense_optimal_basis(rho, gen), rho, gen)
+    for got, want in zip(built, dense):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def assert_unitary(povm):
+    """The dense basis of an optimal_povm result, unitary within 1e-12:
+    Povm._from_columns trusts its columns, so no other reader would notice
+    a tie-break that loses orthonormality."""
+    basis = dense_basis(povm)
+    assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+    return basis
 
 
 def compact_povms():
@@ -941,6 +951,17 @@ class TestOptimalPovm:
                 assert np.abs(e @ h - h @ e).max() < 1e-12
             if rows is not None:
                 np.testing.assert_array_equal(np.abs(dense_basis(povm)).argmax(axis=0), rows)
+        # At n = 3 and 4 the H levels repeat inside the one SLD group (3 and
+        # 6 times at J_z = 0, +-1/2): the tie-break's picks must still be
+        # orthonormal, in ascending H levels.
+        for n in (3, 4):
+            gen = GeneratorSpec.qubits(n)
+            rho = DensityMatrix(np.eye(2**n) / 2**n)
+            basis = assert_unitary(optimal_povm(rho, gen))
+            _, levels = outcome_levels(basis, rho, gen)
+            np.testing.assert_allclose(levels, np.sort(gen.energies), rtol=0, atol=1e-12)
+            assert np.abs(basis.conj().T @ (gen.energies[:, None] * basis)
+                          - np.diag(levels)).max() < 1e-12
 
     def test_single_qubit_plus_state_basis(self):
         # SLD of |+> under sigma_z/2 encoding is proportional to sigma_y
@@ -1023,6 +1044,7 @@ def flip_route(rho, gen):
     fisher = dephimetry.fisher
     with mock.patch.object(fisher, "_flip_sld_eigh", wraps=fisher._flip_sld_eigh) as split:
         povm = optimal_povm(rho, gen)
+    assert_unitary(povm)
     return povm, split.call_count == 1
 
 
@@ -1099,22 +1121,29 @@ class TestFlipRoute:
         rho = dephase(state, gen, build_c2(n, two_beta2, 0.5))
         f = qfi(rho, gen)
         assert f > 0
-        assert math.isclose(classical_fi(rho, gen, optimal_povm(rho, gen)), f, rel_tol=tol)
+        povm = optimal_povm(rho, gen)
+        assert_unitary(povm)
+        assert math.isclose(classical_fi(rho, gen, povm), f, rel_tol=tol)
 
     @pytest.mark.parametrize("n", [2, 6, 8, 10])
-    def test_ghz_takes_no_complex_eigensolver(self, n, monkeypatch):
-        # the CLI's state: dephased, then encoded at phi0 = 0
+    def test_ghz_takes_no_complex_eigensolver(self, n):
+        # the CLI's call: the dephased state and phi0, at 0 and 0.2
         gen = GeneratorSpec.qubits(n)
-        rho = encode_phase(dephase(ghz_state(n), gen, build_c2(n, 0.5, 0.5)), gen, 0.0)
-        solve, kinds = np.linalg.eigh, []
+        rho = dephase(ghz_state(n), gen, build_c2(n, 0.5, 0.5))
+        for phi in (0.0, 0.2):
+            assert eigensolver_kinds(optimal_povm, rho, gen, phi)[1] == {"f"}
 
-        def spy(a, *args, **kwargs):
-            kinds.append(a.dtype.kind)
-            return solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        optimal_povm(rho, gen)
-        assert kinds and "c" not in kinds
+    @pytest.mark.parametrize("n, family", [(3, "c1"), (10, "c2")])
+    def test_product_plus_takes_no_complex_eigensolver(self, n, family):
+        # c1 at n = 3 has two 2-fold SLD groups, c2 at n = 10 a 32-fold one:
+        # the H tie-break runs, in real arithmetic
+        gen = GeneratorSpec.qubits(n)
+        cov = build_c1(n, 0.5, 0.3) if family == "c1" else build_c2(n, 0.5, 0.5)
+        rho = dephase(product_plus_state(n), gen, cov)
+        fisher = dephimetry.fisher
+        with mock.patch.object(fisher, "_hermitian_eigh", wraps=fisher._hermitian_eigh) as tie:
+            assert eigensolver_kinds(optimal_povm, rho, gen)[1] == {"f"}
+        assert tie.call_count
 
     def test_product_plus_n10_attains_qfi_within_budget(self):
         # 56.3 MiB traced; the SLD of the complex full frame took 89.1 MiB
@@ -1124,6 +1153,99 @@ class TestFlipRoute:
         povm, took = flip_route(rho, gen)
         assert took
         assert math.isclose(classical_fi(rho, gen, povm), qfi(rho, gen), rel_tol=1e-12)
+
+
+def complex_tie_break(rho, gen):
+    """optimal_povm with each group's H restriction diagonalised by a
+    complex eigh: the oracle of the real tie-break."""
+    with mock.patch.object(dephimetry.fisher, "_hermitian_eigh", lambda h, tol: np.linalg.eigh(h)):
+        return optimal_povm(rho, gen)
+
+
+def tie_break_case(case, n):
+    """Real states that take the flip route: product-plus under c1(0.3) (two
+    2-fold SLD groups at n = 3); a random state equal to its spin flip; one
+    that is diagonal too, so the SLD is 0 and the H levels repeat in its
+    one group; and the probes under c2(0.5) at 2 beta^2 = 20 (product-plus)
+    and 40 (GHZ)."""
+    gen = GeneratorSpec.qubits(n)
+    if case == "plus-c1":
+        return dephase(product_plus_state(n), gen, build_c1(n, 0.5, 0.3))
+    if case == "flip":
+        return klein_state(5 * n, gen, group=("flip",))
+    if case == "diagonal":
+        weights = rng(n).uniform(0.5, 1.5, size=gen.dim)
+        weights += weights[::-1]
+        return DensityMatrix(np.diag(weights / weights.sum()))
+    probe, two_beta2 = (product_plus_state, 20.0) if case == "plus-strong" else (ghz_state, 40.0)
+    return dephase(probe(n), gen, build_c2(n, two_beta2, 0.5))
+
+
+class TestRealTieBreak:
+    """The real H tie-break (_hermitian_eigh) against a complex eigh of each
+    group's H restriction: the same SLD eigenvalues and H levels in the
+    same outcome order, each column equal up to a unit phase where its pair
+    of levels is simple and the same projector where it repeats, and CFI =
+    QFI within 1e-12.  optimal_povm(rho, gen, phi) is the basis at rho with
+    its rows rotated by e^{-i phi E}, and attains the QFI of the encoded
+    state, whose complex full frame is the oracle."""
+
+    @pytest.mark.parametrize("case, n", [("plus-c1", 3)] + [
+        (case, n) for case in ("flip", "diagonal") for n in (1, 2, 3, 4)
+    ] + [(case, n) for case in ("plus-strong", "ghz-strong") for n in (2, 3, 4)])
+    def test_matches_complex_tie_break(self, case, n):
+        gen, rho = GeneratorSpec.qubits(n), tie_break_case(case, n)
+        povm, took = flip_route(rho, gen)
+        assert took
+        got = dense_basis(povm)
+        want = assert_unitary(complex_tie_break(rho, gen))
+        levels = outcome_levels(want, rho, gen)
+        for a, b in zip(outcome_levels(got, rho, gen), levels):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        ell, energy = levels
+        same = ((np.abs(np.subtract.outer(ell, ell)) <= 1e-8 * max(np.abs(ell).max(), 1e-300))
+                & (np.abs(np.subtract.outer(energy, energy)) <= 1e-8))
+        for cols in {tuple(np.flatnonzero(row)) for row in same}:
+            cols = list(cols)
+            if len(cols) == 1:
+                assert abs(abs(np.vdot(got[:, cols[0]], want[:, cols[0]])) - 1.0) <= 1e-12
+            else:
+                np.testing.assert_allclose(got[:, cols] @ got[:, cols].conj().T,
+                                           want[:, cols] @ want[:, cols].conj().T,
+                                           rtol=0, atol=1e-12)
+        f = qfi(rho, gen)
+        assert math.isclose(classical_fi(rho, gen, povm), f, rel_tol=1e-12, abs_tol=1e-30)
+
+    @pytest.mark.parametrize("phi", [0.2, -1.1, math.pi / 3])
+    @pytest.mark.parametrize("case", ["ghz", "plus", "plus-c1", "strict", "complex"])
+    def test_phase_is_a_row_rotation(self, case, phi):
+        n = 3
+        gen = GeneratorSpec.qubits(n)
+        if case == "plus-c1":
+            rho = tie_break_case(case, n)
+        elif case == "complex":
+            rho = random_density(rng(n), gen.dim)
+        else:
+            rho = flip_case(case, n)
+        at_zero, povm = optimal_povm(rho, gen), optimal_povm(rho, gen, phi)
+        assert_unitary(povm)
+        np.testing.assert_allclose(
+            povm.vectors, np.exp(-1j * phi * gen.energies)[:, None] * at_zero.vectors,
+            rtol=0, atol=1e-12,
+        )
+        for name in ("labels", "unit_rows", "unit_labels"):
+            np.testing.assert_array_equal(getattr(povm, name), getattr(at_zero, name))
+        encoded = encode_phase(rho, gen, phi)
+        assert math.isclose(classical_fi(encoded, gen, povm), qfi(encoded, gen), rel_tol=1e-12)
+        oracle = outcome_levels(dense_basis(optimal_povm(encoded, gen)), encoded, gen)
+        for got, want in zip(outcome_levels(dense_basis(povm), encoded, gen), oracle):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_phase_must_be_finite(self, phi):
+        gen = GeneratorSpec.qubits(2)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            optimal_povm(flip_case("plus", 2), gen, phi)
 
 
 class TestCompactPovm:
