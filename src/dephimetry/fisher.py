@@ -70,21 +70,14 @@ Everything after the frame stays on the support too.  The SLD is zero in
 every row and column off the support, so each standard basis vector e_j
 with j off the support is an eigenvector of the SLD with eigenvalue 0, and
 of the diagonal H with eigenvalue E_j.  An SLD eigenbasis is therefore the
-eigenbasis of the live block of the SLD, completed by those e_j.  H maps
-the live subspace to itself, so the tie-break by H rotates block columns
-only, and one stable sort orders both parts (optimal_povm).  The
-measurement keeps the block columns alone, on the rows of the support, and
-each e_j off it as a unit outcome by index, (row j, outcome), so a basis
-for a state on s rows holds s columns, not dim.  Dephasing and phase
-encoding act entrywise, so the support of rho is the support of every state
-derived from it, and a measurement column that is zero on the support has
-probability 0 at every phase, as has a unit outcome off it.
-Probabilities, the classical Fisher information and the estimator table
-(each one Povm.statistics pass), and sampling too, use only the columns
-that touch the support, and the units on it as unit columns
-(Povm.restrict), so they serve a state of any support.  A column's label
-is its outcome: restrict keeps the labels and the outcome count, and the
-columns of one outcome are summed by label.
+eigenbasis of the live block of the SLD, completed by those e_j, kept as
+unit outcomes by index (Povm).  H maps the live subspace to itself, so the
+tie-break by H rotates block columns only, and one stable sort orders both
+parts (optimal_povm).  Dephasing and phase encoding act entrywise, so the
+support of rho is the support of every state derived from it: a column
+that is zero there, or a unit outcome off it, has probability 0 at every
+phase, and the statistics and the sampler read only the rest
+(Povm.restrict), so they serve a state of any support.
 
 The block SLD's eigenpairs are taken in real arithmetic when the block
 passes an exact spin-flip gate: it is real, of even size s, equal to its
@@ -106,8 +99,9 @@ On GHZ's two rows u_e = +-u_o, so with that phase every entry is purely
 real or imaginary, as a complex eigensolver returns it, and the
 probabilities round the same.  Any other block (complex, phase-rotated,
 of odd size) diagonalises the SLD of its full frame in complex arithmetic.
-The H tie-break is real on both routes (_hermitian_eigh), and the SLD at
-phi is U L U^dagger, U = e^{-i phi H}, with the same tie-break, as U commutes
+On both routes the H tie-break (_hermitian_eigh) keeps a group's basis
+where H is one level on it, else takes one complex eigh.  The SLD at phi
+is U L U^dagger, U = e^{-i phi H}, with the same tie-break, as U commutes
 with H: optimal_povm(rho, gen, phi) multiplies the basis rows by e^{-i phi E}.
 
 _product_plus_qfi gives the same QFI for one probe and one noise form with
@@ -293,19 +287,20 @@ class Povm:
         return Povm._from_columns(columns, labels, self.outcomes)
 
     def statistics(self, rho: DensityMatrix, h: Optional[np.ndarray] = None):
-        """(p, dp) per outcome from one product on the support of rho, terms
-        = conj(v) * (rho v) over its rows and the columns v that reach it
-        (restrict).  p(x) = Tr(rho Pi_x) sums terms over both, for the
-        columns labelled x.  For rows h over the basis, (dim,) or (k, dim),
-        dp(x) = 2 Im(h @ terms) over the same columns, Tr(-i [diag(h), rho]
-        Pi_x) per row.  One bincount over (row, label) sums the columns, so
-        an outcome with no column there gets 0; dp is None without h."""
+        """(p, dp) per outcome on the support block of rho and the columns v
+        that reach it (restrict).  p(x) = Tr(rho Pi_x) sums terms = conj(v)
+        * (rho v) over the rows and the columns labelled x.  For rows h over
+        the basis, (dim,) or (k, dim), dp(x) = Tr(-i [diag(h), rho] Pi_x) is
+        2 Im(h @ terms) over the same columns with the block's diagonal set
+        to 0, a block of rows at a time: those terms are real, and their
+        rounding would swamp a dp far below p.  One bincount over (row,
+        label) sums the columns, so an outcome with no column there gets 0;
+        dp is None without h."""
         if rho.dim != self.dim:
             raise ValueError("POVM and state dimensions differ")
         live = _support(rho.entries)
         sub = self.restrict(live)
-        v = sub.vectors
-        terms = v.conj() * (rho.entries[_grid(live)] @ v)
+        v, block = sub.vectors, rho.entries[_grid(live)]
 
         def by_outcome(values):
             rows = values.shape[:-1]
@@ -314,8 +309,15 @@ class Povm:
                                 minlength=index.shape[0] * self.outcomes)
             return total.reshape(rows + (self.outcomes,))
 
-        p = by_outcome(terms.sum(axis=0).real)
-        return p, None if h is None else by_outcome(2.0 * (h[..., live] @ terms).imag)
+        p = by_outcome((v.conj() * (block @ v)).sum(axis=0).real)
+        if h is None:
+            return p, None
+        h, dp = h[..., live], 0.0
+        for rows in _row_blocks(*block.shape):
+            part = block[rows].copy()
+            part[np.arange(part.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
+            dp = dp + h[..., rows] @ (v[rows].conj() * (part @ v))
+        return p, by_outcome(2.0 * dp.imag)
 
     def probabilities(self, rho: DensityMatrix) -> np.ndarray:
         return self.statistics(rho)[0]
@@ -509,25 +511,12 @@ def _flip_sld_eigh(block: np.ndarray, energy: np.ndarray):
 
 
 def _hermitian_eigh(h: np.ndarray, tol: float):
-    """(levels, vec): the ascending eigenpairs of a Hermitian h from one
-    real eigh of [[Re h, -Im h], [Im h, Re h]], which has each level of h
-    twice, eigenvectors (x, y) and (-y, x) per eigenvector x + iy.  Levels
-    apart by at most tol form one cluster of 2m vectors, m of them kept by
-    pivoted Gram-Schmidt against every kept (x, y) and (-y, x): orthonormal."""
-    k = h.shape[0]
-    if 2 * np.linalg.norm(h - h[0, 0] * np.eye(k)) <= tol:  # bounds the spread: one cluster
-        return np.full(k, h[0, 0].real), np.eye(k)
-    mu, w = np.linalg.eigh(np.block([[h.real, -h.imag], [h.imag, h.real]]))
-    kept = np.empty((2 * k, 2 * k))  # each kept vector, then its (-y, x)
-    for cluster in np.split(np.arange(k), np.flatnonzero(np.diff(mu)[1::2] > tol) + 1):
-        done, cand = kept[:, :2 * cluster[0]], w[:, 2 * cluster[0]:2 * cluster[-1] + 2]
-        cand = cand - done @ (done.T @ cand)
-        for t in cluster:
-            v, pair = cand[:, np.argmax((cand * cand).sum(axis=0))], kept[:, 2 * t:2 * t + 2]
-            pair[:, 0] = v / np.sqrt(v @ v)
-            pair[:k, 1], pair[k:, 1] = -pair[k:, 0], pair[:k, 0]
-            cand = cand - pair @ (pair.T @ cand)
-    return mu[::2], kept[:k, ::2] + 1j * kept[k:, ::2]
+    """(levels, rot): the ascending eigenpairs of a Hermitian h from one
+    complex eigh, or (h_00, None), the basis kept, when 2 ||h - h_00 I||_F
+    <= tol: that bounds the spread of its levels by tol, so they are one."""
+    if 2 * np.linalg.norm(h - h[0, 0] * np.eye(h.shape[0])) <= tol:
+        return h[0, 0].real, None
+    return np.linalg.eigh(h)
 
 
 def sld(rho: DensityMatrix, gen: GeneratorSpec) -> HermitianOperator:
@@ -604,12 +593,12 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec, phi: float = 0.0) -> Po
     gaps at most _DEGENERACY_TOL * max |ell|, relative to the SLD's own
     scale, so a small SLD (strong dephasing) keeps its eigenvalues apart and
     an all-zero one groups by exact equality; in each group of two or more,
-    the block vectors are rotated to diagonalize H on their span
-    (_hermitian_eigh, levels within _DEGENERACY_TOL * max |E| tied).  The
-    outcomes follow one stable sort, by group and then by energy (that H
-    eigenvalue, or E_j), so ties keep the order above.  On a partial support
-    the POVM holds the block vectors as columns and the e_j as unit outcomes
-    (Povm), with no dim x dim array.
+    the block vectors are rotated to diagonalize H on their span, unless H
+    is one level there (_hermitian_eigh, levels within _DEGENERACY_TOL *
+    max |E| tied).  The outcomes follow one stable sort, by group and then
+    by energy (that H eigenvalue, or E_j), so ties keep the order above.  On
+    a partial support the POVM holds the block vectors as columns and the
+    e_j as unit outcomes (Povm), with no dim x dim array.
     """
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
@@ -638,7 +627,8 @@ def optimal_povm(rho: DensityMatrix, gen: GeneratorSpec, phi: float = 0.0) -> Po
         restricted = span.conj().T @ (energy[:, None] * span)
         restricted = (restricted + restricted.conj().T) / 2
         levels[cols], rot = _hermitian_eigh(restricted, _DEGENERACY_TOL * np.abs(energy).max())
-        basis[:, cols] = span @ rot
+        if rot is not None:
+            basis[:, cols] = span @ rot
     if phi:
         basis *= np.exp(-1j * phi * energy)[:, None]
     if not off.size:

@@ -1,6 +1,7 @@
 """Shared factories and independent oracles for the test suite."""
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 from typing import NamedTuple
 from unittest import mock
@@ -21,6 +22,7 @@ from dephimetry import (
     simulate,
     weights,
 )
+from dephimetry import fisher
 from dephimetry.bayes import SimulationResult, chunk_rngs, covariance_sqrt
 from dephimetry.core import derivative_state
 from dephimetry.fisher import _rounding_floor
@@ -348,20 +350,43 @@ def traced_peak_mb(fn, *args, **kwargs) -> float:
     return (peak - base) / 2**20
 
 
-def eigensolver_kinds(fn, *args):
-    """(fn(*args), the dtype kinds of the arrays it passes to np.linalg.eigh
-    and eigvalsh)."""
+# The LAPACK-backed np.linalg functions the package calls (its other
+# np.linalg names, norm and LinAlgError, run no LAPACK routine).
+LAPACK_CALLS = ("cholesky", "eigh", "eigvalsh", "lstsq", "solve")
+
+
+def lapack_kinds(fn, *args):
+    """(fn(*args), the dtype names of the arrays it passes to the np.linalg
+    functions of LAPACK_CALLS)."""
     kinds = set()
 
     def spy(solve):
-        def call(a, *rest, **kwargs):
-            kinds.add(np.asarray(a).dtype.kind)
-            return solve(a, *rest, **kwargs)
+        def call(*arrays, **kwargs):
+            kinds.update(a.dtype.name for a in arrays if isinstance(a, np.ndarray))
+            return solve(*arrays, **kwargs)
         return call
 
-    with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
-            mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
+    with contextlib.ExitStack() as stack:
+        for name in LAPACK_CALLS:
+            stack.enter_context(mock.patch.object(np.linalg, name, spy(getattr(np.linalg, name))))
         return fn(*args), kinds
+
+
+def tie_breaks_past_test(fn, *args):
+    """(fn(*args), the size of each H restriction that optimal_povm's
+    tie-break (fisher._hermitian_eigh) diagonalises past its one-level
+    test)."""
+    past = []
+    tie_break = fisher._hermitian_eigh
+
+    def spy(h, tol):
+        levels, rot = tie_break(h, tol)
+        if rot is not None:
+            past.append(h.shape[0])
+        return levels, rot
+
+    with mock.patch.object(fisher, "_hermitian_eigh", spy):
+        return fn(*args), past
 
 
 class Shots(NamedTuple):

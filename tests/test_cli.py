@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import importlib.util
 import json
 import math
@@ -8,6 +10,7 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +31,13 @@ from dephimetry.core import _trusted
 from dephimetry.errors import NumericalConsistencyError
 from dephimetry.fisher import _product_plus_qfi
 
-from helpers import collect_shots, collective_and_local, dense_plus_qfi, eigensolver_kinds
+from helpers import (
+    collect_shots,
+    collective_and_local,
+    dense_plus_qfi,
+    lapack_kinds,
+    tie_breaks_past_test,
+)
 
 
 def run(args):
@@ -894,9 +903,10 @@ class TestSimulate:
     ], ids=["plus", "plus-phi0", "ghz-phi0"])
     def test_real_probes_run_no_complex_eigensolver(self, args, tmp_path):
         # the measurement is taken at phi0 = 0 and rotated, so real probes
-        # stay real at any phi0, H tie-break included
-        assert eigensolver_kinds(run, ["simulate", *args, "--shots", "100", "--seed", "3",
-                                       "--out", str(tmp_path / "sim.json")]) == (0, {"f"})
+        # stay real at any phi0; each SLD group here is one H level, which
+        # the tie-break keeps with no eigh
+        assert lapack_kinds(run, ["simulate", *args, "--shots", "100", "--seed", "3",
+                                  "--out", str(tmp_path / "sim.json")]) == (0, {"float64"})
 
     def test_large_constant_square_has_zero_stderr(self, tmp_path):
         # the squares (about 1e206) are one constant; a float variance of
@@ -1267,8 +1277,12 @@ GOLDEN_CASES = {
 # labels inside the 2-fold SLD groups {1, 2} and {5, 6}.  Their H
 # restriction is 0 in exact arithmetic, so no tie-break rule fixes a basis
 # there (the old one was the eigenbasis of its rounding); each group's
-# count and its one estimate are unchanged.  Every other entry keeps its
-# bytes.
+# count and its one estimate are unchanged.  simulate-plus moved again
+# when Povm.statistics dropped the diagonal terms of dp, which are 0 in
+# exact arithmetic: five of its eight estimates, and the summary floats,
+# moved in the last bit or two; every phase and outcome is unchanged.
+# simulate-ghz did not move, as its columns are purely real or imaginary.
+# Every other entry keeps its bytes.
 GOLDEN_DIGESTS = {
     "bound-csv": "2c0cf06cbfa2c32f293aa79860b84c9b426810f1f68c53bfa8b534fedf4cc78f",
     "bound-ghz-closed-csv": "a15f7da62baa8e4ffd394e04b2584ff0f5732ce66afebdfba5119bf6cf6f9aa7",
@@ -1289,7 +1303,7 @@ GOLDEN_DIGESTS = {
     "qfi-plain-csv": "ecd6b1489e839754e213578d7b33827d6f375c67ad2d67ae1524b63c6424f8dd",
     "qfi-plus-orbit-csv": "c504268832d3c6f758a78811c3ca57bfa42f8f3babd851f710047cf60dce10aa",
     "simulate-ghz": "5dde3b85295cbb98649ea4c5a0a211a341bfb867cb00b2eb8109e9e7c6e69b51",
-    "simulate-plus": "a32e8ba05b626b6f7066497c49d62b5c8dab01c4d9bfa462f89e448d5fc983d0",
+    "simulate-plus": "60ef42195e935f8a145f1a8bbaac9adf1e37908db3e3e62301e395da23583ce5",
     "sweep": "d4fdaca92bd2f1cf57e7878385ca57ca817a31dbeaa3d58289c9f1c14b6b943e",
 }
 
@@ -1318,7 +1332,7 @@ def test_golden_bytes(case, tmp_path):
 # chunk are the same bytes.  simulate-plus re-pinned with GOLDEN_DIGESTS.
 GOLDEN_SHOTS = {
     "simulate-ghz": "66b3dc2a5c5d7697fe85d1e00f88ffb27160c5849dbb70a7c468611066d8b866",
-    "simulate-plus": "40536135fdd142344c3826df133460c9a0c8e3e5148df9901f98f0c07da1e337",
+    "simulate-plus": "c98f5aec9bc2ca9d7a32c0a1352e3a7adcf8f9300c6ac7aecce5ac7dbbc0256b",
 }
 
 
@@ -1327,3 +1341,40 @@ def test_golden_per_shot_bytes(case, tmp_path):
     golden_digest(case, tmp_path)
     shots = (tmp_path / "out" / "shots.csv").read_bytes()
     assert hashlib.sha256(shots).hexdigest() == GOLDEN_SHOTS[case]
+
+
+BENCH_WORKLOADS = ["measure-n8", "simulate-many", "simulate-wide", "sweep-dense"]
+# Which solvers run does not depend on the shot count.
+FEW_SHOTS = 64
+
+
+def bench_argv(name, tmp_path):
+    """The CLI argument list of the first run of the benchmark's workload
+    `name` (bench/workloads.py, which imports its sibling check.py), with
+    the `simulate` shot count cut to FEW_SHOTS."""
+    with mock.patch.object(sys, "path", [str(Path(__file__).resolve().parents[1] / "bench"),
+                                         *sys.path]):
+        workloads = importlib.import_module("workloads")
+    assert sorted(workloads.WORKLOADS) == BENCH_WORKLOADS
+    plan = workloads.WORKLOADS[name](1, tmp_path)
+    if hasattr(plan, "spec"):
+        plan = dataclasses.replace(plan, spec=dataclasses.replace(plan.spec, shots=FEW_SHOTS))
+    return plan.argv(0, tmp_path / "out.txt")
+
+
+@pytest.mark.parametrize("source, name", [("bench", w) for w in BENCH_WORKLOADS] + [
+    ("golden", "simulate-ghz"), ("golden", "simulate-plus"),
+])
+def test_runs_pass_only_real_arrays_to_lapack(source, name, tmp_path):
+    # every LAPACK call of the benchmark's workloads and of the simulate
+    # goldens takes float64 arrays, and no SLD group of theirs has H levels
+    # that split, so the tie-break never reaches its complex eigh
+    if source == "bench":
+        args = bench_argv(name, tmp_path)
+    else:
+        args = [a.format(out=tmp_path) for a in GOLDEN_CASES[name]]
+        args += ["--out", str(tmp_path / "out.txt")]
+    (code, kinds), past = tie_breaks_past_test(lapack_kinds, run, args)
+    assert code == 0
+    assert kinds == {"float64"}
+    assert past == []

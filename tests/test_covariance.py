@@ -62,10 +62,40 @@ class TestCovarianceMatrix:
     ], ids=["c1-n200-1e4", "c2-n10-1e6", "c1-n500-1e6"])
     def test_conditional_covariance_accepted_at_scale(self, family, n, two_beta2, alpha):
         # C - delta2_c 11^T keeps C's rounding, of order eps |C|, in its
-        # smallest eigenvalue
+        # smallest eigenvalue; c1 takes the closed form b (I - 11^T / n)
         cov = family(n, two_beta2, alpha)
         residual = conditional_covariance(cov)
-        np.testing.assert_array_equal(residual.entries, cov.entries - delta2_c(cov))
+        subtracted = cov.entries - delta2_c(cov)
+        if family is build_c2:
+            np.testing.assert_array_equal(residual.entries, subtracted)
+        else:
+            local = two_beta2 * (1.0 - alpha)
+            np.testing.assert_allclose(residual.entries, subtracted,
+                                       rtol=0, atol=1e-12 * max(1.0, local))
+
+    def test_conditional_covariance_accepted_past_cancellation(self):
+        # the largest eigenvalue of C is 1e6, that of C' only 0.1: the
+        # subtraction's rounding left a smallest eigenvalue of -2.0e-10,
+        # which the scale of C' refused
+        cov = build_c1(100, 1e4, 0.99999)
+        residual = conditional_covariance(cov).entries
+        local = cov.entries[0, 0] - cov.entries[0, 1]  # 0.1, as C's entries round it
+        np.testing.assert_allclose(residual, local * (np.eye(100) - 1.0 / 100),
+                                   rtol=0, atol=1e-15 * local)
+        assert abs(residual.sum()) <= 1e-15 * local * 100**2
+
+    @pytest.mark.parametrize("two_beta2", [1e-6, 0.5, 40.0, 1e4])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.3, 0.99, 1.0])
+    def test_closed_form_matches_subtraction(self, alpha, n, two_beta2):
+        # identity noise (alpha None) and c1: C' = b (I - 11^T / n) within
+        # 1e-12 max(1, b) of C - delta2_c 11^T
+        cov = (CovarianceMatrix(two_beta2 * np.eye(n)) if alpha is None
+               else build_c1(n, two_beta2, alpha))
+        local = two_beta2 * (1.0 - (alpha or 0.0))
+        np.testing.assert_allclose(conditional_covariance(cov).entries,
+                                   cov.entries - delta2_c(cov),
+                                   rtol=0, atol=1e-12 * max(1.0, local))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

@@ -45,15 +45,16 @@ from helpers import (
     dense_qfi,
     dense_sld,
     dense_traces,
-    eigensolver_kinds,
     embedded_case,
     frame_case,
+    lapack_kinds,
     measurement_case,
     random_density,
     random_projective_povm,
     random_psd_cov,
     random_pure_density,
     rng,
+    tie_breaks_past_test,
     traced_peak_mb,
 )
 
@@ -1111,11 +1112,13 @@ class TestFlipRoute:
 
     @pytest.mark.parametrize("probe, n, two_beta2, tol", [
         ("ghz", n, t, 1e-12) for n in (1, 2, 3) for t in (20.0, 40.0)
-    ] + [("ghz", 1, 640.0, 1e-12)] + [("plus", n, 40.0, 1e-6) for n in (2, 3)])
+    ] + [("ghz", 1, 640.0, 1e-12)] + [("plus", n, 40.0, 1e-12) for n in (2, 3)])
     def test_strong_dephasing_attains_qfi(self, probe, n, two_beta2, tol):
         # the degeneracy gap is relative to the SLD's scale: an absolute
         # 1e-8 put every eigenvalue of a small SLD in one group, which the
-        # H tie-break turned into the energy basis, CFI/QFI ~ 1e-33
+        # H tie-break turned into the energy basis, CFI/QFI ~ 1e-33.  dp
+        # far below p: product-plus read CFI/QFI - 1 = 1.9e-8 while dp kept
+        # the rounding of its diagonal terms, which are 0 in exact arithmetic
         gen = GeneratorSpec.qubits(n)
         state = ghz_state(n) if probe == "ghz" else product_plus_state(n)
         rho = dephase(state, gen, build_c2(n, two_beta2, 0.5))
@@ -1131,18 +1134,18 @@ class TestFlipRoute:
         gen = GeneratorSpec.qubits(n)
         rho = dephase(ghz_state(n), gen, build_c2(n, 0.5, 0.5))
         for phi in (0.0, 0.2):
-            assert eigensolver_kinds(optimal_povm, rho, gen, phi)[1] == {"f"}
+            assert lapack_kinds(optimal_povm, rho, gen, phi)[1] == {"float64"}
 
     @pytest.mark.parametrize("n, family", [(3, "c1"), (10, "c2")])
     def test_product_plus_takes_no_complex_eigensolver(self, n, family):
         # c1 at n = 3 has two 2-fold SLD groups, c2 at n = 10 a 32-fold one:
-        # the H tie-break runs, in real arithmetic
+        # each is one H level, which the tie-break keeps with no eigh
         gen = GeneratorSpec.qubits(n)
         cov = build_c1(n, 0.5, 0.3) if family == "c1" else build_c2(n, 0.5, 0.5)
         rho = dephase(product_plus_state(n), gen, cov)
         fisher = dephimetry.fisher
         with mock.patch.object(fisher, "_hermitian_eigh", wraps=fisher._hermitian_eigh) as tie:
-            assert eigensolver_kinds(optimal_povm, rho, gen)[1] == {"f"}
+            assert lapack_kinds(optimal_povm, rho, gen)[1] == {"float64"}
         assert tie.call_count
 
     def test_product_plus_n10_attains_qfi_within_budget(self):
@@ -1157,7 +1160,7 @@ class TestFlipRoute:
 
 def complex_tie_break(rho, gen):
     """optimal_povm with each group's H restriction diagonalised by a
-    complex eigh: the oracle of the real tie-break."""
+    plain complex eigh, with no one-level test: the tie-break's oracle."""
     with mock.patch.object(dephimetry.fisher, "_hermitian_eigh", lambda h, tol: np.linalg.eigh(h)):
         return optimal_povm(rho, gen)
 
@@ -1181,11 +1184,12 @@ def tie_break_case(case, n):
     return dephase(probe(n), gen, build_c2(n, two_beta2, 0.5))
 
 
-class TestRealTieBreak:
-    """The real H tie-break (_hermitian_eigh) against a complex eigh of each
-    group's H restriction: the same SLD eigenvalues and H levels in the
-    same outcome order, each column equal up to a unit phase where its pair
-    of levels is simple and the same projector where it repeats, and CFI =
+class TestTieBreak:
+    """The H tie-break (_hermitian_eigh) against a plain eigh of each
+    group's H restriction, with no one-level test: the same SLD eigenvalues
+    and H levels in the same outcome order, each column equal up to a unit
+    phase where its pair of levels is simple and the same projector where
+    it repeats (so a group the test keeps spans what eigh would), and CFI =
     QFI within 1e-12.  optimal_povm(rho, gen, phi) is the basis at rho with
     its rows rotated by e^{-i phi E}, and attains the QFI of the encoded
     state, whose complex full frame is the oracle."""
@@ -1215,6 +1219,20 @@ class TestRealTieBreak:
                                            rtol=0, atol=1e-12)
         f = qfi(rho, gen)
         assert math.isclose(classical_fi(rho, gen, povm), f, rel_tol=1e-12, abs_tol=1e-30)
+
+    @pytest.mark.parametrize("n, two_beta2, alpha", [(10, 0.5, 0.9), (6, 0.001, 0.0)])
+    def test_split_h_levels_take_one_complex_eigh(self, n, two_beta2, alpha):
+        # product-plus groups whose H restriction spreads past the one-level
+        # test, each diagonalised by one complex eigh: at n = 10 groups of
+        # 90, 252 and 90 rows by rounding (spreads 4e-8 to 1e-7), at n = 6
+        # one of 22 rows by a real split (2.95) and four small ones
+        gen = GeneratorSpec.qubits(n)
+        rho = dephase(product_plus_state(n), gen, build_c1(n, two_beta2, alpha))
+        povm, past = tie_breaks_past_test(optimal_povm, rho, gen)
+        assert past
+        basis = povm.vectors
+        assert np.abs(basis.conj().T @ basis - np.eye(gen.dim)).max() <= 1e-12
+        assert math.isclose(classical_fi(rho, gen, povm), qfi(rho, gen), rel_tol=1e-12)
 
     @pytest.mark.parametrize("phi", [0.2, -1.1, math.pi / 3])
     @pytest.mark.parametrize("case", ["ghz", "plus", "plus-c1", "strict", "complex"])

@@ -8,6 +8,8 @@ import pytest
 
 import dephimetry
 
+from helpers import LAPACK_CALLS
+
 PACKAGE = Path(dephimetry.__file__).parent
 
 # The seeded sampler's pieces, which live in bayes next to simulate.
@@ -173,3 +175,12 @@ def test_no_unused_module_constants():
             if not any(constant in read[m] for m in readers):
                 unread.add((name, constant))
     assert unread == set()
+
+
+def test_lapack_spy_watches_every_linalg_call():
+    # helpers.lapack_kinds watches LAPACK_CALLS; a new LAPACK-backed
+    # np.linalg call in the package must join them, or the tests that keep
+    # complex solvers off the benchmark's workloads would not see it
+    used = {name for path in PACKAGE.glob("*.py")
+            for name in re.findall(r"np\.linalg\.(\w+)", path.read_text())}
+    assert used - {"norm", "LinAlgError"} == set(LAPACK_CALLS)
