@@ -260,8 +260,9 @@ def averaged_probabilities(cfg: ExperimentConfig, phi: float) -> np.ndarray:
     return cfg.povm.probabilities(state)
 
 
-def bayes_estimators(cfg: ExperimentConfig) -> EstimatorTable:
-    """Posterior-mean site estimators via the commutator-trace reduction."""
+def _estimates(cfg: ExperimentConfig) -> tuple[EstimatorTable, np.ndarray]:
+    """bayes_estimators' table and est - phi0 per outcome, formed before
+    phi0 is added: phi0 + d and back would round d and -d apart."""
     # Per outcome: p and, for each site, Tr(-i [S_j, rho_bar] Pi_x).
     probs, traces = cfg.povm.statistics(cfg.averaged_state, cfg.gen.site_energy_table)
     included = probs > PROB_FLOOR
@@ -270,53 +271,60 @@ def bayes_estimators(cfg: ExperimentConfig) -> EstimatorTable:
 
     ratios = np.zeros_like(traces)
     ratios[:, included] = traces[:, included] / probs[included]
-    site_estimates = cfg.phi0 + (cfg.cov.entries @ ratios).T
-    estimates = cfg.phi0 + (site_estimates - cfg.phi0) @ cfg.gamma
+    site_deviations = (cfg.cov.entries @ ratios).T
+    deviations = site_deviations @ cfg.gamma
     return EstimatorTable(
         probs=probs,
-        site_estimates=site_estimates,
-        estimates=estimates,
+        site_estimates=cfg.phi0 + site_deviations,
+        estimates=cfg.phi0 + deviations,
         phi0=cfg.phi0,
         delta2=cfg.delta2,
         gamma=cfg.gamma,
         excluded=tuple(int(k) for k in np.flatnonzero(~included)),
-    )
+    ), deviations
 
 
-def _scaled_local_error(table: EstimatorTable) -> tuple[float, float]:
+def bayes_estimators(cfg: ExperimentConfig) -> EstimatorTable:
+    """Posterior-mean site estimators via the commutator-trace reduction."""
+    return _estimates(cfg)[0]
+
+
+def _scaled_local_error(table: EstimatorTable, deviations: np.ndarray) -> tuple[float, float]:
     """(s, local error times s^2), s = 2^-e for delta2 = f 2^e (frexp):
     est - phi0 = delta2 * score, so the scaled squares keep their digits at
     tiny noise, and scaling by a power of two is exact."""
     s = math.ldexp(1.0, min(-math.frexp(table.delta2)[1], np.finfo(float).maxexp - 1))
-    dev = (table.estimates - table.phi0) * s
+    dev = deviations * s
     return s, float(np.sum(table.probs * dev * dev))
 
 
-def local_error(cfg: ExperimentConfig, table: Optional[EstimatorTable] = None) -> float:
+def local_error(cfg: ExperimentConfig) -> float:
     """Second moment of the combined estimator around phi0 under the
     averaged distribution; equals delta2^2 times the classical Fisher
     information of the measurement."""
-    if table is None:
-        table = bayes_estimators(cfg)
-    s, scaled = _scaled_local_error(table)
+    s, scaled = _scaled_local_error(*_estimates(cfg))
     return scaled / s / s
+
+
+def _best(cfg: ExperimentConfig) -> tuple[EstimatorTable, float, float]:
+    """best_estimator's table and the _scaled_local_error that rescaled it."""
+    table, deviations = _estimates(cfg)
+    s, scaled = _scaled_local_error(table, deviations)
+    if scaled <= 0.0:
+        raise UninformativeMeasurementError("measurement has zero local information")
+    best = table.phi0 + deviations * (table.delta2 * s * s / scaled)
+    return dataclasses.replace(table, best=best), s, scaled
 
 
 def best_estimator(cfg: ExperimentConfig) -> EstimatorTable:
     """Locally unbiased rescaling; its local error is 1/classical_fi."""
-    table = bayes_estimators(cfg)
-    s, scaled = _scaled_local_error(table)
-    if scaled <= 0.0:
-        raise UninformativeMeasurementError("measurement has zero local information")
-    best = table.phi0 + (table.estimates - table.phi0) * (table.delta2 * s * s / scaled)
-    return dataclasses.replace(table, best=best)
+    return _best(cfg)[0]
 
 
 def bayes_mse(cfg: ExperimentConfig) -> float:
     """Bayesian mean square error of the posterior-mean estimator:
     delta2_c minus the local error (an exact identity)."""
-    table = bayes_estimators(cfg)
-    return cfg.delta2 - local_error(cfg, table)
+    return cfg.delta2 - local_error(cfg)
 
 
 def qbcr_gap(cfg: ExperimentConfig) -> QbcrReport:
@@ -622,7 +630,7 @@ def simulate(
     """
     jobs = chunk_rngs(seed, shots)
     probe = _sampled_probe(cfg)  # refuses an oversized fold before the table
-    table = best_estimator(cfg)
+    table, s, scaled = _best(cfg)
     loose = np.flatnonzero(~np.isfinite(table.best))
     if loose.size:
         raise ValueError(f"est_best[{loose[0]}] = {table.best[loose[0]]} is past the float range")
@@ -632,7 +640,6 @@ def simulate(
     with np.errstate(over="ignore"):  # an inf square makes the MSE inf
         np.square(squares, out=squares)
     empirical_mse_best, mse_stderr = _weighted_moments(counts, squares)
-    s, scaled = _scaled_local_error(table)
     square, le = table.delta2**2, scaled / s / s
     # Out of the normal range the plain quotient loses its digits.
     normal = min(square, le) >= np.finfo(float).tiny

@@ -165,17 +165,16 @@ def weights(cov: CovarianceMatrix) -> WeightVector:
 
 def conditional_covariance(cov: CovarianceMatrix) -> CovarianceMatrix:
     """Schur complement C' = C - delta2_c * ones, the residual phase
-    covariance once the weighted average phase is fixed; b (I - 11^T / n)
-    for C = a 11^T + b I entry for entry, whose subtraction would keep
-    rounding at the scale of C.  Elsewhere, where the subtraction cancels
-    most of C's scale, its rounding can leave C' outside CovarianceMatrix's
-    tolerances, which refuse it with a ValueError."""
+    covariance once the weighted average phase is fixed: b (I - 11^T / n)
+    for C = a 11^T + b I entry for entry.  Elsewhere the subtraction keeps
+    rounding at the scale of C, which can leave C' outside
+    CovarianceMatrix's tolerances; they refuse it with a ValueError."""
     entries, n = cov.entries, cov.n
-    shift = delta2_c(cov)  # refuses a singular C that is not collective
-    local = entries[0, 0] - entries[0, -1]  # b, or 0 at n = 1
+    delta2_c(cov)  # refuses a singular C that is not collective
     if np.array_equal(entries, np.where(np.eye(n, dtype=bool), entries[0, 0], entries[0, -1])):
+        local = entries[0, 0] - entries[0, -1]  # b, or 0 at n = 1
         return CovarianceMatrix(local * np.eye(n) - local / n)
-    return CovarianceMatrix(entries - shift)
+    return CovarianceMatrix(entries - delta2_c(cov))
 
 
 def conditional_dephased_state(

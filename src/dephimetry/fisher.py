@@ -287,15 +287,13 @@ class Povm:
         return Povm._from_columns(columns, labels, self.outcomes)
 
     def statistics(self, rho: DensityMatrix, h: Optional[np.ndarray] = None):
-        """(p, dp) per outcome on the support block of rho and the columns v
-        that reach it (restrict).  p(x) = Tr(rho Pi_x) sums terms = conj(v)
-        * (rho v) over the rows and the columns labelled x.  For rows h over
-        the basis, (dim,) or (k, dim), dp(x) = Tr(-i [diag(h), rho] Pi_x) is
-        2 Im(h @ terms) over the same columns with the block's diagonal set
-        to 0, a block of rows at a time: those terms are real, and their
-        rounding would swamp a dp far below p.  One bincount over (row,
-        label) sums the columns, so an outcome with no column there gets 0;
-        dp is None without h."""
+        """(p, dp) per outcome, a block of rows of rho's support block at a
+        time: terms = conj(v) * (rho' v) for the columns v that reach it
+        (restrict) and rho' the block off its diagonal, whose real terms'
+        rounding would swamp a dp far below p.  p(x) = Tr(rho Pi_x) sums terms
+        and rho_mm |v_m|^2, and for rows h, (dim,) or (k, dim), dp(x) = Tr(-i
+        [diag(h), rho] Pi_x) sums 2 Im(h @ terms), over the rows and the
+        columns labelled x (one bincount): 0 with no column; None without h."""
         if rho.dim != self.dim:
             raise ValueError("POVM and state dimensions differ")
         live = _support(rho.entries)
@@ -309,15 +307,16 @@ class Povm:
                                 minlength=index.shape[0] * self.outcomes)
             return total.reshape(rows + (self.outcomes,))
 
-        p = by_outcome((v.conj() * (block @ v)).sum(axis=0).real)
-        if h is None:
-            return p, None
-        h, dp = h[..., live], 0.0
+        h, p, dp = None if h is None else h[..., live], 0.0, 0.0
         for rows in _row_blocks(*block.shape):
             part = block[rows].copy()
-            part[np.arange(part.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
-            dp = dp + h[..., rows] @ (v[rows].conj() * (part @ v))
-        return p, by_outcome(2.0 * dp.imag)
+            on = np.arange(part.shape[0]), np.arange(rows.start, rows.stop)
+            diagonal, part[on] = part[on].real, 0.0
+            terms = v[rows].conj() * (part @ v)
+            p = p + (terms.real + diagonal[:, None] * (v[rows].conj() * v[rows]).real).sum(axis=0)
+            if h is not None:
+                dp = dp + h[..., rows] @ terms
+        return by_outcome(p), None if h is None else by_outcome(2.0 * dp.imag)
 
     def probabilities(self, rho: DensityMatrix) -> np.ndarray:
         return self.statistics(rho)[0]
